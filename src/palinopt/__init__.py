@@ -22,7 +22,7 @@ from .optimize import (
 )
 from .ordering import OrderArray, conventional_order, poa_order, validate_order
 from .palindrome import build_trie, dfs_order, mos_check, overlap, trie_gate_count
-from .sim import VerificationReport, apply_gate, circuit_to_matrix, verify
+from .sim import VerificationReport, circuit_to_matrix, verify
 from .synth import (
     Circuit,
     ControlledGate,
@@ -41,7 +41,6 @@ __all__ = [
     "TwoLevelMatrix",
     "VerificationReport",
     "adjoint",
-    "apply_gate",
     "build_subcircuit",
     "build_trie",
     "cancel_pass",

@@ -53,11 +53,17 @@ def cmd_compile(args: argparse.Namespace) -> int:
     circuit = synth.construct_circuit(decomp, skip_identity=args.skip_identity)
     if args.cancel:
         circuit = optimize.cancel_pass(circuit)
-    Path(args.output).write_text(synth.write_circuit(circuit))
+    try:
+        Path(args.output).write_text(synth.write_circuit(circuit))
+    except OSError as exc:
+        return _fail(f"cannot write output: {exc}")
     print(f"wrote {len(circuit)} gates to {args.output}")
 
     if args.verify:
-        reread = synth.read_circuit(Path(args.output).read_text())
+        try:
+            reread = synth.read_circuit(Path(args.output).read_text())
+        except (OSError, ValueError) as exc:
+            return _fail(f"cannot read circuit back: {exc}")
         report = sim.verify(u, reread, tol=linalg.RECONSTRUCT_TOL)
         print(report)
         if not report.passed:

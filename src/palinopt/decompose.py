@@ -5,6 +5,10 @@ to U) following the ordering pairs of a supplied :class:`OrderArray`.  Each
 step applies a quantum Givens elimination that zeroes the working matrix
 entry at the current pair; identity factors are kept so the factor count is
 always 2^{n-1} (2^n - 1) regardless of the input.
+
+A step for pair (r, c) changes only rows c and r of the working matrix, and
+by the column-progress invariant both rows are already zero left of column
+c, so each step updates those two rows in place over columns >= c.
 """
 
 from __future__ import annotations
@@ -55,30 +59,15 @@ def _step_matrix(m: np.ndarray, r: int, c: int, final_col: bool, last_row: bool)
     )
 
 
-def _apply_step(m: np.ndarray, block: np.ndarray, r: int, c: int, dense: bool) -> np.ndarray:
-    if dense:
-        mj = np.eye(m.shape[0], dtype=complex)
-        mj[c, c], mj[c, r] = block[0, 0], block[0, 1]
-        mj[r, c], mj[r, r] = block[1, 0], block[1, 1]
-        return mj @ m
-    # Two-row update: M_j differs from I only in rows c and r.
-    out = m.copy()
-    out[c, :] = block[0, 0] * m[c, :] + block[0, 1] * m[r, :]
-    out[r, :] = block[1, 0] * m[c, :] + block[1, 1] * m[r, :]
-    return out
-
-
 def two_level_decompose(
     u: np.ndarray,
     order: OrderArray,
-    dense: bool = True,
     column_hook=None,
 ) -> Decomposition:
     """Factor ``u`` into two-level unitaries along ``order``.
 
-    With ``dense=False`` the working matrix is advanced by the two-row
-    update instead of a full multiplication; the results agree to 1e-12.
     ``column_hook(m, c)`` is invoked after each column is fully processed
+    with the live working matrix, which later steps keep updating in place
     (used by tests to watch the elimination progress).
     """
     u = np.asarray(u, dtype=complex)
@@ -97,7 +86,8 @@ def two_level_decompose(
         for r in rows:
             block = _step_matrix(m, r, c, final_col=(c == final_col), last_row=(r == rows[-1]))
             factors.append(TwoLevelMatrix(row=r, col=c, comp=block.conj().T, dim=dim))
-            m = _apply_step(m, block, r, c, dense)
+            pair = [c, r]  # M_j differs from I only here; both rows are 0 left of c
+            m[pair, c:] = block @ m[pair, c:]
         if column_hook is not None:
             column_hook(m, c)
     return Decomposition(n=order.n, factors=tuple(factors))

@@ -28,6 +28,28 @@ def is_unitary(m: np.ndarray, tol: float = UNITARY_TOL) -> bool:
     return bool(np.max(np.abs(dev)) < tol)
 
 
+def is_unitary_2x2(m: np.ndarray, tol: float = UNITARY_TOL) -> bool:
+    """:func:`is_unitary` for a 2x2 matrix, in Python scalars.
+
+    Same rule and tolerance: every entry of ``m† m - I`` below ``tol`` in
+    magnitude.  The two off-diagonal entries are conjugates, so one is
+    checked; a NaN entry fails every comparison and so fails the check.
+    """
+    m = np.asarray(m, dtype=complex)
+    if m.shape != (2, 2):
+        return False
+    a, b, c, d = m.reshape(4).tolist()
+    try:
+        devs = (
+            abs(a.conjugate() * a + c.conjugate() * c - 1),
+            abs(b.conjugate() * b + d.conjugate() * d - 1),
+            abs(a.conjugate() * b + c.conjugate() * d),
+        )
+    except OverflowError:  # |z| of a finite z past the float range: far from unitary
+        return False
+    return all(x < tol for x in devs)
+
+
 def adjoint(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return np.asarray(m, dtype=complex).conj().T
@@ -71,7 +93,7 @@ class TwoLevelMatrix:
         comp = np.asarray(self.comp, dtype=complex)
         if comp.shape != (2, 2):
             raise ValueError("component matrix must be 2x2")
-        if not is_unitary(comp, UNITARY_TOL):
+        if not is_unitary_2x2(comp, UNITARY_TOL):
             raise ValueError("component matrix is not unitary")
         object.__setattr__(self, "comp", comp)
 

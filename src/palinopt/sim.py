@@ -1,8 +1,10 @@
-"""State-vector simulation of fully controlled gates.
+"""Simulation of circuits of fully controlled gates.
 
-A gate with n-1 controls touches exactly one pair of amplitudes, so gate
-application is O(1) and rebuilding a circuit's full unitary is one pass of
-the circuit per basis column.
+A gate with n-1 controls acts on exactly one pair of basis states, so the
+circuit's unitary is built row-wise: a controlled X only swaps which stored
+row holds each of its two basis states, and a controlled U updates those two
+rows, 2^n entries each, in one numpy product.  Only the U gates cost
+arithmetic.
 """
 
 from __future__ import annotations
@@ -15,47 +17,31 @@ from .linalg import frobenius_distance
 from .synth import Circuit, ControlledGate
 
 
-def apply_gate(state: np.ndarray, g: ControlledGate) -> np.ndarray:
-    """Apply ``g`` to a 2^n amplitude vector, returning a new vector."""
-    dim = 1 << g.n
-    if state.shape != (dim,):
-        raise ValueError(f"state length {state.shape} does not match n={g.n}")
+def _basis_pair(g: ControlledGate) -> tuple[int, int]:
+    """Basis states (target bit 0, target bit 1) on which ``g`` acts."""
     i0 = 0
     for q, bit in g.controls:
         i0 |= bit << q
-    i1 = i0 | (1 << g.target)
-    out = state.copy()
-    op = g.matrix_op()
-    a0, a1 = state[i0], state[i1]
-    out[i0] = op[0, 0] * a0 + op[0, 1] * a1
-    out[i1] = op[1, 0] * a0 + op[1, 1] * a1
-    return out
-
-
-def _gate_action(g: ControlledGate) -> tuple[int, int, complex, complex, complex, complex]:
-    i0 = 0
-    for q, bit in g.controls:
-        i0 |= bit << q
-    i1 = i0 | (1 << g.target)
-    op = g.matrix_op()
-    return (i0, i1, op[0, 0], op[0, 1], op[1, 0], op[1, 1])
+    return i0, i0 | (1 << g.target)
 
 
 def circuit_to_matrix(c: Circuit) -> np.ndarray:
-    """Unitary computed by the circuit: gates applied in sequence order to
-    every basis column.  Amplitude pairs are precomputed once per gate so
-    the inner loop stays cheap at tens of thousands of gates."""
+    """Unitary computed by the circuit, gates applied in sequence order.
+
+    ``row[i]`` names the row of ``m`` holding basis state i of the product
+    so far, so the product is ``m[row]``.
+    """
     dim = 1 << c.n
-    actions = [_gate_action(g) for g in c.gates]
     m = np.eye(dim, dtype=complex)
-    for x in range(dim):
-        col = m[:, x].copy()
-        for i0, i1, a, b, cc, d in actions:
-            a0, a1 = col[i0], col[i1]
-            col[i0] = a * a0 + b * a1
-            col[i1] = cc * a0 + d * a1
-        m[:, x] = col
-    return m
+    row = list(range(dim))
+    for g in c.gates:
+        i0, i1 = _basis_pair(g)
+        if g.is_x:
+            row[i0], row[i1] = row[i1], row[i0]
+        else:
+            rows = [row[i0], row[i1]]
+            m[rows] = g.op @ m[rows]
+    return m[row]
 
 
 @dataclass(frozen=True)

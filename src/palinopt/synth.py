@@ -11,13 +11,14 @@ pattern strings render qubit n-1 leftmost.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
 from .decompose import Decomposition
-from .linalg import UNITARY_TOL, TwoLevelMatrix
+from .linalg import UNITARY_TOL, TwoLevelMatrix, is_unitary_2x2
 
 
 @dataclass(frozen=True)
@@ -35,7 +36,9 @@ class ControlledGate:
     op: Union[str, np.ndarray]
 
     def __post_init__(self) -> None:
-        expected = sorted(set(range(self.n)) - {self.target})
+        if not 0 <= self.target < self.n:
+            raise ValueError(f"target {self.target} out of range for n={self.n}")
+        expected = [q for q in range(self.n) if q != self.target]
         if [q for q, _ in self.controls] != expected:
             raise ValueError("controls must cover exactly the non-target qubits")
         if isinstance(self.op, str):
@@ -52,11 +55,6 @@ class ControlledGate:
     def symbol(self) -> tuple[int, tuple[tuple[int, int], ...]]:
         """Structural identity of an X gate (target plus control pattern)."""
         return (self.target, self.controls)
-
-    def matrix_op(self) -> np.ndarray:
-        if self.is_x:
-            return np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-        return self.op
 
     def pattern(self) -> str:
         """Control pattern with qubit n-1 leftmost and ``_`` at the target."""
@@ -217,7 +215,27 @@ def _parse_fields(line: str) -> dict[str, str]:
     return fields
 
 
+def _parse_position(t: str, pattern: str, n: int, line: str) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """Target and sorted controls of a gate line's ``t=`` and ``c=`` fields."""
+    target = int(t)
+    if len(pattern) != n:
+        raise ValueError(f"pattern length {len(pattern)} != n={n}: {line!r}")
+    controls = []
+    for pos, ch in enumerate(pattern):
+        q = n - 1 - pos
+        if ch == "_":
+            if q != target:
+                raise ValueError(f"'_' not at target position: {line!r}")
+        elif ch in "01":
+            controls.append((q, int(ch)))
+        else:
+            raise ValueError(f"bad pattern character {ch!r}: {line!r}")
+    return target, tuple(sorted(controls))
+
+
 def read_circuit(text: str) -> Circuit:
+    """Parse a circuit file.  Each distinct ``(t, c)`` position is parsed
+    once, and equal X lines share one (immutable) gate object."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("n="):
         raise ValueError("circuit file must start with 'n=<int> gates=<int>'")
@@ -227,36 +245,40 @@ def read_circuit(text: str) -> Circuit:
         count = int(head["gates"])
     except (KeyError, ValueError) as exc:
         raise ValueError(f"bad header: {lines[0]!r}") from exc
+    if n < 1:
+        raise ValueError(f"bad header: {lines[0]!r}")
     if len(lines) - 1 != count:
         raise ValueError(f"header says {count} gates, file has {len(lines) - 1}")
+    positions: dict[tuple[str, str], tuple[int, tuple[tuple[int, int], ...]]] = {}
+    x_gates: dict[tuple[str, str], ControlledGate] = {}
     gates = []
     for line in lines[1:]:
         kind = line.split(None, 1)[0]
+        if kind not in ("X", "U"):
+            raise ValueError(f"unknown gate line {line!r}")
         f = _parse_fields(line)
-        target = int(f["t"])
-        pattern = f["c"]
-        if len(pattern) != n:
-            raise ValueError(f"pattern length {len(pattern)} != n={n}: {line!r}")
-        controls = []
-        for pos, ch in enumerate(pattern):
-            q = n - 1 - pos
-            if ch == "_":
-                if q != target:
-                    raise ValueError(f"'_' not at target position: {line!r}")
-            elif ch in "01":
-                controls.append((q, int(ch)))
-            else:
-                raise ValueError(f"bad pattern character {ch!r}: {line!r}")
-        controls = tuple(sorted(controls))
+        for key in ("t", "c", "m") if kind == "U" else ("t", "c"):
+            if key not in f:
+                raise ValueError(f"missing field {key}=: {line!r}")
+        at = (f["t"], f["c"])
+        if kind == "X" and at in x_gates:
+            gates.append(x_gates[at])
+            continue
+        if at not in positions:
+            positions[at] = _parse_position(*at, n, line)
+        target, controls = positions[at]
         if kind == "X":
-            op: Union[str, np.ndarray] = "X"
-        elif kind == "U":
+            gate = x_gates[at] = ControlledGate(n=n, target=target, controls=controls, op="X")
+        else:
             parts = f["m"].split(";")
             if len(parts) != 4:
                 raise ValueError(f"component matrix needs 4 entries: {line!r}")
             vals = [complex(float(p.partition(",")[0]), float(p.partition(",")[2])) for p in parts]
+            if not all(map(cmath.isfinite, vals)):
+                raise ValueError(f"component matrix has non-finite entries: {line!r}")
             op = np.array(vals, dtype=complex).reshape(2, 2)
-        else:
-            raise ValueError(f"unknown gate line {line!r}")
-        gates.append(ControlledGate(n=n, target=target, controls=controls, op=op))
+            if not is_unitary_2x2(op):
+                raise ValueError(f"component matrix is not unitary within {UNITARY_TOL}: {line!r}")
+            gate = ControlledGate(n=n, target=target, controls=controls, op=op)
+        gates.append(gate)
     return Circuit(n=n, gates=tuple(gates))

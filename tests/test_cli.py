@@ -137,6 +137,29 @@ def test_compile_rejects_missing_file(tmp_path, capsys):
     assert code == 1
 
 
+def test_compile_into_missing_directory(tmp_path, capsys):
+    inp = write_unitary(tmp_path, 2)
+    code, out, err = run(
+        capsys, "compile", "--input", str(inp), "--output", str(tmp_path / "no" / "c.circ")
+    )
+    assert code == 1
+    assert err.startswith("error: cannot write output: ")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_compile_verify_unreadable_circuit(tmp_path, capsys, monkeypatch):
+    from palinopt import synth
+
+    monkeypatch.setattr(synth, "write_circuit", lambda c: "n=2 gates=1\nX c=0_\n")
+    inp = write_unitary(tmp_path, 2)
+    code, _, err = run(
+        capsys, "compile", "--input", str(inp), "--output", str(tmp_path / "c.circ"), "--verify"
+    )
+    assert code == 1
+    assert "missing field t=" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_compile_skip_identity(tmp_path, capsys):
     inp = tmp_path / "id.mat"
     inp.write_text(write_matrix(np.eye(4)))
@@ -172,6 +195,18 @@ def test_trie_rejects_cancelled_circuit(tmp_path, capsys):
     run(capsys, "compile", "--input", str(inp), "--output", str(out_path), "--cancel")
     code, _, err = run(capsys, "trie", "--input", str(out_path))
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "body", ["X c=0_", "X t=0", "U t=0 c=0_", "X t=5 c=01", "U t=0 c=0_ m=2,0;0,0;0,0;2,0"]
+)
+def test_trie_bad_circuit_file_exits_1(tmp_path, capsys, body):
+    path = tmp_path / "bad.circ"
+    path.write_text(f"n=2 gates=1\n{body}\n")
+    code, _, err = run(capsys, "trie", "--input", str(path))
+    assert code == 1
+    assert err.startswith("error: cannot read circuit: ")
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_trie_usage_error(capsys):

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import dense_decompose
 
 from palinopt.decompose import progress_invariant_check, two_level_decompose
 from palinopt.linalg import expand_two_level, frobenius_distance, random_unitary
@@ -106,13 +109,36 @@ def test_factors_are_valid_two_level():
 
 
 def test_dense_and_two_row_updates_agree():
+    # The in-place two-row update against full elimination products.
     u = random_unitary(4, 23)
     order = poa_order(4)
-    d1 = two_level_decompose(u, order, dense=True)
-    d2 = two_level_decompose(u, order, dense=False)
-    for f1, f2 in zip(d1.factors, d2.factors):
+    dense = dense_decompose(u, order)
+    d = two_level_decompose(u, order)
+    assert len(d.factors) == len(dense)
+    for f1, f2 in zip(dense, d.factors):
         assert f1.pair == f2.pair
         assert np.max(np.abs(f1.comp - f2.comp)) < 1e-12
+
+
+@st.composite
+def valid_orders(draw):
+    """Any column-major order: each column's rows in a drawn permutation."""
+    n = draw(st.integers(2, 4))
+    dim = 1 << n
+    cols = tuple(
+        tuple(draw(st.permutations(range(c + 1, dim)))) for c in range(dim - 1)
+    )
+    return OrderArray(n, cols)
+
+
+@settings(max_examples=40, deadline=None)
+@given(order=valid_orders(), seed=st.integers(0, 2**32 - 1))
+def test_any_valid_order_reconstructs(order, seed):
+    assert validate_order(order)
+    u = random_unitary(order.n, seed)
+    d = two_level_decompose(u, order)
+    assert d.pairs == tuple(order.pairs())
+    assert frobenius_distance(reconstruct(d), u) < 1e-9
 
 
 def test_progress_invariant_during_decomposition():

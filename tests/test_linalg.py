@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from palinopt.linalg import (
+    UNITARY_TOL,
     TwoLevelMatrix,
     adjoint,
     expand_two_level,
     frobenius_distance,
     is_unitary,
+    is_unitary_2x2,
     matmul,
     random_unitary,
     read_matrix,
@@ -34,6 +38,52 @@ def test_is_unitary_all_ones():
 
 def test_is_unitary_rejects_non_square():
     assert not is_unitary(np.ones((2, 3)))
+
+
+def _max_dev(m):
+    with np.errstate(all="ignore"):
+        return float(np.max(np.abs(m.conj().T @ m - np.eye(2))))
+
+
+@given(st.lists(st.complex_numbers(), min_size=4, max_size=4))
+def test_is_unitary_2x2_agrees_on_random(vals):
+    m = np.array(vals, dtype=complex).reshape(2, 2)
+    with np.errstate(all="ignore"):
+        assert is_unitary_2x2(m) == is_unitary(m)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    entry=st.integers(0, 3),
+    size=st.floats(0.25, 4.0),
+    angle=st.floats(0.0, 2 * np.pi),
+)
+def test_is_unitary_2x2_agrees_near_tolerance(seed, entry, size, angle):
+    # One entry of a unitary moved by a few UNITARY_TOL, so the largest
+    # deviation lands on either side of the tolerance.  Within rounding
+    # (1e-15) of the tolerance the two sums may round to different sides.
+    m = random_unitary(1, seed)
+    m.flat[entry] += size * UNITARY_TOL * np.exp(1j * angle)
+    assume(abs(_max_dev(m) - UNITARY_TOL) > 1e-15)
+    assert is_unitary_2x2(m) == is_unitary(m)
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        np.full((2, 2), np.nan),
+        np.array([[np.inf, 0], [0, 1]]),
+        np.full((2, 2), 1e200 + 1e200j),
+        np.eye(3),
+        np.ones(4),
+    ],
+)
+def test_is_unitary_2x2_rejects(m):
+    assert not is_unitary_2x2(m)
+
+
+def test_is_unitary_2x2_accepts():
+    assert is_unitary_2x2(X) and is_unitary_2x2(Y) and is_unitary_2x2(np.eye(2))
 
 
 def test_adjoint_identity():

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import apply_gate, circuit_matrix
 
 from palinopt.decompose import two_level_decompose
 from palinopt.linalg import (
@@ -10,7 +13,7 @@ from palinopt.linalg import (
 )
 from palinopt.optimize import cancel_pass
 from palinopt.ordering import conventional_order, poa_order
-from palinopt.sim import apply_gate, circuit_to_matrix, verify
+from palinopt.sim import circuit_to_matrix, verify
 from palinopt.synth import Circuit, ControlledGate, build_subcircuit, construct_circuit
 
 X2 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -93,6 +96,29 @@ def test_end_to_end_oracle(n):
         d = two_level_decompose(u, order)
         circuit = construct_circuit(d)
         assert np.max(np.abs(circuit_to_matrix(circuit) - u)) < 1e-9
+
+
+@st.composite
+def random_circuits(draw):
+    """Circuits of fully controlled X and Haar-random U gates, n = 1..5."""
+    n = draw(st.integers(1, 5))
+    gates = []
+    for _ in range(draw(st.integers(0, 40))):
+        target = draw(st.integers(0, n - 1))
+        controls = tuple((q, draw(st.integers(0, 1))) for q in range(n) if q != target)
+        if draw(st.booleans()):
+            op = "X"
+        else:
+            op = random_unitary(1, draw(st.integers(0, 2**32 - 1)))
+        gates.append(ControlledGate(n=n, target=target, controls=controls, op=op))
+    return Circuit(n, tuple(gates))
+
+
+@settings(max_examples=60, deadline=None)
+@given(circuit=random_circuits())
+def test_circuit_to_matrix_matches_column_oracle(circuit):
+    m = circuit_to_matrix(circuit)
+    assert np.max(np.abs(m - circuit_matrix(circuit))) < 1e-12
 
 
 def test_verify_identity():

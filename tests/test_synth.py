@@ -124,6 +124,12 @@ def test_controls_cover_non_target_qubits():
         ControlledGate(n=3, target=0, controls=((0, 0), (1, 0)), op="X")
 
 
+@pytest.mark.parametrize("target", [-1, 3, 5])
+def test_target_must_be_a_qubit(target):
+    with pytest.raises(ValueError, match="target"):
+        ControlledGate(n=3, target=target, controls=((0, 1), (1, 0), (2, 1)), op="X")
+
+
 def test_gate_pattern_rendering():
     g = ControlledGate(n=3, target=1, controls=((0, 1), (2, 0)), op="X")
     assert g.pattern() == "0_1"
@@ -168,6 +174,39 @@ def test_read_circuit_rejects_garbage():
         read_circuit("n=2 gates=1\n")
     with pytest.raises(ValueError):
         read_circuit("n=2 gates=1\nX t=0 c=00\n")  # no target slot
+
+
+@pytest.mark.parametrize("line", ["X c=0_", "X t=0", "U t=0 c=0_", "U c=0_ m=1,0;0,0;0,0;1,0"])
+def test_read_circuit_missing_field_is_value_error(line):
+    with pytest.raises(ValueError, match="missing field"):
+        read_circuit(f"n=2 gates=1\n{line}\n")
+
+
+def test_read_circuit_rejects_target_out_of_range():
+    # Pattern without a '_' slot and t beyond n: the controls cover qubits
+    # 0 and 1, so only the target range check stops it.
+    with pytest.raises(ValueError, match="target"):
+        read_circuit("n=2 gates=1\nX t=5 c=01\n")
+
+
+@pytest.mark.parametrize(
+    "m, match",
+    [
+        ("2,0;0,0;0,0;2,0", "not unitary"),
+        ("1,0;1,0;0,0;1,0", "not unitary"),
+        ("nan,0;0,0;0,0;1,0", "non-finite"),
+        ("1,0;0,inf;0,0;1,0", "non-finite"),
+        ("1e200,1e200;0,0;0,0;1,0", "not unitary"),
+    ],
+)
+def test_read_circuit_rejects_bad_component(m, match):
+    with pytest.raises(ValueError, match=match):
+        read_circuit(f"n=2 gates=1\nU t=0 c=0_ m={m}\n")
+
+
+def test_read_circuit_rejects_bad_header_n():
+    with pytest.raises(ValueError, match="header"):
+        read_circuit("n=0 gates=0\n")
 
 
 def test_split_subcircuits_round_trip():
