@@ -5,11 +5,8 @@ the controlled-NOT count."""
 from .decompose import Decomposition, two_level_decompose
 from .linalg import (
     TwoLevelMatrix,
-    adjoint,
-    expand_two_level,
     frobenius_distance,
     is_unitary,
-    matmul,
     random_unitary,
 )
 from .optimize import (
@@ -40,7 +37,6 @@ __all__ = [
     "PalindromicSubcircuit",
     "TwoLevelMatrix",
     "VerificationReport",
-    "adjoint",
     "build_subcircuit",
     "build_trie",
     "cancel_pass",
@@ -49,14 +45,12 @@ __all__ = [
     "conventional_order",
     "count_structural",
     "dfs_order",
-    "expand_two_level",
     "formula_conventional",
     "formula_conventional_cancel",
     "formula_poa",
     "frobenius_distance",
     "gray_code",
     "is_unitary",
-    "matmul",
     "mos_check",
     "overlap",
     "poa_order",

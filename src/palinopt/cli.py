@@ -14,6 +14,11 @@ from . import linalg, optimize, ordering, palindrome, sim, synth
 from .decompose import two_level_decompose
 
 
+# Largest n that `count --mode enumerate|both` builds circuits for: the
+# conventional circuit at n=10 holds ~4.7M gates.
+ENUMERATE_MAX_N = 10
+
+
 def _fail(msg: str, code: int = 1) -> int:
     print(f"error: {msg}", file=sys.stderr)
     return code
@@ -84,6 +89,10 @@ def cmd_count(args: argparse.Namespace) -> int:
         return _fail("need --n or --range")
     if lo < 2 or hi < lo:
         return _fail(f"range [{lo}, {hi}] must satisfy 2 <= a <= b")
+    if args.mode != "formula" and hi > ENUMERATE_MAX_N:
+        return _fail(
+            f"--mode {args.mode} enumerates circuits only up to n={ENUMERATE_MAX_N}, got n={hi}"
+        )
     try:
         rows = optimize.table_rows(lo, hi, mode=args.mode)
     except AssertionError as exc:

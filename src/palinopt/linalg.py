@@ -36,31 +36,21 @@ def is_unitary_2x2(m: np.ndarray, tol: float = UNITARY_TOL) -> bool:
     checked; a NaN entry fails every comparison and so fails the check.
     """
     m = np.asarray(m, dtype=complex)
-    if m.shape != (2, 2):
-        return False
-    a, b, c, d = m.reshape(4).tolist()
+    return m.shape == (2, 2) and is_unitary_entries(*m.reshape(4).tolist(), tol=tol)
+
+
+def is_unitary_entries(
+    a: complex, b: complex, c: complex, d: complex, tol: float = UNITARY_TOL
+) -> bool:
+    """:func:`is_unitary_2x2` of ``[[a, b], [c, d]]`` given as Python numbers."""
     try:
-        devs = (
-            abs(a.conjugate() * a + c.conjugate() * c - 1),
-            abs(b.conjugate() * b + d.conjugate() * d - 1),
-            abs(a.conjugate() * b + c.conjugate() * d),
+        return (
+            abs(a.conjugate() * a + c.conjugate() * c - 1) < tol
+            and abs(b.conjugate() * b + d.conjugate() * d - 1) < tol
+            and abs(a.conjugate() * b + c.conjugate() * d) < tol
         )
     except OverflowError:  # |z| of a finite z past the float range: far from unitary
         return False
-    return all(x < tol for x in devs)
-
-
-def adjoint(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(m, dtype=complex).conj().T
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} x {b.shape}")
-    return a @ b
 
 
 def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -100,17 +90,6 @@ class TwoLevelMatrix:
     @property
     def pair(self) -> tuple[int, int]:
         return (self.row, self.col)
-
-
-def expand_two_level(t: TwoLevelMatrix) -> np.ndarray:
-    """Embed the 2x2 component into a dim x dim identity."""
-    m = np.eye(t.dim, dtype=complex)
-    c, r = t.col, t.row
-    m[c, c] = t.comp[0, 0]
-    m[c, r] = t.comp[0, 1]
-    m[r, c] = t.comp[1, 0]
-    m[r, r] = t.comp[1, 1]
-    return m
 
 
 def random_unitary(n: int, seed: int) -> np.ndarray:

@@ -9,60 +9,40 @@ circuit skeleton from Gray codes alone (no matrix values involved).
 from __future__ import annotations
 
 from .ordering import OrderArray, conventional_order, poa_order
-from .synth import Circuit, ControlledGate, subcircuit_for_pair
-
-
-def _cancels(a: ControlledGate, b: ControlledGate) -> bool:
-    return a.is_x and b.is_x and a.symbol == b.symbol
+from .synth import Circuit, ControlledGate, gray_circuit
 
 
 def cancel_pass(c: Circuit) -> Circuit:
     """Delete adjacent self-annihilating X pairs until none remain.
 
     Single left-to-right stack scan: push each gate, but pop instead when
-    the incoming gate annihilates the top.  This reaches the same fixed
-    point as repeated peephole deletion (X-pair deletion is confluent).
-    Component-matrix gates are never touched.
+    it is an X gate with the same (target, base) as an X gate on top.  This
+    reaches the same fixed point as repeated peephole deletion (X-pair
+    deletion is confluent).  Component-matrix gates are never touched.
     """
     stack: list[ControlledGate] = []
     for g in c.gates:
-        if stack and _cancels(stack[-1], g):
-            stack.pop()
-        else:
-            stack.append(g)
+        if stack and g.is_x:
+            top = stack[-1]
+            if top.is_x and top.target == g.target and top.base == g.base:
+                stack.pop()
+                continue
+        stack.append(g)
     return Circuit(n=c.n, gates=tuple(stack))
 
 
-def cancel_pass_peephole(c: Circuit) -> Circuit:
-    """Quadratic fixed-point variant, kept as a cross-check of cancel_pass."""
-    gates = list(c.gates)
-    changed = True
-    while changed:
-        changed = False
-        i = 0
-        while i + 1 < len(gates):
-            if _cancels(gates[i], gates[i + 1]):
-                del gates[i : i + 2]
-                changed = True
-                i = max(i - 1, 0)
-            else:
-                i += 1
-    return Circuit(n=c.n, gates=tuple(gates))
+def _skeleton(n: int, pairs) -> Circuit:
+    """Circuit skeleton of (r, c) pairs: real X runs, identity middles."""
+    return gray_circuit(n, ((r, c, None) for r, c in pairs))
 
 
 def structural_circuit(n: int, order: OrderArray) -> Circuit:
     """Circuit skeleton for an ordering: placeholder middles, real X runs."""
-    gates: list[ControlledGate] = []
-    for r, c in order.pairs():
-        gates.extend(subcircuit_for_pair(r, c, n).flatten())
-    return Circuit(n=n, gates=tuple(gates))
+    return _skeleton(n, order.pairs())
 
 
 def structural_column_circuit(n: int, order: OrderArray, col: int) -> Circuit:
-    gates: list[ControlledGate] = []
-    for r in order.columns[col]:
-        gates.extend(subcircuit_for_pair(r, col, n).flatten())
-    return Circuit(n=n, gates=tuple(gates))
+    return _skeleton(n, ((r, col) for r in order.columns[col]))
 
 
 def count_structural(n: int, order: OrderArray, cancelled: bool) -> int:

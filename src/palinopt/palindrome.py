@@ -21,7 +21,7 @@ MiddleId = tuple[int, int]
 @dataclass
 class TrieNode:
     label: str
-    children: dict = field(default_factory=dict)  # symbol key -> TrieNode
+    children: dict = field(default_factory=dict)  # (target, base) or ("mid", pair) -> TrieNode
     leaf_id: MiddleId | None = None
 
     @property
@@ -32,9 +32,6 @@ class TrieNode:
 @dataclass
 class PalindromeTrie:
     root: TrieNode
-
-    def leaves(self) -> list[MiddleId]:
-        return dfs_order(self)
 
     def counts(self) -> tuple[int, int]:
         """(leaf count, interior count); interior excludes the root."""
@@ -50,25 +47,17 @@ class PalindromeTrie:
         return leaves, interior
 
 
-def _x_key(gate) -> tuple:
-    return ("X", gate.symbol)
-
-
-def _leaf_key(sub: PalindromicSubcircuit) -> tuple:
-    return ("mid", sub.pair)
-
-
 def build_trie(subcircuits: Iterable[PalindromicSubcircuit]) -> PalindromeTrie:
     """One leaf per subcircuit; shared X-gate prefixes share paths."""
     root = TrieNode(label="")
     for sub in subcircuits:
         node = root
         for gate in sub.prefix:
-            key = _x_key(gate)
+            key = gate.symbol  # (target, base)
             if key not in node.children:
                 node.children[key] = TrieNode(label=f"X t={gate.target} c={gate.pattern()}")
             node = node.children[key]
-        key = _leaf_key(sub)
+        key = ("mid", sub.pair)
         if key in node.children:
             raise ValueError(f"duplicate subcircuit for pair {sub.pair}")
         node.children[key] = TrieNode(label=f"V{sub.pair}", leaf_id=sub.pair)
@@ -151,14 +140,10 @@ def overlap(a: PalindromicSubcircuit, b: PalindromicSubcircuit) -> int:
     longest common prefix of their X-gate runs."""
     k = 0
     for ga, gb in zip(a.prefix, b.prefix):
-        if _x_key(ga) != _x_key(gb):
+        if ga.symbol != gb.symbol:
             break
         k += 1
     return k
-
-
-def total_overlap(subs: Sequence[PalindromicSubcircuit]) -> int:
-    return sum(overlap(a, b) for a, b in zip(subs, subs[1:]))
 
 
 def dump_trie(t: PalindromeTrie) -> str:

@@ -14,15 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import frobenius_distance
-from .synth import Circuit, ControlledGate
-
-
-def _basis_pair(g: ControlledGate) -> tuple[int, int]:
-    """Basis states (target bit 0, target bit 1) on which ``g`` acts."""
-    i0 = 0
-    for q, bit in g.controls:
-        i0 |= bit << q
-    return i0, i0 | (1 << g.target)
+from .synth import Circuit
 
 
 def circuit_to_matrix(c: Circuit) -> np.ndarray:
@@ -35,7 +27,7 @@ def circuit_to_matrix(c: Circuit) -> np.ndarray:
     m = np.eye(dim, dtype=complex)
     row = list(range(dim))
     for g in c.gates:
-        i0, i1 = _basis_pair(g)
+        i0, i1 = g.basis_pair
         if g.is_x:
             row[i0], row[i1] = row[i1], row[i0]
         else:

@@ -5,6 +5,13 @@ palindromic subcircuit: a run of fully controlled X gates walking a Gray
 code from c toward r, one fully controlled gate carrying the 2x2 component
 matrix, and the X run mirrored to undo the state changes.
 
+A fully controlled gate acts on one pair of basis states that differ in
+its target bit, so it is identified by two integers: ``target`` and
+``base``, the lower state of the pair (target bit cleared; its other bits
+are the control values).  Construction walks the Gray codes as integers
+and keeps one gate object per distinct (target, base) X gate within a
+circuit; reading a circuit file shares X gates the same way.
+
 Qubit 0 is the least significant bit of a basis-state index; the control
 pattern strings render qubit n-1 leftmost.
 """
@@ -13,67 +20,82 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
 from .decompose import Decomposition
-from .linalg import UNITARY_TOL, TwoLevelMatrix, is_unitary_2x2
+from .linalg import UNITARY_TOL, TwoLevelMatrix, is_unitary_entries
 
 
-@dataclass(frozen=True)
 class ControlledGate:
     """A gate on ``target`` conditioned on every other qubit's bit value.
 
+    ``base`` is the basis index of the states the gate acts on with the
+    target bit cleared: the gate acts on the pair ``(base, base | 1 <<
+    target)``, and the other bits of ``base`` are the control values.
     ``op`` is the string "X" for a controlled bit flip, otherwise a 2x2
-    unitary.  ``controls`` maps each non-target qubit to its required bit,
-    stored as sorted (qubit, bit) tuples so gates hash and compare cleanly.
+    unitary.  Gates are immutable, so equal X gates may share one object.
     """
 
-    n: int
-    target: int
-    controls: tuple[tuple[int, int], ...]
-    op: Union[str, np.ndarray]
+    __slots__ = ("n", "target", "base", "op", "is_x")
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.target < self.n:
-            raise ValueError(f"target {self.target} out of range for n={self.n}")
-        expected = [q for q in range(self.n) if q != self.target]
-        if [q for q, _ in self.controls] != expected:
-            raise ValueError("controls must cover exactly the non-target qubits")
-        if isinstance(self.op, str):
-            if self.op != "X":
-                raise ValueError(f"unknown gate symbol {self.op!r}")
+    def __init__(self, n: int, target: int, base: int, op: Union[str, np.ndarray]) -> None:
+        if not 0 <= target < n:
+            raise ValueError(f"target {target} out of range for n={n}")
+        if not 0 <= base < 1 << n:
+            raise ValueError(f"base {base} out of range for n={n}")
+        if base >> target & 1:
+            raise ValueError(f"base {base} has the target bit {target} set")
+        is_x = isinstance(op, str)
+        if is_x:
+            if op != "X":
+                raise ValueError(f"unknown gate symbol {op!r}")
         else:
-            object.__setattr__(self, "op", np.asarray(self.op, dtype=complex))
+            op = np.asarray(op, dtype=complex)
+            if op.shape != (2, 2):
+                raise ValueError(f"component matrix must be 2x2, got shape {op.shape}")
+        _set = object.__setattr__
+        _set(self, "n", n)
+        _set(self, "target", target)
+        _set(self, "base", base)
+        _set(self, "op", op)
+        _set(self, "is_x", is_x)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"ControlledGate is immutable; cannot set {name!r}")
 
     @property
-    def is_x(self) -> bool:
-        return isinstance(self.op, str)
+    def symbol(self) -> tuple[int, int]:
+        """Structural identity of an X gate: (target, base)."""
+        return (self.target, self.base)
 
     @property
-    def symbol(self) -> tuple[int, tuple[tuple[int, int], ...]]:
-        """Structural identity of an X gate (target plus control pattern)."""
-        return (self.target, self.controls)
+    def basis_pair(self) -> tuple[int, int]:
+        """Basis states (target bit 0, target bit 1) on which the gate acts."""
+        return (self.base, self.base | 1 << self.target)
 
     def pattern(self) -> str:
         """Control pattern with qubit n-1 leftmost and ``_`` at the target."""
-        bits = dict(self.controls)
-        return "".join(
-            "_" if q == self.target else str(bits[q]) for q in range(self.n - 1, -1, -1)
-        )
+        bits = format(self.base, f"0{self.n}b")
+        slot = self.n - 1 - self.target
+        return bits[:slot] + "_" + bits[slot + 1 :]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ControlledGate):
             return NotImplemented
-        if (self.n, self.target, self.controls) != (other.n, other.target, other.controls):
+        if (self.n, self.target, self.base) != (other.n, other.target, other.base):
             return False
         if self.is_x or other.is_x:
             return self.is_x and other.is_x
         return bool(np.array_equal(self.op, other.op))
 
     def __hash__(self) -> int:
-        return hash((self.n, self.target, self.controls, self.is_x))
+        return hash((self.n, self.target, self.base, self.is_x))
+
+    def __repr__(self) -> str:
+        op = "'X'" if self.is_x else np.array2string(self.op, separator=", ")
+        return f"ControlledGate(n={self.n}, target={self.target}, base={self.base}, op={op})"
 
 
 @dataclass(frozen=True)
@@ -98,16 +120,20 @@ class Circuit:
         return len(self.gates)
 
 
+def _check_endpoints(c: int, r: int, n: int) -> None:
+    if c == r:
+        raise ValueError("endpoints must differ")
+    if not (0 <= c < (1 << n) and 0 <= r < (1 << n)):
+        raise ValueError(f"indices ({c}, {r}) out of range for n={n}")
+
+
 def gray_code(c: int, r: int, n: int) -> tuple[int, ...]:
     """Gray code from c to r, flipping the rightmost differing bit each step.
 
     Bit flips therefore occur in increasing significance 2^0, 2^1, ...; the
     sequence has at most n+1 codes.
     """
-    if c == r:
-        raise ValueError("endpoints must differ")
-    if not (0 <= c < (1 << n) and 0 <= r < (1 << n)):
-        raise ValueError(f"indices ({c}, {r}) out of range for n={n}")
+    _check_endpoints(c, r, n)
     codes = [c]
     g = c
     while g != r:
@@ -115,16 +141,6 @@ def gray_code(c: int, r: int, n: int) -> tuple[int, ...]:
         g ^= diff & -diff  # flip lowest differing bit
         codes.append(g)
     return tuple(codes)
-
-
-def _transition_gate(g: int, h: int, n: int, op: Union[str, np.ndarray]) -> ControlledGate:
-    """Gate flipping (or operating on) the single bit where g and h differ."""
-    diff = g ^ h
-    target = diff.bit_length() - 1
-    controls = tuple(
-        (q, (g >> q) & 1) for q in range(n) if q != target
-    )
-    return ControlledGate(n=n, target=target, controls=controls, op=op)
 
 
 def subcircuit_for_pair(
@@ -135,18 +151,55 @@ def subcircuit_for_pair(
     ``comp`` defaults to the identity, which is what structural gate
     counting uses; the middle gate never cancels either way.
     """
-    codes = gray_code(c, r, n)
-    prefix = tuple(
-        _transition_gate(codes[j], codes[j + 1], n, "X") for j in range(len(codes) - 2)
-    )
-    if comp is None:
-        comp = np.eye(2, dtype=complex)
-    middle = _transition_gate(codes[-2], codes[-1], n, comp)
-    return PalindromicSubcircuit(prefix=prefix, middle=middle, pair=(r, c))
+    _check_endpoints(c, r, n)
+    gates = gray_circuit(n, [(r, c, comp)]).gates
+    k = len(gates) // 2
+    return PalindromicSubcircuit(prefix=gates[:k], middle=gates[k], pair=(r, c))
 
 
 def build_subcircuit(v: TwoLevelMatrix, n: int) -> PalindromicSubcircuit:
     return subcircuit_for_pair(v.row, v.col, n, comp=v.comp)
+
+
+def gray_circuit(
+    n: int, subcircuits: Iterable[tuple[int, int, Optional[np.ndarray]]]
+) -> Circuit:
+    """Concatenate the palindromic subcircuits of (r, c, component) triples,
+    in the given order.
+
+    Each subcircuit walks the Gray code from c to r as ints.  One gate
+    object is made per distinct X gate, and per distinct position of a
+    ``None`` (identity) component, and shared by every subcircuit that
+    uses it; gates are immutable, so sharing is safe.
+    """
+    eye = np.eye(2, dtype=complex)
+    eye.flags.writeable = False  # shared by every identity middle gate
+    x_gates: dict[int, ControlledGate] = {}
+    eye_gates: dict[tuple[int, int], ControlledGate] = {}
+    gates: list[ControlledGate] = []
+    for r, c, comp in subcircuits:
+        start = len(gates)
+        g, diff = c, c ^ r
+        while diff & (diff - 1):  # more than the last flip to go
+            low = diff & -diff
+            key = g | low | low << n  # the pair's upper state and the flipped bit
+            gate = x_gates.get(key)
+            if gate is None:
+                gate = x_gates[key] = ControlledGate(n, low.bit_length() - 1, g & ~low, "X")
+            gates.append(gate)
+            g ^= low
+            diff ^= low
+        mid = len(gates)
+        at = (diff.bit_length() - 1, g & ~diff)
+        if comp is not None:
+            gates.append(ControlledGate(n, *at, comp))
+        else:
+            gate = eye_gates.get(at)
+            if gate is None:
+                gate = eye_gates[at] = ControlledGate(n, *at, eye)
+            gates.append(gate)
+        gates.extend(reversed(gates[start:mid]))
+    return Circuit(n=n, gates=tuple(gates))
 
 
 def construct_circuit(d: Decomposition, skip_identity: bool = False) -> Circuit:
@@ -158,13 +211,15 @@ def construct_circuit(d: Decomposition, skip_identity: bool = False) -> Circuit:
     ``skip_identity`` drops subcircuits whose component is the identity
     within 1e-10; it is off by default so gate counts stay structural.
     """
-    gates: list[ControlledGate] = []
     eye = np.eye(2)
-    for v in reversed(d.factors):
-        if skip_identity and np.max(np.abs(v.comp - eye)) < UNITARY_TOL:
-            continue
-        gates.extend(build_subcircuit(v, d.n).flatten())
-    return Circuit(n=d.n, gates=tuple(gates))
+    return gray_circuit(
+        d.n,
+        (
+            (v.row, v.col, v.comp)
+            for v in reversed(d.factors)
+            if not (skip_identity and np.max(np.abs(v.comp - eye)) < UNITARY_TOL)
+        ),
+    )
 
 
 def split_subcircuits(c: Circuit) -> list[PalindromicSubcircuit]:
@@ -172,38 +227,51 @@ def split_subcircuits(c: Circuit) -> list[PalindromicSubcircuit]:
 
     Expects the exact construct_circuit layout (X run, component gate,
     mirrored X run per subcircuit); cancelled circuits no longer have this
-    shape and are rejected.
+    shape and are rejected.  Each subcircuit's pair (r, c) is read off its
+    gates: the middle gate moves ``base`` to r, and the X run moves c to
+    ``base``.
     """
     subs: list[PalindromicSubcircuit] = []
-    gates = list(c.gates)
+    gates = c.gates
     i = 0
     while i < len(gates):
         start = i
+        flips = 0
         while i < len(gates) and gates[i].is_x:
+            flips ^= 1 << gates[i].target
             i += 1
         if i == len(gates):
             raise ValueError("trailing X gates with no component gate")
-        prefix = tuple(gates[start:i])
+        prefix = gates[start:i]
         middle = gates[i]
         i += 1
-        mirror = gates[i : i + len(prefix)]
-        if tuple(mirror) != prefix[::-1]:
+        if gates[i : i + len(prefix)] != prefix[::-1]:
             raise ValueError(
                 "gate sequence is not palindromic; was this circuit cancelled?"
             )
         i += len(prefix)
-        subs.append(PalindromicSubcircuit(prefix=prefix, middle=middle, pair=(len(subs), -1)))
+        pair = (middle.base | 1 << middle.target, middle.base ^ flips)
+        subs.append(PalindromicSubcircuit(prefix=prefix, middle=middle, pair=pair))
     return subs
 
 
 def write_circuit(c: Circuit) -> str:
+    """Circuit file text.  Each distinct position's ``t=.. c=..`` text is
+    rendered once, and the floats of all component matrices (real and
+    imaginary parts, row-major) by a single ``repr`` of one list."""
+    ops = [g.op for g in c.gates if not g.is_x]
+    floats = np.array(ops, dtype=complex).reshape(-1).view(float).tolist()
+    entries = zip(*[iter(repr(floats)[1:-1].split(", "))] * 8)  # 8 floats per matrix
     lines = [f"n={c.n} gates={len(c.gates)}"]
+    positions: dict[tuple[int, int], str] = {}
     for g in c.gates:
+        at = positions.get((g.target, g.base))
+        if at is None:
+            at = positions[g.target, g.base] = f"t={g.target} c={g.pattern()}"
         if g.is_x:
-            lines.append(f"X t={g.target} c={g.pattern()}")
+            lines.append("X " + at)
         else:
-            m = ";".join(f"{float(z.real)!r},{float(z.imag)!r}" for z in g.op.flat)
-            lines.append(f"U t={g.target} c={g.pattern()} m={m}")
+            lines.append("U %s m=%s,%s;%s,%s;%s,%s;%s,%s" % (at, *next(entries)))
     return "\n".join(lines) + "\n"
 
 
@@ -215,22 +283,23 @@ def _parse_fields(line: str) -> dict[str, str]:
     return fields
 
 
-def _parse_position(t: str, pattern: str, n: int, line: str) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """Target and sorted controls of a gate line's ``t=`` and ``c=`` fields."""
+def _parse_position(t: str, pattern: str, n: int, line: str) -> tuple[int, int]:
+    """Target and base of a gate line's ``t=`` and ``c=`` fields."""
     target = int(t)
+    if not 0 <= target < n:
+        raise ValueError(f"target {target} out of range for n={n}: {line!r}")
     if len(pattern) != n:
         raise ValueError(f"pattern length {len(pattern)} != n={n}: {line!r}")
-    controls = []
+    slot = n - 1 - target
     for pos, ch in enumerate(pattern):
-        q = n - 1 - pos
         if ch == "_":
-            if q != target:
+            if pos != slot:
                 raise ValueError(f"'_' not at target position: {line!r}")
-        elif ch in "01":
-            controls.append((q, int(ch)))
-        else:
+        elif ch not in "01":
             raise ValueError(f"bad pattern character {ch!r}: {line!r}")
-    return target, tuple(sorted(controls))
+    if pattern[slot] != "_":
+        raise ValueError(f"no '_' at target position: {line!r}")
+    return target, int(pattern[:slot] + "0" + pattern[slot + 1 :], 2)
 
 
 def read_circuit(text: str) -> Circuit:
@@ -249,10 +318,14 @@ def read_circuit(text: str) -> Circuit:
         raise ValueError(f"bad header: {lines[0]!r}")
     if len(lines) - 1 != count:
         raise ValueError(f"header says {count} gates, file has {len(lines) - 1}")
-    positions: dict[tuple[str, str], tuple[int, tuple[tuple[int, int], ...]]] = {}
-    x_gates: dict[tuple[str, str], ControlledGate] = {}
+    positions: dict[tuple[str, str], tuple[int, int]] = {}
+    x_lines: dict[str, ControlledGate] = {}  # X gate of each distinct X line
     gates = []
     for line in lines[1:]:
+        gate = x_lines.get(line)
+        if gate is not None:
+            gates.append(gate)
+            continue
         kind = line.split(None, 1)[0]
         if kind not in ("X", "U"):
             raise ValueError(f"unknown gate line {line!r}")
@@ -261,24 +334,23 @@ def read_circuit(text: str) -> Circuit:
             if key not in f:
                 raise ValueError(f"missing field {key}=: {line!r}")
         at = (f["t"], f["c"])
-        if kind == "X" and at in x_gates:
-            gates.append(x_gates[at])
-            continue
         if at not in positions:
             positions[at] = _parse_position(*at, n, line)
-        target, controls = positions[at]
+        target, base = positions[at]
         if kind == "X":
-            gate = x_gates[at] = ControlledGate(n=n, target=target, controls=controls, op="X")
+            gate = x_lines[line] = ControlledGate(n, target, base, "X")
         else:
             parts = f["m"].split(";")
             if len(parts) != 4:
                 raise ValueError(f"component matrix needs 4 entries: {line!r}")
-            vals = [complex(float(p.partition(",")[0]), float(p.partition(",")[2])) for p in parts]
+            vals = []
+            for p in parts:
+                real, _, imag = p.partition(",")
+                vals.append(complex(float(real), float(imag)))
             if not all(map(cmath.isfinite, vals)):
                 raise ValueError(f"component matrix has non-finite entries: {line!r}")
-            op = np.array(vals, dtype=complex).reshape(2, 2)
-            if not is_unitary_2x2(op):
+            if not is_unitary_entries(*vals):
                 raise ValueError(f"component matrix is not unitary within {UNITARY_TOL}: {line!r}")
-            gate = ControlledGate(n=n, target=target, controls=controls, op=op)
+            gate = ControlledGate(n, target, base, np.array(vals, dtype=complex).reshape(2, 2))
         gates.append(gate)
     return Circuit(n=n, gates=tuple(gates))

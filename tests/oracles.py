@@ -1,19 +1,49 @@
 """Reference implementations the tests check the library against.
 
 They compute the same things as the library in the most direct way: the
-decomposition by full dim x dim elimination products, and a circuit's
-unitary by pushing every basis column through every gate, one amplitude
-pair at a time.
+decomposition by full dim x dim elimination products, a circuit's unitary
+by pushing every basis column through every gate, one amplitude pair at a
+time, cancellation by repeated peephole deletion, and circuit construction
+with gates that name each control qubit's bit explicitly.  The small
+matrix helpers the library does not need live here too.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Union
+
 import numpy as np
 
-from palinopt.linalg import ZERO_TOL, TwoLevelMatrix, expand_two_level
-from palinopt.synth import Circuit, ControlledGate
+from palinopt.linalg import ZERO_TOL, TwoLevelMatrix
+from palinopt.palindrome import dfs_order, overlap
+from palinopt.synth import Circuit, ControlledGate, gray_code
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+
+
+def adjoint(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose."""
+    return np.asarray(m, dtype=complex).conj().T
+
+
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    if a.shape[1] != b.shape[0]:
+        raise ValueError(f"dimension mismatch: {a.shape} x {b.shape}")
+    return a @ b
+
+
+def expand_two_level(t: TwoLevelMatrix) -> np.ndarray:
+    """Embed the 2x2 component into a dim x dim identity."""
+    m = np.eye(t.dim, dtype=complex)
+    c, r = t.col, t.row
+    m[c, c] = t.comp[0, 0]
+    m[c, r] = t.comp[0, 1]
+    m[r, c] = t.comp[1, 0]
+    m[r, r] = t.comp[1, 1]
+    return m
 
 
 def dense_decompose(u: np.ndarray, order) -> list[TwoLevelMatrix]:
@@ -40,13 +70,12 @@ def dense_decompose(u: np.ndarray, order) -> list[TwoLevelMatrix]:
 
 
 def apply_gate(state: np.ndarray, g: ControlledGate) -> np.ndarray:
-    """Apply ``g`` to a 2^n amplitude vector, returning a new vector."""
+    """Apply ``g`` to a 2^n amplitude vector, returning a new vector.  The
+    states it acts on are read off its control pattern text."""
     dim = 1 << g.n
     if state.shape != (dim,):
         raise ValueError(f"state length {state.shape} does not match n={g.n}")
-    i0 = 0
-    for q, bit in g.controls:
-        i0 |= bit << q
+    i0 = int(g.pattern().replace("_", "0"), 2)
     i1 = i0 | (1 << g.target)
     out = state.copy()
     op = PAULI_X if g.is_x else g.op
@@ -66,3 +95,96 @@ def circuit_matrix(c: Circuit) -> np.ndarray:
             col = apply_gate(col, g)
         m[:, x] = col
     return m
+
+
+def cancel_pass_peephole(c: Circuit) -> Circuit:
+    """Delete adjacent equal-symbol X pairs, rescanning until none remain."""
+    gates = list(c.gates)
+    changed = True
+    while changed:
+        changed = False
+        i = 0
+        while i + 1 < len(gates):
+            a, b = gates[i], gates[i + 1]
+            if a.is_x and b.is_x and a.symbol == b.symbol:
+                del gates[i : i + 2]
+                changed = True
+                i = max(i - 1, 0)
+            else:
+                i += 1
+    return Circuit(n=c.n, gates=tuple(gates))
+
+
+def total_overlap(subs) -> int:
+    """Cancelling gates between consecutive subcircuits, summed."""
+    return sum(overlap(a, b) for a, b in zip(subs, subs[1:]))
+
+
+def trie_leaves(t) -> list:
+    """Leaf ids of a palindrome trie in depth-first order."""
+    return dfs_order(t)
+
+
+@dataclass(frozen=True)
+class RefGate:
+    """A fully controlled gate that lists every control qubit's bit as
+    sorted (qubit, bit) tuples; the library identifies it by ints."""
+
+    n: int
+    target: int
+    controls: tuple[tuple[int, int], ...]
+    op: Union[str, np.ndarray]
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.target < self.n:
+            raise ValueError(f"target {self.target} out of range for n={self.n}")
+        expected = [q for q in range(self.n) if q != self.target]
+        if [q for q, _ in self.controls] != expected:
+            raise ValueError("controls must cover exactly the non-target qubits")
+
+    @property
+    def is_x(self) -> bool:
+        return isinstance(self.op, str)
+
+    @property
+    def symbol(self) -> tuple[int, tuple[tuple[int, int], ...]]:
+        return (self.target, self.controls)
+
+    def pattern(self) -> str:
+        bits = dict(self.controls)
+        return "".join(
+            "_" if q == self.target else str(bits[q]) for q in range(self.n - 1, -1, -1)
+        )
+
+
+def ref_transition_gate(g: int, h: int, n: int, op) -> RefGate:
+    """Gate flipping (or operating on) the single bit where g and h differ."""
+    target = (g ^ h).bit_length() - 1
+    controls = tuple((q, (g >> q) & 1) for q in range(n) if q != target)
+    return RefGate(n=n, target=target, controls=controls, op=op)
+
+
+def ref_subcircuit(r: int, c: int, n: int, comp) -> list[RefGate]:
+    """X run along the Gray code from c to r, the component gate, mirror."""
+    codes = gray_code(c, r, n)
+    prefix = [ref_transition_gate(codes[j], codes[j + 1], n, "X") for j in range(len(codes) - 2)]
+    middle = ref_transition_gate(codes[-2], codes[-1], n, comp)
+    return prefix + [middle] + prefix[::-1]
+
+
+def ref_construct(d) -> Circuit:
+    """The decomposition's subcircuits in reverse factor order."""
+    gates = [g for v in reversed(d.factors) for g in ref_subcircuit(v.row, v.col, d.n, v.comp)]
+    return Circuit(n=d.n, gates=tuple(gates))
+
+
+def ref_write(c: Circuit) -> str:
+    """Circuit file text, every line rendered from its gate alone."""
+    lines = [f"n={c.n} gates={len(c.gates)}"]
+    for g in c.gates:
+        if g.is_x:
+            lines.append(f"X t={g.target} c={g.pattern()}")
+        else:
+            m = ";".join(f"{float(z.real)!r},{float(z.imag)!r}" for z in np.asarray(g.op).flat)
+            lines.append(f"U t={g.target} c={g.pattern()} m={m}")
+    return "\n".join(lines) + "\n"

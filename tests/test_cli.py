@@ -45,6 +45,32 @@ def test_count_formula_n4(capsys):
     assert out.strip() == "4\t246\t378\t392"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--range", "2..11", "--mode", "both"),
+        ("--range", "9..12", "--mode", "enumerate"),
+        ("--n", "11", "--mode", "enumerate"),
+    ],
+)
+def test_count_enumeration_size_guard(capsys, monkeypatch, argv):
+    def no_enumeration(*args):
+        raise AssertionError("enumerated past the size guard")
+
+    monkeypatch.setattr("palinopt.optimize.structural_circuit", no_enumeration)
+    code, out, err = run(capsys, "count", *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "n=10" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_count_formula_mode_has_no_size_guard(capsys):
+    code, out, _ = run(capsys, "count", "--n", "11", "--mode", "formula")
+    assert code == 0
+    assert out.split("\t")[0] == "11"
+
+
 def test_count_usage_error(capsys):
     code, _, err = run(capsys, "count")
     assert code == 1
@@ -207,6 +233,18 @@ def test_trie_bad_circuit_file_exits_1(tmp_path, capsys, body):
     assert code == 1
     assert err.startswith("error: cannot read circuit: ")
     assert len(err.strip().splitlines()) == 1
+
+
+def test_trie_rejects_repeated_subcircuit(tmp_path, capsys):
+    # One subcircuit twice: both split off with the pair (r, c) = (3, 0),
+    # which the trie refuses as a duplicate.
+    sub = "X t=0 c=0_\nU t=1 c=_1 m=1.0,0.0;0.0,0.0;0.0,0.0;1.0,0.0\nX t=0 c=0_\n"
+    path = tmp_path / "twice.circ"
+    path.write_text("n=2 gates=6\n" + sub * 2)
+    code, out, err = run(capsys, "trie", "--input", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == "error: duplicate subcircuit for pair (3, 0)\n"
 
 
 def test_trie_usage_error(capsys):

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import dense_decompose
+from oracles import dense_decompose, expand_two_level
+from strategies import valid_orders
 
 from palinopt.decompose import progress_invariant_check, two_level_decompose
-from palinopt.linalg import expand_two_level, frobenius_distance, random_unitary
+from palinopt.linalg import frobenius_distance, random_unitary
 from palinopt.ordering import OrderArray, conventional_order, poa_order, validate_order
 
 CNOT = np.array(
@@ -118,17 +119,6 @@ def test_dense_and_two_row_updates_agree():
     for f1, f2 in zip(dense, d.factors):
         assert f1.pair == f2.pair
         assert np.max(np.abs(f1.comp - f2.comp)) < 1e-12
-
-
-@st.composite
-def valid_orders(draw):
-    """Any column-major order: each column's rows in a drawn permutation."""
-    n = draw(st.integers(2, 4))
-    dim = 1 << n
-    cols = tuple(
-        tuple(draw(st.permutations(range(c + 1, dim)))) for c in range(dim - 1)
-    )
-    return OrderArray(n, cols)
 
 
 @settings(max_examples=40, deadline=None)

@@ -2,16 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
+from oracles import adjoint, expand_two_level, matmul
 
 from palinopt.linalg import (
     UNITARY_TOL,
     TwoLevelMatrix,
-    adjoint,
-    expand_two_level,
     frobenius_distance,
     is_unitary,
     is_unitary_2x2,
-    matmul,
     random_unitary,
     read_matrix,
     write_matrix,

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from oracles import cancel_pass_peephole
+from strategies import random_circuits
 
 from palinopt.decompose import two_level_decompose
 from palinopt.linalg import random_unitary
 from palinopt.optimize import (
     cancel_pass,
-    cancel_pass_peephole,
     column_counts,
     count_structural,
     formula_conventional,
@@ -31,29 +33,29 @@ TABLE = {
 }
 
 
-def xgate(n, target, controls):
-    return ControlledGate(n=n, target=target, controls=tuple(controls), op="X")
+def xgate(n, target, base):
+    return ControlledGate(n=n, target=target, base=base, op="X")
 
 
 def test_cancel_adjacent_pair():
-    g = xgate(3, 0, [(1, 0), (2, 0)])
+    g = xgate(3, 0, 0b000)
     assert cancel_pass(Circuit(3, (g, g))).gates == ()
 
 
 def test_cancel_abc_example():
     # ABC A1 CBA ABA2BA -> ABC A1 C A2 BA (13 symbols down to 8)
-    a = xgate(4, 0, [(1, 0), (2, 0), (3, 0)])
-    b = xgate(4, 1, [(0, 0), (2, 0), (3, 0)])
-    c = xgate(4, 2, [(0, 0), (1, 0), (3, 0)])
-    m1 = ControlledGate(n=4, target=3, controls=((0, 0), (1, 0), (2, 0)), op=np.eye(2))
-    m2 = ControlledGate(n=4, target=3, controls=((0, 0), (1, 0), (2, 1)), op=np.eye(2))
+    a = xgate(4, 0, 0b0000)
+    b = xgate(4, 1, 0b0000)
+    c = xgate(4, 2, 0b0000)
+    m1 = ControlledGate(n=4, target=3, base=0b0000, op=np.eye(2))
+    m2 = ControlledGate(n=4, target=3, base=0b0100, op=np.eye(2))
     gates = (a, b, c, m1, c, b, a, a, b, m2, b, a)
     out = cancel_pass(Circuit(4, gates))
     assert out.gates == (a, b, c, m1, c, m2, b, a)
 
 
 def test_cancel_keeps_component_gates():
-    m = ControlledGate(n=2, target=0, controls=((1, 0),), op=np.eye(2))
+    m = ControlledGate(n=2, target=0, base=0b00, op=np.eye(2))
     out = cancel_pass(Circuit(2, (m, m)))
     assert len(out) == 2
 
@@ -71,6 +73,13 @@ def test_stack_and_peephole_agree(n):
         d = two_level_decompose(random_unitary(n, 1), order)
         circuit = construct_circuit(d)
         assert cancel_pass(circuit).gates == cancel_pass_peephole(circuit).gates
+
+
+@settings(max_examples=100, deadline=None)
+@given(circuit=random_circuits(max_n=3, max_gates=30, x_share=0.8))
+def test_cancel_pass_matches_peephole_on_random_sequences(circuit):
+    # Few qubits and mostly X gates, so equal X gates often meet.
+    assert cancel_pass(circuit).gates == cancel_pass_peephole(circuit).gates
 
 
 @pytest.mark.parametrize("n", [3, 4])

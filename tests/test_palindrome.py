@@ -8,6 +8,7 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from oracles import total_overlap, trie_leaves
 
 from palinopt.optimize import cancel_pass
 from palinopt.ordering import conventional_order, poa_order
@@ -17,23 +18,20 @@ from palinopt.palindrome import (
     dump_trie,
     mos_check,
     overlap,
-    total_overlap,
     trie_gate_count,
 )
 from palinopt.synth import Circuit, ControlledGate, PalindromicSubcircuit, subcircuit_for_pair
 
 
 def _sym(target):
-    controls = tuple((q, 0) for q in range(4) if q != target)
-    return ControlledGate(n=4, target=target, controls=controls, op="X")
+    return ControlledGate(n=4, target=target, base=0, op="X")
 
 
 A, B, C = _sym(0), _sym(1), _sym(2)
 
 
 def _mid(ident):
-    controls = tuple((q, 0) for q in range(4) if q != 3)
-    return ControlledGate(n=4, target=3, controls=controls, op=np.eye(2, dtype=complex))
+    return ControlledGate(n=4, target=3, base=0, op=np.eye(2, dtype=complex))
 
 
 def sub(prefix, ident):
@@ -190,3 +188,10 @@ def test_conventional_column_trie_same_counts():
         a = build_trie(column_subcircuits(poa_order(3), col, 3)).counts()
         b = build_trie(column_subcircuits(conventional_order(3), col, 3)).counts()
         assert a == b
+
+
+def test_trie_leaves_are_the_subcircuit_pairs():
+    subs = column_subcircuits(poa_order(3), 0, 3)
+    leaves = trie_leaves(build_trie(subs))
+    assert sorted(leaves) == sorted(s.pair for s in subs)
+    assert len(leaves) == build_trie(subs).counts()[0]

@@ -1,16 +1,11 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
-from oracles import apply_gate, circuit_matrix
+from oracles import apply_gate, circuit_matrix, expand_two_level
+from strategies import random_circuits
 
 from palinopt.decompose import two_level_decompose
-from palinopt.linalg import (
-    TwoLevelMatrix,
-    expand_two_level,
-    is_unitary,
-    random_unitary,
-)
+from palinopt.linalg import TwoLevelMatrix, is_unitary, random_unitary
 from palinopt.optimize import cancel_pass
 from palinopt.ordering import conventional_order, poa_order
 from palinopt.sim import circuit_to_matrix, verify
@@ -26,21 +21,21 @@ def basis(n, x):
 
 
 def test_x_on_single_qubit():
-    g = ControlledGate(n=1, target=0, controls=(), op="X")
+    g = ControlledGate(n=1, target=0, base=0, op="X")
     assert np.array_equal(apply_gate(basis(1, 0), g), basis(1, 1))
     assert np.array_equal(apply_gate(basis(1, 1), g), basis(1, 0))
 
 
 def test_cnot_action():
     # |x, y> -> |x, x XOR y> with qubit 1 as control
-    cnot = ControlledGate(n=2, target=0, controls=((1, 1),), op="X")
+    cnot = ControlledGate(n=2, target=0, base=0b10, op="X")
     assert np.array_equal(apply_gate(basis(2, 0b10), cnot), basis(2, 0b11))
     assert np.array_equal(apply_gate(basis(2, 0b11), cnot), basis(2, 0b10))
     assert np.array_equal(apply_gate(basis(2, 0b00), cnot), basis(2, 0b00))
 
 
 def test_unmet_control_is_identity():
-    g = ControlledGate(n=3, target=0, controls=((1, 1), (2, 1)), op="X")
+    g = ControlledGate(n=3, target=0, base=0b110, op="X")
     for x in range(6):  # states with qubit 2 or 1 unset
         assert np.array_equal(apply_gate(basis(3, x), g), basis(3, x))
 
@@ -48,7 +43,7 @@ def test_unmet_control_is_identity():
 def test_x_gate_twice_is_identity_on_states():
     rng = np.random.default_rng(1)
     state = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    g = ControlledGate(n=3, target=1, controls=((0, 1), (2, 0)), op="X")
+    g = ControlledGate(n=3, target=1, base=0b001, op="X")
     assert np.allclose(apply_gate(apply_gate(state, g), g), state)
 
 
@@ -57,7 +52,7 @@ def test_norm_preservation():
     state = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     state /= np.linalg.norm(state)
     g = ControlledGate(
-        n=3, target=2, controls=((0, 1), (1, 0)),
+        n=3, target=2, base=0b001,
         op=np.array([[0.6, 0.8j], [0.8j, 0.6]]),
     )
     out = apply_gate(state, g)
@@ -65,7 +60,7 @@ def test_norm_preservation():
 
 
 def test_dimension_mismatch():
-    g = ControlledGate(n=2, target=0, controls=((1, 0),), op="X")
+    g = ControlledGate(n=2, target=0, base=0b00, op="X")
     with pytest.raises(ValueError):
         apply_gate(np.zeros(8, dtype=complex), g)
 
@@ -96,22 +91,6 @@ def test_end_to_end_oracle(n):
         d = two_level_decompose(u, order)
         circuit = construct_circuit(d)
         assert np.max(np.abs(circuit_to_matrix(circuit) - u)) < 1e-9
-
-
-@st.composite
-def random_circuits(draw):
-    """Circuits of fully controlled X and Haar-random U gates, n = 1..5."""
-    n = draw(st.integers(1, 5))
-    gates = []
-    for _ in range(draw(st.integers(0, 40))):
-        target = draw(st.integers(0, n - 1))
-        controls = tuple((q, draw(st.integers(0, 1))) for q in range(n) if q != target)
-        if draw(st.booleans()):
-            op = "X"
-        else:
-            op = random_unitary(1, draw(st.integers(0, 2**32 - 1)))
-        gates.append(ControlledGate(n=n, target=target, controls=controls, op=op))
-    return Circuit(n, tuple(gates))
 
 
 @settings(max_examples=60, deadline=None)

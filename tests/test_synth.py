@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import cancel_pass_peephole, ref_construct, ref_write
+from strategies import random_circuits, valid_orders
 
 from palinopt.decompose import two_level_decompose
 from palinopt.linalg import TwoLevelMatrix, random_unitary
-from palinopt.ordering import conventional_order
+from palinopt.optimize import cancel_pass
+from palinopt.ordering import conventional_order, poa_order
 from palinopt.synth import (
     Circuit,
     ControlledGate,
@@ -63,9 +68,10 @@ def test_subcircuit_pair_7_0():
     gates = sub.flatten()
     assert len(gates) == 5
     assert [g.is_x for g in gates] == [True, True, False, True, True]
-    assert (gates[0].target, gates[0].controls) == (0, ((1, 0), (2, 0)))
-    assert (gates[1].target, gates[1].controls) == (1, ((0, 1), (2, 0)))
-    assert (gates[2].target, gates[2].controls) == (2, ((0, 1), (1, 1)))
+    assert (gates[0].target, gates[0].base) == (0, 0b000)
+    assert (gates[1].target, gates[1].base) == (1, 0b001)
+    assert (gates[2].target, gates[2].base) == (2, 0b011)
+    assert [g.pattern() for g in gates[:3]] == ["00_", "0_1", "_11"]
     assert gates[3] == gates[1] and gates[4] == gates[0]
 
 
@@ -73,13 +79,13 @@ def test_subcircuit_adjacent_pair_has_empty_prefix():
     v = TwoLevelMatrix(row=1, col=0, comp=X2, dim=8)
     sub = build_subcircuit(v, 3)
     assert sub.prefix == ()
-    assert (sub.middle.target, sub.middle.controls) == (0, ((1, 0), (2, 0)))
+    assert (sub.middle.target, sub.middle.base) == (0, 0b000)
 
 
 def test_subcircuit_pair_2_0():
     sub = subcircuit_for_pair(2, 0, 3)
     assert sub.prefix == ()
-    assert (sub.middle.target, sub.middle.controls) == (1, ((0, 0), (2, 0)))
+    assert (sub.middle.target, sub.middle.base) == (1, 0b000)
 
 
 def test_subcircuit_length_formula():
@@ -117,29 +123,42 @@ def test_circuit_applies_v_k_first():
     assert circuit.gates[: len(first)] == first
 
 
-def test_controls_cover_non_target_qubits():
-    with pytest.raises(ValueError):
-        ControlledGate(n=3, target=0, controls=((1, 0),), op="X")
-    with pytest.raises(ValueError):
-        ControlledGate(n=3, target=0, controls=((0, 0), (1, 0)), op="X")
+def test_base_must_be_a_state_with_target_bit_clear():
+    with pytest.raises(ValueError, match="target bit"):
+        ControlledGate(n=3, target=0, base=0b011, op="X")
+    with pytest.raises(ValueError, match="target bit"):
+        ControlledGate(n=3, target=2, base=0b100, op="X")
+    for base in (-1, 8, 0b1010):
+        with pytest.raises(ValueError, match="base"):
+            ControlledGate(n=3, target=0, base=base, op="X")
+    with pytest.raises(ValueError, match="symbol"):
+        ControlledGate(n=3, target=0, base=0, op="Y")
+    assert ControlledGate(n=3, target=0, base=0b110, op="X").basis_pair == (6, 7)
 
 
 @pytest.mark.parametrize("target", [-1, 3, 5])
 def test_target_must_be_a_qubit(target):
     with pytest.raises(ValueError, match="target"):
-        ControlledGate(n=3, target=target, controls=((0, 1), (1, 0), (2, 1)), op="X")
+        ControlledGate(n=3, target=target, base=0b000, op="X")
 
 
 def test_gate_pattern_rendering():
-    g = ControlledGate(n=3, target=1, controls=((0, 1), (2, 0)), op="X")
+    g = ControlledGate(n=3, target=1, base=0b001, op="X")
     assert g.pattern() == "0_1"
 
 
+def test_gate_is_immutable():
+    g = ControlledGate(n=3, target=1, base=0b001, op="X")
+    with pytest.raises(AttributeError):
+        g.base = 0
+
+
 def test_x_gate_self_inverse_symbolically():
-    a = ControlledGate(n=3, target=2, controls=((0, 0), (1, 1)), op="X")
-    b = ControlledGate(n=3, target=2, controls=((0, 0), (1, 1)), op="X")
+    a = ControlledGate(n=3, target=2, base=0b010, op="X")
+    b = ControlledGate(n=3, target=2, base=0b010, op="X")
     assert a == b and hash(a) == hash(b)
-    assert a != ControlledGate(n=3, target=2, controls=((0, 1), (1, 1)), op="X")
+    assert a.symbol == b.symbol == (2, 0b010)
+    assert a != ControlledGate(n=3, target=2, base=0b011, op="X")
 
 
 def test_circuit_text_round_trip():
@@ -151,7 +170,7 @@ def test_circuit_text_round_trip():
     assert len(again) == len(circuit)
     for g1, g2 in zip(circuit.gates, again.gates):
         assert g1.is_x == g2.is_x
-        assert (g1.target, g1.controls) == (g2.target, g2.controls)
+        assert (g1.target, g1.base) == (g2.target, g2.base)
         if not g1.is_x:
             assert np.array_equal(g1.op, g2.op)
     # serialization is bit-stable
@@ -225,3 +244,38 @@ def test_split_subcircuits_rejects_cancelled():
     cancelled = cancel_pass(construct_circuit(d))
     with pytest.raises(ValueError):
         split_subcircuits(cancelled)
+
+
+def test_split_subcircuits_recovers_pairs():
+    for order in (conventional_order(3), poa_order(3)):
+        d = two_level_decompose(random_unitary(3, 3), order)
+        subs = split_subcircuits(read_circuit(write_circuit(construct_circuit(d))))
+        assert [s.pair for s in subs] == [f.pair for f in reversed(d.factors)]
+
+
+def test_construct_shares_x_gates():
+    d = two_level_decompose(random_unitary(3, 4), poa_order(3))
+    x_gates = [g for g in construct_circuit(d).gates if g.is_x]
+    by_symbol = {g.symbol: g for g in x_gates}
+    assert all(g is by_symbol[g.symbol] for g in x_gates)
+    assert len(by_symbol) <= 3 * 4  # n * 2^(n-1) distinct X gates at most
+
+
+@settings(max_examples=30, deadline=None)
+@given(order=valid_orders(2, 5), seed=st.integers(0, 2**32 - 1))
+def test_circuit_text_matches_controls_tuple_reference(order, seed):
+    # The (target, base) gates and their writer give, byte for byte, the
+    # text of gates that list every control bit, cancelled or not.
+    d = two_level_decompose(random_unitary(order.n, seed), order)
+    circuit, reference = construct_circuit(d), ref_construct(d)
+    assert write_circuit(circuit) == ref_write(reference)
+    assert write_circuit(cancel_pass(circuit)) == ref_write(cancel_pass_peephole(reference))
+
+
+@settings(max_examples=60, deadline=None)
+@given(circuit=random_circuits(max_n=5, max_gates=30))
+def test_read_write_round_trip_gate_for_gate(circuit):
+    again = read_circuit(write_circuit(circuit))
+    assert again.n == circuit.n
+    assert again.gates == circuit.gates
+    assert all(g.op.dtype == complex for g in again.gates if not g.is_x)
