@@ -14,8 +14,8 @@ from . import linalg, optimize, ordering, palindrome, sim, synth
 from .decompose import two_level_decompose
 
 
-# Largest n that `count --mode enumerate|both` builds circuits for: the
-# conventional circuit at n=10 holds ~4.7M gates.
+# Largest n that `count --mode enumerate|both`, `order` and `trie --n` build
+# circuits or orders for: the conventional circuit at n=10 holds ~4.7M gates.
 ENUMERATE_MAX_N = 10
 
 
@@ -44,17 +44,14 @@ def cmd_compile(args: argparse.Namespace) -> int:
     n = dim.bit_length() - 1
     if dim < 2 or dim != 1 << n:
         return _fail(f"matrix dimension {dim} is not a power of two >= 2")
-    if not linalg.is_unitary(u, linalg.UNITARY_TOL):
-        return _fail(
-            f"input matrix fails the unitarity check: max |U†U - I| entry "
-            f"exceeds {linalg.UNITARY_TOL}"
-        )
     try:
         order = _resolve_order(args.order, n)
     except (OSError, ValueError) as exc:
         return _fail(f"cannot resolve order: {exc}")
-
-    decomp = two_level_decompose(u, order)
+    try:
+        decomp = two_level_decompose(u, order)  # checks that u is unitary
+    except ValueError as exc:
+        return _fail(str(exc))
     circuit = synth.construct_circuit(decomp, skip_identity=args.skip_identity)
     if args.cancel:
         circuit = optimize.cancel_pass(circuit)
@@ -69,7 +66,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
             reread = synth.read_circuit(Path(args.output).read_text())
         except (OSError, ValueError) as exc:
             return _fail(f"cannot read circuit back: {exc}")
-        report = sim.verify(u, reread, tol=linalg.RECONSTRUCT_TOL)
+        report = sim.verify(u, reread)
         print(report)
         if not report.passed:
             return 2
@@ -103,10 +100,10 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_order(args: argparse.Namespace) -> int:
+    if args.n > ENUMERATE_MAX_N:
+        return _fail(f"order --n builds orders only up to n={ENUMERATE_MAX_N}, got n={args.n}")
     try:
-        order = (
-            ordering.poa_order(args.n) if args.mode == "poa" else ordering.conventional_order(args.n)
-        )
+        order = _resolve_order(args.mode, args.n)
     except ValueError as exc:
         return _fail(str(exc))
     print(ordering.save_order(order), end="")
@@ -131,6 +128,8 @@ def cmd_trie(args: argparse.Namespace) -> int:
         except (OSError, ValueError) as exc:
             return _fail(f"cannot read circuit: {exc}")
     elif args.n is not None and args.order and args.column is not None:
+        if args.n > ENUMERATE_MAX_N:
+            return _fail(f"trie --n builds orders only up to n={ENUMERATE_MAX_N}, got n={args.n}")
         try:
             order = _resolve_order(args.order, args.n)
         except (OSError, ValueError) as exc:
@@ -148,12 +147,17 @@ def cmd_trie(args: argparse.Namespace) -> int:
         return _fail(str(exc))
     print(palindrome.dump_trie(trie), end="")
     leaves, interior = trie.counts()
-    print(f"leaves={leaves} interior={interior} count={leaves + 2 * interior}")
+    print(f"leaves={leaves} interior={interior} count={palindrome.trie_gate_count(trie)}")
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # main reports it in one line, exit code 1
+        raise argparse.ArgumentError(None, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="palinopt",
         description="Compile unitary matrices into controlled single-qubit circuits",
     )
@@ -196,7 +200,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except argparse.ArgumentError as exc:
+        return _fail(str(exc))
     return args.func(args)
 
 

@@ -76,8 +76,8 @@ def two_level_decompose(
         raise ValueError(f"matrix shape {u.shape} does not match order for n={order.n}")
     if not validate_order(order):
         raise ValueError("invalid order array")
-    if not is_unitary(u, UNITARY_TOL):
-        raise ValueError(f"input matrix is not unitary within {UNITARY_TOL}")
+    if not is_unitary(u):
+        raise ValueError(f"input fails the unitarity check (not unitary within {UNITARY_TOL})")
 
     m = u.copy()
     factors: list[TwoLevelMatrix] = []
@@ -93,9 +93,9 @@ def two_level_decompose(
     return Decomposition(n=order.n, factors=tuple(factors))
 
 
-def progress_invariant_check(m: np.ndarray, c: int, tol: float = RECONSTRUCT_TOL) -> bool:
+def progress_invariant_check(m: np.ndarray, c: int) -> bool:
     """After processing columns 0..c the working matrix must agree with the
     identity on those columns (and, by unitarity, rows).  Test hook."""
     dim = m.shape[0]
     eye = np.eye(dim, dtype=complex)
-    return bool(np.max(np.abs(m[:, : c + 1] - eye[:, : c + 1])) < tol)
+    return bool(np.max(np.abs(m[:, : c + 1] - eye[:, : c + 1])) < RECONSTRUCT_TOL)

@@ -1,11 +1,12 @@
 """Dense complex matrix utilities and two-level matrix embedding.
 
 Matrices are plain ``numpy`` arrays of ``complex128``.  The tolerance ladder
-used throughout the package:
+used throughout the package is fixed; these constants are its only values,
+and no function takes a tolerance argument:
 
-* 1e-12 for "is this entry zero" decisions inside algorithms,
-* 1e-10 for unitarity validation,
-* 1e-9 for end-to-end circuit reconstruction checks.
+* ``ZERO_TOL`` 1e-12 for "is this entry zero" decisions inside algorithms,
+* ``UNITARY_TOL`` 1e-10 for unitarity validation,
+* ``RECONSTRUCT_TOL`` 1e-9 for end-to-end circuit reconstruction checks.
 """
 
 from __future__ import annotations
@@ -19,35 +20,26 @@ UNITARY_TOL = 1e-10
 RECONSTRUCT_TOL = 1e-9
 
 
-def is_unitary(m: np.ndarray, tol: float = UNITARY_TOL) -> bool:
-    """True iff the largest entry of ``m† m - I`` has magnitude below tol."""
+def is_unitary(m: np.ndarray) -> bool:
+    """True iff every entry of ``m† m - I`` is below ``UNITARY_TOL`` in magnitude."""
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
     dev = m.conj().T @ m - np.eye(m.shape[0])
-    return bool(np.max(np.abs(dev)) < tol)
+    return bool(np.max(np.abs(dev)) < UNITARY_TOL)
 
 
-def is_unitary_2x2(m: np.ndarray, tol: float = UNITARY_TOL) -> bool:
-    """:func:`is_unitary` for a 2x2 matrix, in Python scalars.
+def is_unitary_entries(a: complex, b: complex, c: complex, d: complex) -> bool:
+    """:func:`is_unitary` of ``[[a, b], [c, d]]`` given as Python numbers.
 
-    Same rule and tolerance: every entry of ``m† m - I`` below ``tol`` in
-    magnitude.  The two off-diagonal entries are conjugates, so one is
+    The two off-diagonal entries of ``m† m - I`` are conjugates, so one is
     checked; a NaN entry fails every comparison and so fails the check.
     """
-    m = np.asarray(m, dtype=complex)
-    return m.shape == (2, 2) and is_unitary_entries(*m.reshape(4).tolist(), tol=tol)
-
-
-def is_unitary_entries(
-    a: complex, b: complex, c: complex, d: complex, tol: float = UNITARY_TOL
-) -> bool:
-    """:func:`is_unitary_2x2` of ``[[a, b], [c, d]]`` given as Python numbers."""
     try:
         return (
-            abs(a.conjugate() * a + c.conjugate() * c - 1) < tol
-            and abs(b.conjugate() * b + d.conjugate() * d - 1) < tol
-            and abs(a.conjugate() * b + c.conjugate() * d) < tol
+            abs(a.conjugate() * a + c.conjugate() * c - 1) < UNITARY_TOL
+            and abs(b.conjugate() * b + d.conjugate() * d - 1) < UNITARY_TOL
+            and abs(a.conjugate() * b + c.conjugate() * d) < UNITARY_TOL
         )
     except OverflowError:  # |z| of a finite z past the float range: far from unitary
         return False
@@ -83,7 +75,7 @@ class TwoLevelMatrix:
         comp = np.asarray(self.comp, dtype=complex)
         if comp.shape != (2, 2):
             raise ValueError("component matrix must be 2x2")
-        if not is_unitary_2x2(comp, UNITARY_TOL):
+        if not is_unitary_entries(*comp.reshape(4).tolist()):
             raise ValueError("component matrix is not unitary")
         object.__setattr__(self, "comp", comp)
 
@@ -93,23 +85,20 @@ class TwoLevelMatrix:
 
 
 def random_unitary(n: int, seed: int) -> np.ndarray:
-    """Seeded Haar-style random 2^n x 2^n unitary.
+    """Seeded Haar-random 2^n x 2^n unitary.
 
-    Orthonormalizes the columns of a complex Gaussian matrix with modified
-    Gram-Schmidt (classical Gram-Schmidt loses orthogonality at dim 128).
+    QR of a complex Gaussian matrix, each column of Q multiplied by the
+    phase of R's diagonal entry so the distribution is Haar (Mezzadri, "How
+    to generate random matrices from the classical compact groups",
+    arXiv math-ph/0609050).
     """
-    if not 1 <= n <= 7:
-        raise ValueError(f"qubit count must be in [1, 7], got {n}")
+    if n < 1:
+        raise ValueError(f"qubit count must be >= 1, got {n}")
     dim = 1 << n
     rng = np.random.default_rng(seed)
-    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q = np.empty((dim, dim), dtype=complex)
-    for j in range(dim):
-        v = a[:, j].copy()
-        for i in range(j):
-            v -= (q[:, i].conj() @ v) * q[:, i]
-        q[:, j] = v / np.linalg.norm(v)
-    return q
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
 
 
 def write_matrix(m: np.ndarray) -> str:

@@ -31,22 +31,14 @@ def cancel_pass(c: Circuit) -> Circuit:
     return Circuit(n=c.n, gates=tuple(stack))
 
 
-def _skeleton(n: int, pairs) -> Circuit:
-    """Circuit skeleton of (r, c) pairs: real X runs, identity middles."""
+def structural_circuit(n: int, pairs) -> Circuit:
+    """Circuit skeleton of (r, c) pairs, in order: real X runs, identity
+    middles."""
     return gray_circuit(n, ((r, c, None) for r, c in pairs))
 
 
-def structural_circuit(n: int, order: OrderArray) -> Circuit:
-    """Circuit skeleton for an ordering: placeholder middles, real X runs."""
-    return _skeleton(n, order.pairs())
-
-
-def structural_column_circuit(n: int, order: OrderArray, col: int) -> Circuit:
-    return _skeleton(n, ((r, col) for r in order.columns[col]))
-
-
 def count_structural(n: int, order: OrderArray, cancelled: bool) -> int:
-    circuit = structural_circuit(n, order)
+    circuit = structural_circuit(n, order.pairs())
     if cancelled:
         circuit = cancel_pass(circuit)
     return len(circuit)
@@ -56,8 +48,8 @@ def intercolumn_cancellation(n: int, order: OrderArray) -> int:
     """Gates cancelled at column boundaries: the per-column cancelled counts
     sum to more than the whole-circuit cancelled count by exactly this."""
     per_column = sum(
-        len(cancel_pass(structural_column_circuit(n, order, c)))
-        for c in range(len(order.columns))
+        len(cancel_pass(structural_circuit(n, ((r, c) for r in rows))))
+        for c, rows in enumerate(order.columns)
     )
     return per_column - count_structural(n, order, cancelled=True)
 

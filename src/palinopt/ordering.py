@@ -8,10 +8,7 @@ order and the palindromic order built by doubling the previous level.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-
-SOFT_CAP = 7
 
 
 @dataclass(frozen=True)
@@ -30,19 +27,10 @@ class OrderArray:
                 yield (r, c)
 
 
-def _check_cap(n: int) -> None:
-    if n > SOFT_CAP:
-        warnings.warn(
-            f"n={n} yields {1 << n}x{1 << n} matrices; expect large outputs",
-            stacklevel=3,
-        )
-
-
 def conventional_order(n: int) -> OrderArray:
     """Column c eliminates rows c+1, c+2, ..., 2^n - 1 in ascending order."""
     if n < 1:
         raise ValueError(f"qubit count must be >= 1, got {n}")
-    _check_cap(n)
     dim = 1 << n
     cols = tuple(tuple(range(c + 1, dim)) for c in range(dim - 1))
     return OrderArray(n, cols)
@@ -58,7 +46,6 @@ def poa_order(n: int) -> OrderArray:
     """
     if n < 2:
         raise ValueError(f"qubit count must be >= 2, got {n}")
-    _check_cap(n)
     cols: list[tuple[int, ...]] = [(1, 2, 3), (2, 3), (3,)]
     for m in range(3, n + 1):
         prev = cols

@@ -36,14 +36,14 @@ class PalindromeTrie:
     def counts(self) -> tuple[int, int]:
         """(leaf count, interior count); interior excludes the root."""
         leaves = interior = 0
-        stack = [(self.root, True)]
+        stack = list(self.root.children.values())
         while stack:
-            node, is_root = stack.pop()
+            node = stack.pop()
             if node.is_leaf:
                 leaves += 1
-            elif not is_root:
+            else:
                 interior += 1
-            stack.extend((ch, False) for ch in node.children.values())
+            stack.extend(node.children.values())
         return leaves, interior
 
 
@@ -78,55 +78,33 @@ def dfs_order(t: PalindromeTrie) -> list[MiddleId]:
     return out
 
 
-def _leaf_set(node: TrieNode) -> frozenset:
-    if node.is_leaf:
-        return frozenset([node.leaf_id])
-    acc: set = set()
-    for child in node.children.values():
-        acc |= _leaf_set(child)
-    return frozenset(acc)
-
-
 def mos_check(t: PalindromeTrie, seq: Sequence[MiddleId]) -> bool:
     """True iff ``seq`` is a maximal overlap sequence for the trie.
 
-    Characterization: at every node, the leaves of each child subtrie must
-    be contiguous in the sequence, recursively.  Siblings may appear in any
-    order.
+    Characterization: the leaves under every trie node fill one contiguous
+    run of positions in the sequence; siblings may appear in any order.
+    One post-order walk finds each node's (first, last, count) of leaf
+    positions.  Positions are distinct, so a run with last - first >= count
+    has a gap.
     """
-    all_leaves = _leaf_set(t.root)
-    if len(seq) != len(all_leaves) or set(seq) != set(all_leaves):
+    pos = {leaf: i for i, leaf in enumerate(seq)}
+    if len(pos) != len(seq) or pos.keys() != set(dfs_order(t)):
         raise ValueError("sequence is not a permutation of the trie's leaves")
+    runs: list[tuple[int, int, int]] = []
 
-    def check(node: TrieNode, chunk: Sequence[MiddleId]) -> bool:
+    def run(node: TrieNode) -> tuple[int, int, int]:
         if node.is_leaf:
-            return True
-        owner = {}
+            i = pos[node.leaf_id]
+            return i, i, 1
+        first, last, count = len(seq), -1, 0
         for child in node.children.values():
-            for leaf in _leaf_set(child):
-                owner[leaf] = child
-        # Each child's leaves must form one contiguous run of the chunk.
-        runs: list[tuple[TrieNode, int, int]] = []
-        i = 0
-        while i < len(chunk):
-            child = owner[chunk[i]]
-            j = i
-            while j < len(chunk) and owner[chunk[j]] is child:
-                j += 1
-            runs.append((child, i, j))
-            i = j
-        seen = set()
-        for child, i, j in runs:
-            if id(child) in seen:
-                return False
-            seen.add(id(child))
-            if j - i != len(_leaf_set(child)):
-                return False
-            if not check(child, chunk[i:j]):
-                return False
-        return True
+            lo, hi, k = run(child)
+            first, last, count = min(first, lo), max(last, hi), count + k
+        runs.append((first, last, count))
+        return first, last, count
 
-    return check(t.root, list(seq))
+    run(t.root)
+    return all(last - first < count for first, last, count in runs)
 
 
 def trie_gate_count(t: PalindromeTrie) -> int:

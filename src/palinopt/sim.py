@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import frobenius_distance
+from .linalg import RECONSTRUCT_TOL, frobenius_distance
 from .synth import Circuit
 
 
@@ -50,8 +50,8 @@ class VerificationReport:
         )
 
 
-def verify(u: np.ndarray, c: Circuit, tol: float = 1e-9) -> VerificationReport:
-    """Compare the circuit's unitary against ``u``."""
+def verify(u: np.ndarray, c: Circuit) -> VerificationReport:
+    """Compare the circuit's unitary against ``u``; pass below RECONSTRUCT_TOL."""
     u = np.asarray(u, dtype=complex)
     dim = 1 << c.n
     if u.shape != (dim, dim):
@@ -59,4 +59,4 @@ def verify(u: np.ndarray, c: Circuit, tol: float = 1e-9) -> VerificationReport:
     built = circuit_to_matrix(c)
     frob = frobenius_distance(built, u)
     maxdev = float(np.max(np.abs(built - u)))
-    return VerificationReport(passed=frob < tol, frobenius=frob, maxdev=maxdev, gates=len(c.gates))
+    return VerificationReport(passed=frob < RECONSTRUCT_TOL, frobenius=frob, maxdev=maxdev, gates=len(c.gates))

@@ -3,8 +3,9 @@
 They compute the same things as the library in the most direct way: the
 decomposition by full dim x dim elimination products, a circuit's unitary
 by pushing every basis column through every gate, one amplitude pair at a
-time, cancellation by repeated peephole deletion, and circuit construction
-with gates that name each control qubit's bit explicitly.  The small
+time, cancellation by repeated peephole deletion, circuit construction
+with gates that name each control qubit's bit explicitly, and the maximal
+overlap test by recursive runs of leaf sets.  The small
 matrix helpers the library does not need live here too.
 """
 
@@ -123,6 +124,54 @@ def total_overlap(subs) -> int:
 def trie_leaves(t) -> list:
     """Leaf ids of a palindrome trie in depth-first order."""
     return dfs_order(t)
+
+
+def _leaf_set(node) -> frozenset:
+    if node.is_leaf:
+        return frozenset([node.leaf_id])
+    acc: set = set()
+    for child in node.children.values():
+        acc |= _leaf_set(child)
+    return frozenset(acc)
+
+
+def ref_mos_check(t, seq) -> bool:
+    """True iff ``seq`` is a maximal overlap sequence for the trie: at every
+    node, the leaves of each child subtrie form one contiguous run of the
+    node's chunk of the sequence, recursively.  Siblings may appear in any
+    order."""
+    all_leaves = _leaf_set(t.root)
+    if len(seq) != len(all_leaves) or set(seq) != set(all_leaves):
+        raise ValueError("sequence is not a permutation of the trie's leaves")
+
+    def check(node, chunk) -> bool:
+        if node.is_leaf:
+            return True
+        owner = {}
+        for child in node.children.values():
+            for leaf in _leaf_set(child):
+                owner[leaf] = child
+        runs = []
+        i = 0
+        while i < len(chunk):
+            child = owner[chunk[i]]
+            j = i
+            while j < len(chunk) and owner[chunk[j]] is child:
+                j += 1
+            runs.append((child, i, j))
+            i = j
+        seen = set()
+        for child, i, j in runs:
+            if id(child) in seen:
+                return False
+            seen.add(id(child))
+            if j - i != len(_leaf_set(child)):
+                return False
+            if not check(child, chunk[i:j]):
+                return False
+        return True
+
+    return check(t.root, list(seq))
 
 
 @dataclass(frozen=True)

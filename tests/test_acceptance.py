@@ -20,7 +20,6 @@ from palinopt.optimize import (
     formula_poa,
     intercolumn_cancellation,
     poa_recurrence,
-    structural_column_circuit,
 )
 from palinopt.ordering import conventional_order, poa_order
 from palinopt.palindrome import build_trie, dfs_order, mos_check, overlap, trie_gate_count

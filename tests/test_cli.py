@@ -153,6 +153,8 @@ def test_compile_rejects_non_unitary(tmp_path, capsys):
     assert code == 1
     assert "unitarity" in err
     assert "1e-10" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "c.circ").exists()
 
 
 def test_compile_rejects_missing_file(tmp_path, capsys):
@@ -250,3 +252,88 @@ def test_trie_rejects_repeated_subcircuit(tmp_path, capsys):
 def test_trie_usage_error(capsys):
     code, _, err = run(capsys, "trie")
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        (),
+        ("bogus",),
+        ("compile", "--input", "u.mat"),
+        ("count", "--n", "x"),
+        ("count", "--mode", "bogus"),
+        ("order",),
+        ("gray", "--n", "3", "--from", "0"),
+        ("trie", "--column", "one"),
+    ],
+)
+def test_usage_errors_exit_1_in_one_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("compile", "--help"), ("count", "-h")])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("order", "--n", "11"),
+        ("order", "--n", "30", "--mode", "conventional"),
+        ("trie", "--n", "11", "--order", "poa", "--column", "0"),
+        ("trie", "--n", "30", "--order", "conventional", "--column", "0"),
+    ],
+)
+def test_order_size_guard(capsys, monkeypatch, argv):
+    def no_order(*args):
+        raise AssertionError("built an order past the size guard")
+
+    monkeypatch.setattr("palinopt.ordering.poa_order", no_order)
+    monkeypatch.setattr("palinopt.ordering.conventional_order", no_order)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "n=10" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_trie_column_at_the_size_limit(capsys):
+    code, out, _ = run(capsys, "trie", "--n", "10", "--order", "poa", "--column", "1022")
+    assert code == 0
+    assert out.splitlines()[-1] == "leaves=1 interior=0 count=1"
+
+
+def test_count_past_n7_writes_nothing_to_stderr(capsys):
+    code, out, err = run(capsys, "count", "--n", "8", "--mode", "both")
+    assert code == 0
+    assert out == "8\t75566\t229250\t229504\n"
+    assert err == ""
+
+
+def test_compile_checks_unitarity_once(tmp_path, capsys, monkeypatch):
+    from palinopt import decompose, linalg
+
+    checked = []
+    is_unitary = linalg.is_unitary
+
+    def counted(m):
+        checked.append(np.shape(m))
+        return is_unitary(m)
+
+    monkeypatch.setattr(linalg, "is_unitary", counted)
+    monkeypatch.setattr(decompose, "is_unitary", counted)
+    inp = write_unitary(tmp_path, 3, seed=4)
+    code, *_ = run(
+        capsys, "compile", "--input", str(inp), "--output", str(tmp_path / "c.circ"), "--verify"
+    )
+    assert code == 0
+    assert checked == [(8, 8)]
+

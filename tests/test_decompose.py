@@ -101,7 +101,7 @@ def test_factors_are_valid_two_level():
     d = two_level_decompose(random_unitary(3, 5), poa_order(3))
     for f in d.factors:
         m = expand_two_level(f)
-        assert is_unitary(m, 1e-10)
+        assert is_unitary(m)
         # identity outside the ordering pair
         mask = np.ones((8, 8), dtype=bool)
         for i in (f.col, f.row):

@@ -9,7 +9,7 @@ from palinopt.linalg import (
     TwoLevelMatrix,
     frobenius_distance,
     is_unitary,
-    is_unitary_2x2,
+    is_unitary_entries,
     random_unitary,
     read_matrix,
     write_matrix,
@@ -23,19 +23,34 @@ CNOT = np.array(
 
 
 def test_is_unitary_identity():
-    assert is_unitary(np.eye(4), 1e-10)
+    assert is_unitary(np.eye(4))
 
 
 def test_is_unitary_cnot():
-    assert is_unitary(CNOT, 1e-10)
+    assert is_unitary(CNOT)
 
 
 def test_is_unitary_all_ones():
-    assert not is_unitary(np.ones((2, 2)), 1e-10)
+    assert not is_unitary(np.ones((2, 2)))
 
 
 def test_is_unitary_rejects_non_square():
     assert not is_unitary(np.ones((2, 3)))
+
+
+def _unitary_2x2(m):
+    """The 2x2 unitarity rule through both of its users: ``TwoLevelMatrix``
+    (which also rejects any other shape) and, for a 2x2 ``m``,
+    ``is_unitary_entries`` on its entries.  Asserts that the two agree."""
+    m = np.asarray(m, dtype=complex)
+    try:
+        TwoLevelMatrix(row=1, col=0, comp=m, dim=2)
+        accepted = True
+    except ValueError:
+        accepted = False
+    if m.shape == (2, 2):
+        assert is_unitary_entries(*m.reshape(4).tolist()) == accepted
+    return accepted
 
 
 def _max_dev(m):
@@ -47,7 +62,7 @@ def _max_dev(m):
 def test_is_unitary_2x2_agrees_on_random(vals):
     m = np.array(vals, dtype=complex).reshape(2, 2)
     with np.errstate(all="ignore"):
-        assert is_unitary_2x2(m) == is_unitary(m)
+        assert _unitary_2x2(m) == is_unitary(m)
 
 
 @given(
@@ -63,7 +78,7 @@ def test_is_unitary_2x2_agrees_near_tolerance(seed, entry, size, angle):
     m = random_unitary(1, seed)
     m.flat[entry] += size * UNITARY_TOL * np.exp(1j * angle)
     assume(abs(_max_dev(m) - UNITARY_TOL) > 1e-15)
-    assert is_unitary_2x2(m) == is_unitary(m)
+    assert _unitary_2x2(m) == is_unitary(m)
 
 
 @pytest.mark.parametrize(
@@ -77,11 +92,11 @@ def test_is_unitary_2x2_agrees_near_tolerance(seed, entry, size, angle):
     ],
 )
 def test_is_unitary_2x2_rejects(m):
-    assert not is_unitary_2x2(m)
+    assert not _unitary_2x2(m)
 
 
 def test_is_unitary_2x2_accepts():
-    assert is_unitary_2x2(X) and is_unitary_2x2(Y) and is_unitary_2x2(np.eye(2))
+    assert _unitary_2x2(X) and _unitary_2x2(Y) and _unitary_2x2(np.eye(2))
 
 
 def test_adjoint_identity():
@@ -149,7 +164,7 @@ def test_two_level_rejects_non_unitary_component():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7])
 def test_random_unitary_is_unitary(n):
-    assert is_unitary(random_unitary(n, seed=3), 1e-10)
+    assert is_unitary(random_unitary(n, seed=3))
 
 
 def test_random_unitary_deterministic():
@@ -163,8 +178,16 @@ def test_random_unitary_seed_sensitivity():
 def test_random_unitary_range():
     with pytest.raises(ValueError):
         random_unitary(0, 1)
-    with pytest.raises(ValueError):
-        random_unitary(8, 1)
+    assert is_unitary(random_unitary(8, 1))
+
+
+def test_random_unitary_phases_unbiased():
+    # Haar measure is invariant under U -> -U, so every entry has mean 0.
+    # QR without the diag(R) phase fix fails this: LAPACK makes R's diagonal
+    # real, which biases the phase of Q's entries (over these seeds the
+    # mean of u[0, 0] is then -0.42; with the fix it is 0.01).
+    mean = np.mean([random_unitary(1, seed)[0, 0] for seed in range(2000)])
+    assert abs(mean) < 0.05
 
 
 def test_random_unitary_uu_dagger():
@@ -183,7 +206,7 @@ def test_expanded_two_level_always_unitary():
         )
         r, c = sorted(rng.choice(8, size=2, replace=False))[::-1]
         t = TwoLevelMatrix(row=int(r), col=int(c), comp=comp, dim=8)
-        assert is_unitary(expand_two_level(t), 1e-10)
+        assert is_unitary(expand_two_level(t))
 
 
 def test_matrix_text_round_trip():

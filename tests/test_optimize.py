@@ -15,7 +15,7 @@ from palinopt.optimize import (
     formula_poa,
     intercolumn_cancellation,
     poa_recurrence,
-    structural_column_circuit,
+    structural_circuit,
     table_rows,
 )
 from palinopt.ordering import conventional_order, poa_order
@@ -135,9 +135,19 @@ def test_column_counts_assemble_to_poa(n):
 def test_column_counts_match_measured_columns(n):
     order = poa_order(n)
     counts = column_counts(n)
-    for c in range(len(order.columns)):
-        measured = len(cancel_pass(structural_column_circuit(n, order, c)))
+    for c, rows in enumerate(order.columns):
+        measured = len(cancel_pass(structural_circuit(n, ((r, c) for r in rows))))
         assert measured == counts[c]
+
+
+@pytest.mark.parametrize("make_order", [conventional_order, poa_order])
+def test_structural_circuit_is_its_columns_concatenated(make_order):
+    order = make_order(4)
+    columns = [
+        structural_circuit(4, ((r, c) for r in rows)) for c, rows in enumerate(order.columns)
+    ]
+    whole = structural_circuit(4, order.pairs())
+    assert whole.gates == tuple(g for col in columns for g in col.gates)
 
 
 @pytest.mark.parametrize("n", range(2, 7))

@@ -1,3 +1,5 @@
+import warnings
+
 import pytest
 
 from palinopt.ordering import (
@@ -161,6 +163,8 @@ def test_load_rejects_malformed():
         load_order("n=2\n0: a b c\n")
 
 
-def test_soft_cap_warns():
-    with pytest.warns(UserWarning):
-        conventional_order(8)
+@pytest.mark.parametrize("make_order", [poa_order, conventional_order])
+def test_orders_past_n7_emit_no_warning(make_order):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert validate_order(make_order(8))

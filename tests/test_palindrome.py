@@ -4,11 +4,14 @@ The abstract two-subcircuit example ABCA1CBA . ABA2BA = ABCA1CA2BA is
 modelled with real X gates standing in for the symbols A, B, C.
 """
 
+import random
 from itertools import permutations
 
 import numpy as np
 import pytest
-from oracles import total_overlap, trie_leaves
+from hypothesis import given
+from hypothesis import strategies as st
+from oracles import ref_mos_check, total_overlap, trie_leaves
 
 from palinopt.optimize import cancel_pass
 from palinopt.ordering import conventional_order, poa_order
@@ -45,6 +48,16 @@ def column_subcircuits(order, col, n):
 def cancelled_length(subs, n=4):
     gates = tuple(g for s in subs for g in s.flatten())
     return len(cancel_pass(Circuit(n, gates)))
+
+
+def _shuffled_dfs(node, rnd):
+    """Leaves in a depth-first order with each node's children shuffled:
+    always a maximal overlap sequence."""
+    if node.is_leaf:
+        return [node.leaf_id]
+    children = list(node.children.values())
+    rnd.shuffle(children)
+    return [leaf for child in children for leaf in _shuffled_dfs(child, rnd)]
 
 
 S1 = sub([A, B, C], (1, -1))  # ABC A1 CBA
@@ -91,10 +104,13 @@ def test_dfs_order_abc_example():
 
 
 def test_mos_dfs_always_true():
-    for col in range(7):
-        subs = column_subcircuits(poa_order(3), col, 3)
-        t = build_trie(subs)
-        assert mos_check(t, dfs_order(t))
+    rnd = random.Random(0)
+    for n in (3, 4, 5):
+        for make_order in (poa_order, conventional_order):
+            for col in range((1 << n) - 1):
+                t = build_trie(column_subcircuits(make_order(n), col, n))
+                assert mos_check(t, dfs_order(t))
+                assert mos_check(t, _shuffled_dfs(t.root, rnd))
 
 
 def test_mos_siblings_permute_freely():
@@ -117,6 +133,10 @@ def test_mos_rejects_non_permutation():
         mos_check(t, [(1, -1)])
     with pytest.raises(ValueError):
         mos_check(t, [(1, -1), (1, -1)])
+    with pytest.raises(ValueError):
+        mos_check(t, [(1, -1), (3, -1)])
+    with pytest.raises(ValueError):
+        mos_check(t, [(1, -1), (2, -1), (3, -1)])
 
 
 def test_overlap_identical_prefixes():
@@ -195,3 +215,35 @@ def test_trie_leaves_are_the_subcircuit_pairs():
     leaves = trie_leaves(build_trie(subs))
     assert sorted(leaves) == sorted(s.pair for s in subs)
     assert len(leaves) == build_trie(subs).counts()[0]
+
+
+@st.composite
+def column_tries_and_sequences(draw):
+    """A column trie (n = 3..5, either order) and a permutation of its
+    leaves: uniformly random, a depth-first order with shuffled siblings, or
+    such an order with one or two transpositions (near-MOS)."""
+    n = draw(st.integers(3, 5))
+    make_order = draw(st.sampled_from([poa_order, conventional_order]))
+    col = draw(st.integers(0, (1 << n) - 2))
+    trie = build_trie(column_subcircuits(make_order(n), col, n))
+    rnd = draw(st.randoms(use_true_random=False))
+    kind = draw(st.sampled_from(["random", "dfs", "swapped"]))
+    if kind == "random":
+        return trie, draw(st.permutations(dfs_order(trie)))
+    seq = _shuffled_dfs(trie.root, rnd)
+    if kind == "swapped":
+        for _ in range(draw(st.integers(1, 2))):
+            i, j = draw(st.integers(0, len(seq) - 1)), draw(st.integers(0, len(seq) - 1))
+            seq[i], seq[j] = seq[j], seq[i]
+    return trie, seq
+
+
+@given(column_tries_and_sequences())
+def test_mos_check_matches_recursive_reference(case):
+    trie, seq = case
+    assert mos_check(trie, seq) == ref_mos_check(trie, seq)
+
+
+def test_mos_empty_trie_and_sequence():
+    t = build_trie([])
+    assert mos_check(t, []) and ref_mos_check(t, [])

@@ -81,7 +81,7 @@ def test_gray_walk_circuit_is_two_level_x():
 def test_circuit_matrix_unitary():
     d = two_level_decompose(random_unitary(3, 9), poa_order(3))
     m = circuit_to_matrix(construct_circuit(d))
-    assert is_unitary(m, 1e-9)
+    assert is_unitary(m)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -101,7 +101,7 @@ def test_circuit_to_matrix_matches_column_oracle(circuit):
 
 
 def test_verify_identity():
-    report = verify(np.eye(4), Circuit(2, ()), tol=1e-9)
+    report = verify(np.eye(4), Circuit(2, ()))
     assert report.passed
     assert report.frobenius == 0.0
     assert report.gates == 0
