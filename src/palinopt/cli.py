@@ -7,6 +7,9 @@ consistency failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
+import os
 import sys
 from pathlib import Path
 
@@ -24,6 +27,15 @@ def _fail(msg: str, code: int = 1) -> int:
     return code
 
 
+@contextlib.contextmanager
+def _context(msg: str, cause: bool = True):
+    """Re-raise an OSError or ValueError as ValueError "msg: <its message>" ("msg" if not cause)."""
+    try:
+        yield
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"{msg}: {exc}" if cause else msg) from exc
+
+
 def _resolve_order(spec: str, n: int) -> ordering.OrderArray:
     if spec == "conventional":
         return ordering.conventional_order(n)
@@ -31,55 +43,41 @@ def _resolve_order(spec: str, n: int) -> ordering.OrderArray:
         return ordering.poa_order(n)
     order = ordering.load_order(Path(spec).read_text())
     if order.n != n:
-        raise ValueError(f"order file is for n={order.n}, matrix needs n={n}")
+        raise ValueError(f"order file is for n={order.n}, need n={n}")
     return order
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
-    try:
+    with _context("cannot read input matrix"):
         u = linalg.read_matrix(Path(args.input).read_text())
-    except (OSError, ValueError) as exc:
-        return _fail(f"cannot read input matrix: {exc}")
     dim = u.shape[0]
     n = dim.bit_length() - 1
     if dim < 2 or dim != 1 << n:
         return _fail(f"matrix dimension {dim} is not a power of two >= 2")
-    try:
+    with _context("cannot resolve order"):
         order = _resolve_order(args.order, n)
-    except (OSError, ValueError) as exc:
-        return _fail(f"cannot resolve order: {exc}")
-    try:
-        decomp = two_level_decompose(u, order)  # checks that u is unitary
-    except ValueError as exc:
-        return _fail(str(exc))
+    decomp = two_level_decompose(u, order)  # checks that u is unitary
     circuit = synth.construct_circuit(decomp, skip_identity=args.skip_identity)
     if args.cancel:
         circuit = optimize.cancel_pass(circuit)
-    try:
+    with _context("cannot write output"):
         Path(args.output).write_text(synth.write_circuit(circuit))
-    except OSError as exc:
-        return _fail(f"cannot write output: {exc}")
     print(f"wrote {len(circuit)} gates to {args.output}")
 
     if args.verify:
-        try:
+        with _context("cannot read circuit back"):
             reread = synth.read_circuit(Path(args.output).read_text())
-        except (OSError, ValueError) as exc:
-            return _fail(f"cannot read circuit back: {exc}")
         report = sim.verify(u, reread)
         print(report)
-        if not report.passed:
-            return 2
+        return 0 if report.passed else 2
     return 0
 
 
 def cmd_count(args: argparse.Namespace) -> int:
     if args.range:
         lo_s, _, hi_s = args.range.partition("..")
-        try:
+        with _context(f"bad range {args.range!r}, expected a..b", cause=False):
             lo, hi = int(lo_s), int(hi_s)
-        except ValueError:
-            return _fail(f"bad range {args.range!r}, expected a..b")
     elif args.n is not None:
         lo = hi = args.n
     else:
@@ -90,11 +88,7 @@ def cmd_count(args: argparse.Namespace) -> int:
         return _fail(
             f"--mode {args.mode} enumerates circuits only up to n={ENUMERATE_MAX_N}, got n={hi}"
         )
-    try:
-        rows = optimize.table_rows(lo, hi, mode=args.mode)
-    except AssertionError as exc:
-        return _fail(str(exc), code=2)
-    for row in rows:
+    for row in optimize.table_rows(lo, hi, mode=args.mode):  # AssertionError: exit 2
         print("\t".join(str(v) for v in row))
     return 0
 
@@ -102,49 +96,32 @@ def cmd_count(args: argparse.Namespace) -> int:
 def cmd_order(args: argparse.Namespace) -> int:
     if args.n > ENUMERATE_MAX_N:
         return _fail(f"order --n builds orders only up to n={ENUMERATE_MAX_N}, got n={args.n}")
-    try:
-        order = _resolve_order(args.mode, args.n)
-    except ValueError as exc:
-        return _fail(str(exc))
-    print(ordering.save_order(order), end="")
+    print(ordering.save_order(_resolve_order(args.mode, args.n)), end="")
     return 0
 
 
 def cmd_gray(args: argparse.Namespace) -> int:
-    try:
-        codes = synth.gray_code(getattr(args, "from"), args.to, args.n)
-    except ValueError as exc:
-        return _fail(str(exc))
-    for g in codes:
+    for g in synth.gray_code(getattr(args, "from"), args.to, args.n):
         print(format(g, f"0{args.n}b"))
     return 0
 
 
 def cmd_trie(args: argparse.Namespace) -> int:
     if args.input:
-        try:
-            circuit = synth.read_circuit(Path(args.input).read_text())
-            subs = synth.split_subcircuits(circuit)
-        except (OSError, ValueError) as exc:
-            return _fail(f"cannot read circuit: {exc}")
+        with _context("cannot read circuit"):
+            subs = synth.split_subcircuits(synth.read_circuit(Path(args.input).read_text()))
     elif args.n is not None and args.order and args.column is not None:
         if args.n > ENUMERATE_MAX_N:
             return _fail(f"trie --n builds orders only up to n={ENUMERATE_MAX_N}, got n={args.n}")
-        try:
+        with _context("cannot resolve order"):
             order = _resolve_order(args.order, args.n)
-        except (OSError, ValueError) as exc:
-            return _fail(f"cannot resolve order: {exc}")
         if not 0 <= args.column < len(order.columns):
             return _fail(f"column {args.column} out of range")
-        subs = [
-            synth.subcircuit_for_pair(r, args.column, args.n) for r in order.columns[args.column]
-        ]
+        column = ((r, args.column) for r in order.columns[args.column])
+        subs = synth.split_subcircuits(optimize.structural_circuit(args.n, column))
     else:
         return _fail("need --input, or --n with --order and --column")
-    try:
-        trie = palindrome.build_trie(subs)
-    except ValueError as exc:
-        return _fail(str(exc))
+    trie = palindrome.build_trie(subs)
     print(palindrome.dump_trie(trie), end="")
     leaves, interior = trie.counts()
     print(f"leaves={leaves} interior={interior} count={palindrome.trie_gate_count(trie)}")
@@ -156,6 +133,7 @@ class _Parser(argparse.ArgumentParser):
         raise argparse.ArgumentError(None, message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="palinopt",
@@ -200,11 +178,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; the only place an exception becomes an exit code."""
     try:
         args = build_parser().parse_args(argv)
-    except argparse.ArgumentError as exc:
-        return _fail(str(exc))
-    return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed stdout fails here
+        return code
+    except (argparse.ArgumentError, AssertionError, OSError, ValueError) as exc:
+        if isinstance(exc, BrokenPipeError):  # send the exit-time flush nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # AssertionError is a consistency failure: count's formula != enumeration
+        return _fail(str(exc), code=2 if isinstance(exc, AssertionError) else 1)
 
 
 if __name__ == "__main__":

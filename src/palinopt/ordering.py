@@ -61,8 +61,8 @@ def poa_order(n: int) -> OrderArray:
 
 def validate_order(o: OrderArray) -> bool:
     """Check the triangular shape: column c is a permutation of c+1..2^n-1."""
-    dim = 1 << o.n
-    if len(o.columns) != dim - 1:
+    dim = len(o.columns) + 1
+    if not 1 <= o.n < dim or dim != 1 << o.n:  # n < dim bounds the shift
         return False
     for c, rows in enumerate(o.columns):
         if sorted(rows) != list(range(c + 1, dim)):
@@ -85,6 +85,8 @@ def load_order(text: str) -> OrderArray:
         n = int(lines[0][2:])
     except ValueError as exc:
         raise ValueError(f"bad qubit count: {lines[0]!r}") from exc
+    if n < 1:
+        raise ValueError(f"bad qubit count: {lines[0]!r}")
     cols: list[tuple[int, ...]] = []
     for expected_c, line in enumerate(lines[1:]):
         head, _, tail = line.partition(":")

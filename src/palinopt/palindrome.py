@@ -64,18 +64,34 @@ def build_trie(subcircuits: Iterable[PalindromicSubcircuit]) -> PalindromeTrie:
     return PalindromeTrie(root)
 
 
+# The recursive walks are module-level functions: a nested function that
+# calls itself is a reference cycle, which would keep the trie alive until
+# the cyclic garbage collector runs.
+def _leaves(node: TrieNode, out: list[MiddleId]) -> list[MiddleId]:
+    if node.is_leaf:
+        out.append(node.leaf_id)
+    for child in node.children.values():
+        _leaves(child, out)
+    return out
+
+
 def dfs_order(t: PalindromeTrie) -> list[MiddleId]:
     """Leaf labels in depth-first order; children visited in insertion order."""
-    out: list[MiddleId] = []
+    return _leaves(t.root, [])
 
-    def visit(node: TrieNode) -> None:
-        if node.is_leaf:
-            out.append(node.leaf_id)
-        for child in node.children.values():
-            visit(child)
 
-    visit(t.root)
-    return out
+def _run(node: TrieNode, pos: dict, runs: list) -> tuple[int, int, int]:
+    """(first, last, count) of the leaf positions under ``node``; appends
+    each interior node's triple to ``runs``."""
+    if node.is_leaf:
+        i = pos[node.leaf_id]
+        return i, i, 1
+    first, last, count = len(pos), -1, 0
+    for child in node.children.values():
+        lo, hi, k = _run(child, pos, runs)
+        first, last, count = min(first, lo), max(last, hi), count + k
+    runs.append((first, last, count))
+    return first, last, count
 
 
 def mos_check(t: PalindromeTrie, seq: Sequence[MiddleId]) -> bool:
@@ -91,19 +107,7 @@ def mos_check(t: PalindromeTrie, seq: Sequence[MiddleId]) -> bool:
     if len(pos) != len(seq) or pos.keys() != set(dfs_order(t)):
         raise ValueError("sequence is not a permutation of the trie's leaves")
     runs: list[tuple[int, int, int]] = []
-
-    def run(node: TrieNode) -> tuple[int, int, int]:
-        if node.is_leaf:
-            i = pos[node.leaf_id]
-            return i, i, 1
-        first, last, count = len(seq), -1, 0
-        for child in node.children.values():
-            lo, hi, k = run(child)
-            first, last, count = min(first, lo), max(last, hi), count + k
-        runs.append((first, last, count))
-        return first, last, count
-
-    run(t.root)
+    _run(t.root, pos, runs)
     return all(last - first < count for first, last, count in runs)
 
 
@@ -124,16 +128,14 @@ def overlap(a: PalindromicSubcircuit, b: PalindromicSubcircuit) -> int:
     return k
 
 
+def _dump(node: TrieNode, depth: int, lines: list[str]) -> list[str]:
+    for child in node.children.values():
+        tag = f" [leaf {child.leaf_id}]" if child.is_leaf else ""
+        lines.append("  " * depth + child.label + tag + "\n")
+        _dump(child, depth + 1, lines)
+    return lines
+
+
 def dump_trie(t: PalindromeTrie) -> str:
     """Indented one-node-per-line rendering, leaves tagged with their id."""
-    lines: list[str] = []
-
-    def visit(node: TrieNode, depth: int) -> None:
-        if node is not t.root:
-            tag = f" [leaf {node.leaf_id}]" if node.is_leaf else ""
-            lines.append("  " * (depth - 1) + node.label + tag)
-        for child in node.children.values():
-            visit(child, depth + 1)
-
-    visit(t.root, 0)
-    return "\n".join(lines) + "\n"
+    return "".join(_dump(t.root, 0, []))

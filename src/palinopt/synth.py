@@ -229,7 +229,8 @@ def split_subcircuits(c: Circuit) -> list[PalindromicSubcircuit]:
     mirrored X run per subcircuit); cancelled circuits no longer have this
     shape and are rejected.  Each subcircuit's pair (r, c) is read off its
     gates: the middle gate moves ``base`` to r, and the X run moves c to
-    ``base``.
+    ``base``.  The X run must be the Gray walk from c: each gate acts on the
+    running state, at a target above the last one and below the middle's.
     """
     subs: list[PalindromicSubcircuit] = []
     gates = c.gates
@@ -251,6 +252,12 @@ def split_subcircuits(c: Circuit) -> list[PalindromicSubcircuit]:
             )
         i += len(prefix)
         pair = (middle.base | 1 << middle.target, middle.base ^ flips)
+        g, low = pair[1], 0
+        for x in prefix:
+            bit = 1 << x.target
+            if not low < bit < 1 << middle.target or x.base != g & ~bit:
+                raise ValueError(f"X run is not the Gray walk of pair {pair}")
+            g, low = g ^ bit, bit
         subs.append(PalindromicSubcircuit(prefix=prefix, middle=middle, pair=pair))
     return subs
 

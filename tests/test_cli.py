@@ -1,10 +1,17 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from palinopt.cli import main
+import palinopt
+from palinopt.cli import build_parser, main
 from palinopt.linalg import random_unitary, write_matrix
-from palinopt.ordering import poa_order, save_order
-from palinopt.synth import read_circuit
+from palinopt.ordering import conventional_order, poa_order, save_order
+from palinopt.palindrome import build_trie, dump_trie
+from palinopt.synth import Circuit, ControlledGate, read_circuit, subcircuit_for_pair, write_circuit
 
 
 def run(capsys, *argv):
@@ -337,3 +344,129 @@ def test_compile_checks_unitarity_once(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert checked == [(8, 8)]
 
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_count_mismatch_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr("palinopt.optimize.formula_poa", lambda n: 0)
+    code, out, err = run(capsys, "count", "--n", "3", "--mode", "both")
+    assert code == 2
+    assert out == ""
+    assert err == "error: n=3: formula (0, 62, 68) != enumeration (50, 62, 68)\n"
+
+
+def _x(n, target, base):
+    return ControlledGate(n, target, base, "X")
+
+
+def _palindrome(n, xs, target, base):
+    """One subcircuit's gates: X run ``xs``, identity middle, mirrored run."""
+    return Circuit(n, (*xs, ControlledGate(n, target, base, np.eye(2)), *xs[::-1]))
+
+
+@pytest.mark.parametrize(
+    "circuit, pair",
+    [
+        # an X gate at the middle's target: c would equal r
+        (_palindrome(2, [_x(2, 0, 0)], 0, 0), (1, 1)),
+        # an X gate above the middle's target: c would exceed r
+        (_palindrome(2, [_x(2, 1, 0)], 0, 0), (1, 2)),
+        # an X gate that does not act on the running state c = 0
+        (_palindrome(2, [_x(2, 0, 2)], 1, 1), (3, 0)),
+        # a walk from 0 to 3 that flips bit 1 before bit 0
+        (_palindrome(3, [_x(3, 1, 0), _x(3, 0, 2)], 2, 3), (7, 0)),
+    ],
+    ids=["at-middle-target", "above-middle-target", "off-the-walk", "falling-targets"],
+)
+def test_trie_rejects_x_runs_that_are_not_gray_walks(tmp_path, capsys, circuit, pair):
+    path = tmp_path / "walk.circ"
+    path.write_text(write_circuit(circuit))
+    code, out, err = run(capsys, "trie", "--input", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: cannot read circuit: X run is not the Gray walk of pair {pair}\n"
+
+
+def test_trie_of_an_empty_circuit(tmp_path, capsys):
+    path = tmp_path / "empty.circ"
+    path.write_text("n=2 gates=0\n")
+    code, out, err = run(capsys, "trie", "--input", str(path))
+    assert code == 0
+    assert out == "leaves=0 interior=0 count=0\n"
+    assert err == ""
+
+
+@pytest.mark.parametrize("spec, make_order", [("poa", poa_order), ("conventional", conventional_order)])
+def test_trie_column_matches_per_pair_subcircuits(capsys, spec, make_order):
+    # `trie --n` splits the column's structural circuit; the dump equals
+    # the trie of the subcircuits built pair by pair.
+    n = 4
+    for col, rows in enumerate(make_order(n).columns):
+        code, out, _ = run(capsys, "trie", "--n", str(n), "--order", spec, "--column", str(col))
+        assert code == 0
+        expected = dump_trie(build_trie(subcircuit_for_pair(r, col, n) for r in rows))
+        assert out.rsplit("leaves=", 1)[0] == expected
+
+
+VALIDATION = "order file fails validation: columns must each permute {c+1, ..., 2^n - 1}"
+
+
+@pytest.mark.parametrize(
+    "text, msg",
+    [
+        ("n=-1\n0: 1\n", "bad qubit count: 'n=-1'"),
+        ("n=0\n", "bad qubit count: 'n=0'"),
+        # 1 << n does not fit in memory: the column count rejects n first
+        (f"n={1 << 62}\n0: 1\n", VALIDATION),
+        (save_order(conventional_order(2)), "order file is for n=2, need n=3"),
+    ],
+    ids=["n=-1", "n=0", "n=2^62", "n=2"],
+)
+@pytest.mark.parametrize("command", ["compile", "trie"])
+def test_order_file_qubit_count(tmp_path, capsys, text, msg, command):
+    order = tmp_path / "o.ord"
+    order.write_text(text)
+    out_path = tmp_path / "c.circ"
+    if command == "compile":
+        argv = ("compile", "--input", str(write_unitary(tmp_path, 3)), "--order", str(order),
+                "--output", str(out_path))
+    else:
+        argv = ("trie", "--n", "3", "--order", str(order), "--column", "0")
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: cannot resolve order: {msg}\n"
+    assert not out_path.exists()
+
+
+# Buffered, gray's output first reaches the pipe at main's flush; unbuffered, each print does.
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [("gray", "--n", "3", "--from", "0", "--to", "7"), ("order", "--n", "10"), ("trie", "--input")],
+    ids=["gray", "order", "trie"],
+)
+def test_closed_stdout_exits_1_in_one_line(tmp_path, capsys, argv, unbuffered):
+    if argv[0] == "trie":
+        circuit = tmp_path / "poa5.circ"
+        run(capsys, "compile", "--input", str(write_unitary(tmp_path, 5)), "--output", str(circuit))
+        argv += (str(circuit),)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(palinopt.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "palinopt.cli", *argv], stdout=write_end,
+            stderr=subprocess.PIPE, env=env, text=True, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
+    assert len(proc.stderr.splitlines()) == 1
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr

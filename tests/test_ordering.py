@@ -134,6 +134,19 @@ def test_validate_rejects_short_column():
     assert not validate_order(bad)
 
 
+@pytest.mark.parametrize("n", [-1, 0, 3, 1 << 62])
+def test_validate_rejects_qubit_count_that_misfits_the_columns(n):
+    # n=3 needs 7 columns; 1 << n is never computed for an n this large.
+    assert not validate_order(OrderArray(n, ((1,),)))
+    assert not validate_order(OrderArray(n, ()))
+
+
+@pytest.mark.parametrize("head", ["n=-1", "n=0"])
+def test_load_rejects_qubit_count_below_1(head):
+    with pytest.raises(ValueError, match="bad qubit count"):
+        load_order(head + "\n0: 1\n")
+
+
 def test_save_load_round_trip():
     for o in (poa_order(3), conventional_order(4)):
         assert load_order(save_order(o)) == o

@@ -4,7 +4,9 @@ The abstract two-subcircuit example ABCA1CBA . ABA2BA = ABCA1CA2BA is
 modelled with real X gates standing in for the symbols A, B, C.
 """
 
+import gc
 import random
+import weakref
 from itertools import permutations
 
 import numpy as np
@@ -200,6 +202,31 @@ def test_dump_trie_shape():
     assert sum("[leaf" in ln for ln in lines) == 2
     # depth is encoded as two spaces per level
     assert lines[1].startswith("  X t=1")
+
+
+def test_dump_empty_trie():
+    assert dump_trie(build_trie([])) == ""
+
+
+@pytest.mark.parametrize(
+    "walk", [dump_trie, dfs_order, lambda t: mos_check(t, dfs_order(t))], ids=["dump", "dfs", "mos"]
+)
+def test_walks_leave_the_trie_to_reference_counting(walk):
+    # The walks make no reference cycles, so the trie is freed when its last
+    # reference goes, without waiting for the cyclic garbage collector.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        trie = build_trie(column_subcircuits(poa_order(4), 0, 4))
+        ref = weakref.ref(trie)
+        gc.collect()
+        walk(trie)
+        del trie
+        assert ref() is None
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_conventional_column_trie_same_counts():
