@@ -24,7 +24,6 @@ from .synth import (
     Circuit,
     ControlledGate,
     PalindromicSubcircuit,
-    build_subcircuit,
     construct_circuit,
     gray_code,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "PalindromicSubcircuit",
     "TwoLevelMatrix",
     "VerificationReport",
-    "build_subcircuit",
     "build_trie",
     "cancel_pass",
     "circuit_to_matrix",

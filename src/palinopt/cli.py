@@ -20,6 +20,11 @@ from .decompose import two_level_decompose
 # Largest n that `count --mode enumerate|both`, `order` and `trie --n` build
 # circuits or orders for: the conventional circuit at n=10 holds ~4.7M gates.
 ENUMERATE_MAX_N = 10
+# Largest n of a `count --mode formula` table: its rows hold counts of up to
+# ~0.6 n digits, ~1 MB of text for the range 2..1024.
+FORMULA_MAX_N = 1024
+# Largest n that `gray` prints codes for: up to n + 1 lines of n characters.
+GRAY_MAX_N = 1024
 
 
 def _fail(msg: str, code: int = 1) -> int:
@@ -88,6 +93,8 @@ def cmd_count(args: argparse.Namespace) -> int:
         return _fail(
             f"--mode {args.mode} enumerates circuits only up to n={ENUMERATE_MAX_N}, got n={hi}"
         )
+    if hi > FORMULA_MAX_N:
+        return _fail(f"count computes counts only up to n={FORMULA_MAX_N}, got n={hi}")
     for row in optimize.table_rows(lo, hi, mode=args.mode):  # AssertionError: exit 2
         print("\t".join(str(v) for v in row))
     return 0
@@ -101,6 +108,8 @@ def cmd_order(args: argparse.Namespace) -> int:
 
 
 def cmd_gray(args: argparse.Namespace) -> int:
+    if args.n > GRAY_MAX_N:
+        return _fail(f"gray prints codes only up to n={GRAY_MAX_N}, got n={args.n}")
     for g in synth.gray_code(getattr(args, "from"), args.to, args.n):
         print(format(g, f"0{args.n}b"))
     return 0

@@ -26,20 +26,22 @@ def is_unitary(m: np.ndarray) -> bool:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
     dev = m.conj().T @ m - np.eye(m.shape[0])
-    return bool(np.max(np.abs(dev)) < UNITARY_TOL)
+    return bool(np.abs(dev).max() < UNITARY_TOL)
 
 
-def is_unitary_entries(a: complex, b: complex, c: complex, d: complex) -> bool:
-    """:func:`is_unitary` of ``[[a, b], [c, d]]`` given as Python numbers.
+def is_unitary_entries(a: complex, b: complex, c: complex, d: complex) -> bool | np.ndarray:
+    """:func:`is_unitary` of ``[[a, b], [c, d]]`` given as Python numbers, or
+    elementwise for numpy arrays of entries (a bool array).
 
     The two off-diagonal entries of ``m† m - I`` are conjugates, so one is
     checked; a NaN entry fails every comparison and so fails the check.
     """
+    ac, cc = a.conjugate(), c.conjugate()
     try:
         return (
-            abs(a.conjugate() * a + c.conjugate() * c - 1) < UNITARY_TOL
-            and abs(b.conjugate() * b + d.conjugate() * d - 1) < UNITARY_TOL
-            and abs(a.conjugate() * b + c.conjugate() * d) < UNITARY_TOL
+            (abs(ac * a + cc * c - 1) < UNITARY_TOL)
+            & (abs(b.conjugate() * b + d.conjugate() * d - 1) < UNITARY_TOL)
+            & (abs(ac * b + cc * d) < UNITARY_TOL)
         )
     except OverflowError:  # |z| of a finite z past the float range: far from unitary
         return False

@@ -25,7 +25,7 @@ from typing import Iterable, Optional, Union
 import numpy as np
 
 from .decompose import Decomposition
-from .linalg import UNITARY_TOL, TwoLevelMatrix, is_unitary_entries
+from .linalg import UNITARY_TOL, is_unitary_entries
 
 
 class ControlledGate:
@@ -157,10 +157,6 @@ def subcircuit_for_pair(
     return PalindromicSubcircuit(prefix=gates[:k], middle=gates[k], pair=(r, c))
 
 
-def build_subcircuit(v: TwoLevelMatrix, n: int) -> PalindromicSubcircuit:
-    return subcircuit_for_pair(v.row, v.col, n, comp=v.comp)
-
-
 def gray_circuit(
     n: int, subcircuits: Iterable[tuple[int, int, Optional[np.ndarray]]]
 ) -> Circuit:
@@ -211,15 +207,11 @@ def construct_circuit(d: Decomposition, skip_identity: bool = False) -> Circuit:
     ``skip_identity`` drops subcircuits whose component is the identity
     within 1e-10; it is off by default so gate counts stay structural.
     """
-    eye = np.eye(2)
-    return gray_circuit(
-        d.n,
-        (
-            (v.row, v.col, v.comp)
-            for v in reversed(d.factors)
-            if not (skip_identity and np.max(np.abs(v.comp - eye)) < UNITARY_TOL)
-        ),
-    )
+    rows, cols, comps = d.rows[::-1], d.cols[::-1], d.comps[::-1]
+    if skip_identity:
+        keep = np.abs(comps - np.eye(2)).max(axis=(1, 2)) >= UNITARY_TOL
+        rows, cols, comps = rows[keep], cols[keep], comps[keep]
+    return gray_circuit(d.n, zip(rows.tolist(), cols.tolist(), comps))
 
 
 def split_subcircuits(c: Circuit) -> list[PalindromicSubcircuit]:

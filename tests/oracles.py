@@ -18,7 +18,7 @@ import numpy as np
 
 from palinopt.linalg import ZERO_TOL, TwoLevelMatrix
 from palinopt.palindrome import dfs_order, overlap
-from palinopt.synth import Circuit, ControlledGate, gray_code
+from palinopt.synth import Circuit, ControlledGate, PalindromicSubcircuit, gray_code, subcircuit_for_pair
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -45,6 +45,11 @@ def expand_two_level(t: TwoLevelMatrix) -> np.ndarray:
     m[r, c] = t.comp[1, 0]
     m[r, r] = t.comp[1, 1]
     return m
+
+
+def build_subcircuit(v: TwoLevelMatrix, n: int) -> PalindromicSubcircuit:
+    """The palindromic subcircuit of one two-level factor."""
+    return subcircuit_for_pair(v.row, v.col, n, comp=v.comp)
 
 
 def dense_decompose(u: np.ndarray, order) -> list[TwoLevelMatrix]:

@@ -9,6 +9,7 @@ import pytest
 import palinopt
 from palinopt.cli import build_parser, main
 from palinopt.linalg import random_unitary, write_matrix
+from palinopt.optimize import formula_poa
 from palinopt.ordering import conventional_order, poa_order, save_order
 from palinopt.palindrome import build_trie, dump_trie
 from palinopt.synth import Circuit, ControlledGate, read_circuit, subcircuit_for_pair, write_circuit
@@ -78,6 +79,36 @@ def test_count_formula_mode_has_no_size_guard(capsys):
     assert out.split("\t")[0] == "11"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--n", str(1 << 62)),
+        ("--range", f"2..{1 << 62}"),
+        ("--range", f"{1 << 62}..{(1 << 62) + 1}"),
+        ("--n", "1025", "--mode", "formula"),
+    ],
+    ids=["n=2^62", "range-to-2^62", "range-from-2^62", "n=1025"],
+)
+def test_count_formula_size_guard(capsys, monkeypatch, argv):
+    def no_table(*args, **kwargs):
+        raise AssertionError("computed counts past the size guard")
+
+    monkeypatch.setattr("palinopt.optimize.table_rows", no_table)
+    code, out, err = run(capsys, "count", *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "n=1024" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_count_formula_at_the_size_limit(capsys):
+    code, out, _ = run(capsys, "count", "--n", "1024")
+    assert code == 0
+    n, *counts = out.split("\t")
+    assert n == "1024"
+    assert int(counts[0]) == formula_poa(1024)
+
+
 def test_count_usage_error(capsys):
     code, _, err = run(capsys, "count")
     assert code == 1
@@ -96,6 +127,27 @@ def test_gray_table1(capsys):
     code, out, _ = run(capsys, "gray", "--n", "3", "--from", "0", "--to", "7")
     assert code == 0
     assert out.split() == ["000", "001", "011", "111"]
+
+
+@pytest.mark.parametrize("n", [1 << 62, 1025], ids=["n=2^62", "n=1025"])
+def test_gray_size_guard(capsys, monkeypatch, n):
+    def no_codes(*args):
+        raise AssertionError("walked a Gray code past the size guard")
+
+    monkeypatch.setattr("palinopt.synth.gray_code", no_codes)
+    code, out, err = run(capsys, "gray", "--n", str(n), "--from", "0", "--to", "1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "n=1024" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_gray_at_the_size_limit(capsys):
+    code, out, _ = run(capsys, "gray", "--n", "1024", "--from", "0", "--to", str((1 << 1024) - 1))
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 1025
+    assert lines[0] == "0" * 1024 and lines[-1] == "1" * 1024
 
 
 def test_gray_bad_endpoints(capsys):

@@ -3,11 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import dense_decompose, expand_two_level
-from strategies import valid_orders
+from strategies import adversarial_unitaries, valid_orders
 
-from palinopt.decompose import progress_invariant_check, two_level_decompose
-from palinopt.linalg import frobenius_distance, random_unitary
+from palinopt import cli
+from palinopt.decompose import Decomposition, progress_invariant_check, two_level_decompose
+from palinopt.linalg import TwoLevelMatrix, frobenius_distance, random_unitary, write_matrix
+from palinopt.optimize import cancel_pass
 from palinopt.ordering import OrderArray, conventional_order, poa_order, validate_order
+from palinopt.sim import verify
+from palinopt.synth import construct_circuit, read_circuit, write_circuit
 
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
@@ -129,6 +133,78 @@ def test_any_valid_order_reconstructs(order, seed):
     d = two_level_decompose(u, order)
     assert d.pairs == tuple(order.pairs())
     assert frobenius_distance(reconstruct(d), u) < 1e-9
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), order=valid_orders())
+def test_matches_dense_oracle_on_adversarial_unitaries(data, order):
+    # Zero, near-ZERO_TOL and exact-phase entries exercise the identity
+    # steps, the last-row phase fix and the final 2x2 block.
+    u = data.draw(adversarial_unitaries(order.n))
+    seen = []
+    d = two_level_decompose(u, order, lambda m, c: seen.append(progress_invariant_check(m, c)))
+    assert seen == [True] * len(order.columns)
+    dense = dense_decompose(u, order)
+    assert d.pairs == tuple(f.pair for f in dense)
+    for f, comp in zip(dense, d.comps):
+        assert np.max(np.abs(f.comp - comp)) < 1e-12
+    circuit = read_circuit(write_circuit(cancel_pass(construct_circuit(d))))
+    assert verify(u, circuit).passed  # Frobenius distance < 1e-9
+
+
+def test_factors_are_the_arrays_entry_for_entry():
+    d = two_level_decompose(random_unitary(3, 6), poa_order(3))
+    assert len(d.factors) == len(d.rows) == len(d.cols) == len(d.comps) == 28
+    for f, r, c, comp in zip(d.factors, d.rows, d.cols, d.comps):
+        assert isinstance(f, TwoLevelMatrix)
+        assert (f.row, f.col, f.dim) == (r, c, 8)
+        assert np.array_equal(f.comp, comp)
+    assert d.factors is d.factors  # built once
+
+
+@pytest.mark.parametrize("order", ["poa", "conventional"])
+def test_compile_builds_no_two_level_matrix(tmp_path, capsys, monkeypatch, order):
+    def no_factor(self):
+        raise AssertionError("built a TwoLevelMatrix")
+
+    monkeypatch.setattr(TwoLevelMatrix, "__post_init__", no_factor)
+    matrix = tmp_path / "u.mat"
+    matrix.write_text(write_matrix(random_unitary(3, 2)))
+    argv = ["compile", "--input", str(matrix), "--order", order, "--cancel", "--verify",
+            "--output", str(tmp_path / "u.circ")]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("pass=true ")
+
+
+def _arrays():
+    d = two_level_decompose(random_unitary(2, 1), conventional_order(2))
+    return d.rows, d.cols, d.comps
+
+
+def test_decomposition_checks_shapes_and_indices():
+    rows, cols, comps = _arrays()
+    with pytest.raises(ValueError, match="shapes"):
+        Decomposition(2, rows, cols[:-1], comps)
+    with pytest.raises(ValueError, match="shapes"):
+        Decomposition(2, rows, cols, comps[:, :1])
+    for bad_rows, bad_cols in ((cols, rows), (rows, cols - 1), (rows + 4, cols)):
+        with pytest.raises(ValueError, match="col < row"):
+            Decomposition(2, bad_rows, bad_cols, comps)
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, 1e200])
+def test_decomposition_rejects_non_finite_or_huge_components(entry):
+    rows, cols, comps = _arrays()
+    comps[3, 1, 1] = entry
+    with pytest.raises(ValueError, match="not unitary"):
+        Decomposition(2, rows, cols, comps)
+
+
+def test_decomposition_unitarity_tolerance():
+    rows, cols, comps = _arrays()
+    Decomposition(2, rows, cols, comps * (1 + 1e-12))  # deviation 2e-12
+    with pytest.raises(ValueError, match="not unitary within 1e-10"):
+        Decomposition(2, rows, cols, comps * (1 + 1e-9))
 
 
 def test_progress_invariant_during_decomposition():

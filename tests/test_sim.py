@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from oracles import apply_gate, circuit_matrix, expand_two_level
+from oracles import apply_gate, build_subcircuit, circuit_matrix, expand_two_level
 from strategies import random_circuits
 
 from palinopt.decompose import two_level_decompose
@@ -9,7 +9,7 @@ from palinopt.linalg import TwoLevelMatrix, is_unitary, random_unitary
 from palinopt.optimize import cancel_pass
 from palinopt.ordering import conventional_order, poa_order
 from palinopt.sim import circuit_to_matrix, verify
-from palinopt.synth import Circuit, ControlledGate, build_subcircuit, construct_circuit
+from palinopt.synth import Circuit, ControlledGate, construct_circuit
 
 X2 = np.array([[0, 1], [1, 0]], dtype=complex)
 

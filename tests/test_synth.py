@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import cancel_pass_peephole, ref_construct, ref_write
+from oracles import build_subcircuit, cancel_pass_peephole, ref_construct, ref_write
 from strategies import random_circuits, valid_orders
 
 from palinopt.decompose import two_level_decompose
@@ -12,7 +12,6 @@ from palinopt.ordering import conventional_order, poa_order
 from palinopt.synth import (
     Circuit,
     ControlledGate,
-    build_subcircuit,
     construct_circuit,
     gray_code,
     read_circuit,
