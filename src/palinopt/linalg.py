@@ -114,6 +114,8 @@ def write_matrix(m: np.ndarray) -> str:
 
 
 def read_matrix(text: str) -> np.ndarray:
+    """Parse a matrix file.  Each row is checked for ``dim`` entries of one
+    ``re,im`` pair each, and all numbers are converted by one numpy call."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty matrix file")
@@ -123,16 +125,30 @@ def read_matrix(text: str) -> np.ndarray:
         raise ValueError(f"bad dimension line: {lines[0]!r}") from exc
     if dim < 1 or len(lines) != dim + 1:
         raise ValueError(f"expected {dim} rows, got {len(lines) - 1}")
-    m = np.empty((dim, dim), dtype=complex)
+    entries: list[str] = []
     for i, line in enumerate(lines[1:]):
         toks = line.split()
         if len(toks) != dim:
             raise ValueError(f"row {i}: expected {dim} entries, got {len(toks)}")
-        for j, tok in enumerate(toks):
-            re_s, _, im_s = tok.partition(",")
-            if not _:
-                raise ValueError(f"row {i} entry {j}: missing comma in {tok!r}")
-            m[i, j] = complex(float(re_s), float(im_s))
-    if not np.all(np.isfinite(m.view(float))):
+        # dim commas and one in every entry: exactly one in each
+        if line.count(",") != dim or not all("," in tok for tok in toks):
+            for j, tok in enumerate(toks):
+                if "," not in tok:
+                    raise ValueError(f"row {i} entry {j}: missing comma in {tok!r}")
+                if tok.count(",") > 1:
+                    raise ValueError(f"row {i} entry {j}: more than one comma in {tok!r}")
+        entries += toks
+    numbers = ",".join(entries).split(",")  # re and im of each entry, row-major
+    try:
+        values = np.array(numbers, dtype=float)
+    except ValueError:
+        for k, s in enumerate(numbers):  # name the first entry that fails
+            try:
+                float(s)
+            except ValueError:
+                i, j = divmod(k // 2, dim)
+                raise ValueError(f"row {i} entry {j}: bad number {s!r}") from None
+        raise
+    if not np.all(np.isfinite(values)):
         raise ValueError("matrix contains non-finite entries")
-    return m
+    return values.view(complex).reshape(dim, dim)

@@ -9,32 +9,31 @@ circuit skeleton from Gray codes alone (no matrix values involved).
 from __future__ import annotations
 
 from .ordering import OrderArray, conventional_order, poa_order
-from .synth import Circuit, ControlledGate, gray_circuit
+from .synth import Circuit, gray_circuit
 
 
 def cancel_pass(c: Circuit) -> Circuit:
     """Delete adjacent self-annihilating X pairs until none remain.
 
-    Single left-to-right stack scan: push each gate, but pop instead when
-    it is an X gate with the same (target, base) as an X gate on top.  This
-    reaches the same fixed point as repeated peephole deletion (X-pair
-    deletion is confluent).  Component-matrix gates are never touched.
+    Single left-to-right stack scan over the gate codes: push each code,
+    but pop instead when it equals the code on top.  Equal codes are equal
+    X gates, because every U code occurs once.  This reaches the same fixed
+    point as repeated peephole deletion (X-pair deletion is confluent).
+    Component-matrix gates are never touched.
     """
-    stack: list[ControlledGate] = []
-    for g in c.gates:
-        if stack and g.is_x:
-            top = stack[-1]
-            if top.is_x and top.target == g.target and top.base == g.base:
-                stack.pop()
-                continue
-        stack.append(g)
-    return Circuit(n=c.n, gates=tuple(stack))
+    stack: list[int] = []
+    for g in c.code:
+        if stack and stack[-1] == g:
+            stack.pop()
+        else:
+            stack.append(g)
+    return Circuit(c.n, stack, c.u_at, c.comps)
 
 
 def structural_circuit(n: int, pairs) -> Circuit:
     """Circuit skeleton of (r, c) pairs, in order: real X runs, identity
     middles."""
-    return gray_circuit(n, ((r, c, None) for r, c in pairs))
+    return gray_circuit(n, pairs)
 
 
 def count_structural(n: int, order: OrderArray, cancelled: bool) -> int:
@@ -42,16 +41,6 @@ def count_structural(n: int, order: OrderArray, cancelled: bool) -> int:
     if cancelled:
         circuit = cancel_pass(circuit)
     return len(circuit)
-
-
-def intercolumn_cancellation(n: int, order: OrderArray) -> int:
-    """Gates cancelled at column boundaries: the per-column cancelled counts
-    sum to more than the whole-circuit cancelled count by exactly this."""
-    per_column = sum(
-        len(cancel_pass(structural_circuit(n, ((r, c) for r in rows))))
-        for c, rows in enumerate(order.columns)
-    )
-    return per_column - count_structural(n, order, cancelled=True)
 
 
 def formula_conventional(n: int) -> int:
@@ -90,29 +79,6 @@ def poa_recurrence(n: int) -> int:
         half = 1 << (m - 1)
         val = 4 * (val + half - 2) + 5 * (half - 1) + 1 - 2 * (half - 1)
     return val
-
-
-def column_counts(n: int) -> list[int]:
-    """Within-column cancelled gate counts for the palindromic ordering.
-
-    Column c of one level spawns columns 2c (count doubled plus 3: a new
-    branch plus a new leaf) and 2c+1 (doubled plus 2) of the next; the last
-    two columns collapse to 1 and 0.  Base counts at n=2 are structural.
-    The column sum exceeds the whole-circuit count by the boundary
-    cancellations 2(2^{n-1} - 1).
-    """
-    if n < 2:
-        raise ValueError(f"qubit count must be >= 2, got {n}")
-    counts = [5, 4, 1, 0]  # n=2 columns 0..3 (column 3 is empty)
-    for m in range(3, n + 1):
-        prev = counts
-        counts = []
-        for c in range((1 << (m - 1)) - 1):
-            counts.append(2 * prev[c] + 3)
-            counts.append(2 * prev[c] + 2)
-        counts.append(1)  # final nonempty column: single adjacent pair
-        counts.append(0)
-    return counts[:-1]
 
 
 def table_rows(lo: int, hi: int, mode: str = "formula") -> list[tuple[int, int, int, int]]:

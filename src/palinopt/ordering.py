@@ -51,10 +51,13 @@ def poa_order(n: int) -> OrderArray:
         prev = cols
         cols = []
         for c in range((1 << (m - 1)) - 1):
-            doubled = tuple(2 * r for r in prev[c])
-            plus_one = tuple(2 * r + 1 for r in prev[c])
-            cols.append(doubled + (2 * c + 1,) + plus_one)
-            cols.append(doubled + plus_one)
+            # Lists, not tuple(generator): a tuple grown from a generator is
+            # resized past CPython's tuple free lists, so freeing the
+            # columns of every call would fill those lists by megabytes.
+            doubled = [2 * r for r in prev[c]]
+            plus_one = [r + 1 for r in doubled]
+            cols.append((*doubled, 2 * c + 1, *plus_one))
+            cols.append((*doubled, *plus_one))
         cols.append(((1 << m) - 1,))
     return OrderArray(n, tuple(cols))
 

@@ -13,15 +13,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .synth import PalindromicSubcircuit
+from .synth import PalindromicSubcircuit, position_text
 
 MiddleId = tuple[int, int]
 
 
 @dataclass
 class TrieNode:
-    label: str
-    children: dict = field(default_factory=dict)  # (target, base) or ("mid", pair) -> TrieNode
+    # An X gate's child is keyed by its position code target << n | base,
+    # a leaf by a negative int unique within the trie.
+    children: dict[int, TrieNode] = field(default_factory=dict)
     leaf_id: MiddleId | None = None
 
     @property
@@ -32,6 +33,7 @@ class TrieNode:
 @dataclass
 class PalindromeTrie:
     root: TrieNode
+    n: int  # qubit count of the subcircuits; 0 for an empty trie
 
     def counts(self) -> tuple[int, int]:
         """(leaf count, interior count); interior excludes the root."""
@@ -49,19 +51,23 @@ class PalindromeTrie:
 
 def build_trie(subcircuits: Iterable[PalindromicSubcircuit]) -> PalindromeTrie:
     """One leaf per subcircuit; shared X-gate prefixes share paths."""
-    root = TrieNode(label="")
+    root = TrieNode()
+    n = 0
+    pairs: set[MiddleId] = set()
     for sub in subcircuits:
+        if sub.pair in pairs:
+            raise ValueError(f"duplicate subcircuit for pair {sub.pair}")
+        pairs.add(sub.pair)
+        n = sub.middle.n
         node = root
         for gate in sub.prefix:
-            key = gate.symbol  # (target, base)
-            if key not in node.children:
-                node.children[key] = TrieNode(label=f"X t={gate.target} c={gate.pattern()}")
-            node = node.children[key]
-        key = ("mid", sub.pair)
-        if key in node.children:
-            raise ValueError(f"duplicate subcircuit for pair {sub.pair}")
-        node.children[key] = TrieNode(label=f"V{sub.pair}", leaf_id=sub.pair)
-    return PalindromeTrie(root)
+            key = gate.target << n | gate.base
+            child = node.children.get(key)
+            if child is None:
+                child = node.children[key] = TrieNode()
+            node = child
+        node.children[-len(pairs)] = TrieNode(leaf_id=sub.pair)
+    return PalindromeTrie(root, n)
 
 
 # The recursive walks are module-level functions: a nested function that
@@ -128,14 +134,17 @@ def overlap(a: PalindromicSubcircuit, b: PalindromicSubcircuit) -> int:
     return k
 
 
-def _dump(node: TrieNode, depth: int, lines: list[str]) -> list[str]:
-    for child in node.children.values():
-        tag = f" [leaf {child.leaf_id}]" if child.is_leaf else ""
-        lines.append("  " * depth + child.label + tag + "\n")
-        _dump(child, depth + 1, lines)
+def _dump(node: TrieNode, n: int, depth: int, lines: list[str]) -> list[str]:
+    for key, child in node.children.items():
+        if child.is_leaf:
+            label = f"V{child.leaf_id} [leaf {child.leaf_id}]"
+        else:
+            label = "X " + position_text(key, n)
+        lines.append("  " * depth + label + "\n")
+        _dump(child, n, depth + 1, lines)
     return lines
 
 
 def dump_trie(t: PalindromeTrie) -> str:
     """Indented one-node-per-line rendering, leaves tagged with their id."""
-    return "".join(_dump(t.root, 0, []))
+    return "".join(_dump(t.root, t.n, 0, []))

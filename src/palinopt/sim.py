@@ -21,18 +21,30 @@ def circuit_to_matrix(c: Circuit) -> np.ndarray:
     """Unitary computed by the circuit, gates applied in sequence order.
 
     ``row[i]`` names the row of ``m`` holding basis state i of the product
-    so far, so the product is ``m[row]``.
+    so far, so the product is ``m[row]``.  A U gate multiplies its two rows,
+    copied into ``pair``, by its component and writes them back.
     """
-    dim = 1 << c.n
+    n = c.n
+    dim = 1 << n
+    mask = dim - 1
     m = np.eye(dim, dtype=complex)
     row = list(range(dim))
-    for g in c.gates:
-        i0, i1 = g.basis_pair
-        if g.is_x:
+    pair, out = np.empty((2, 2, dim), dtype=complex)
+    u_at, comps = c.u_at, c.comps
+    for g in c.code:
+        if g >= 0:
+            i0 = g & mask
+            i1 = i0 | 1 << (g >> n)
             row[i0], row[i1] = row[i1], row[i0]
         else:
-            rows = [row[i0], row[i1]]
-            m[rows] = g.op @ m[rows]
+            at = u_at[~g]
+            i0 = at & mask
+            r0, r1 = m[row[i0]], m[row[i0 | 1 << (at >> n)]]
+            pair[0] = r0
+            pair[1] = r1
+            np.matmul(comps[~g], pair, out=out)
+            r0[:] = out[0]
+            r1[:] = out[1]
     return m[row]
 
 
@@ -59,4 +71,4 @@ def verify(u: np.ndarray, c: Circuit) -> VerificationReport:
     built = circuit_to_matrix(c)
     frob = frobenius_distance(built, u)
     maxdev = float(np.max(np.abs(built - u)))
-    return VerificationReport(passed=frob < RECONSTRUCT_TOL, frobenius=frob, maxdev=maxdev, gates=len(c.gates))
+    return VerificationReport(passed=frob < RECONSTRUCT_TOL, frobenius=frob, maxdev=maxdev, gates=len(c))

@@ -8,9 +8,16 @@ matrix, and the X run mirrored to undo the state changes.
 A fully controlled gate acts on one pair of basis states that differ in
 its target bit, so it is identified by two integers: ``target`` and
 ``base``, the lower state of the pair (target bit cleared; its other bits
-are the control values).  Construction walks the Gray codes as integers
-and keeps one gate object per distinct (target, base) X gate within a
-circuit; reading a circuit file shares X gates the same way.
+are the control values).  Its position code is ``target << n | base``.
+
+A :class:`Circuit` holds integer codes, not gate objects.  ``code`` has
+one int per gate in application order: an X gate is its position code
+(>= 0), and the j-th component gate is ``~j`` (< 0).  ``u_at[j]`` is that
+gate's position code and ``comps[j]`` its 2x2 component matrix, rows of a
+``(k, 2, 2)`` array.  Within a circuit each distinct X code is one shared
+int object.  Construction, cancellation, the file text and simulation work
+on the codes; ``Circuit.gates`` builds :class:`ControlledGate` objects on
+first access, one per distinct X gate.
 
 Qubit 0 is the least significant bit of a basis-state index; the control
 pattern strings render qubit n-1 leftmost.
@@ -18,7 +25,7 @@ pattern strings render qubit n-1 leftmost.
 
 from __future__ import annotations
 
-import cmath
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
@@ -26,6 +33,18 @@ import numpy as np
 
 from .decompose import Decomposition
 from .linalg import UNITARY_TOL, is_unitary_entries
+
+
+def _pattern(n: int, target: int, base: int) -> str:
+    bits = format(base, f"0{n}b")
+    slot = n - 1 - target
+    return bits[:slot] + "_" + bits[slot + 1 :]
+
+
+def position_text(at: int, n: int) -> str:
+    """``t=<target> c=<pattern>`` of position code ``at``."""
+    target = at >> n
+    return f"t={target} c={_pattern(n, target, at & ((1 << n) - 1))}"
 
 
 class ControlledGate:
@@ -77,9 +96,7 @@ class ControlledGate:
 
     def pattern(self) -> str:
         """Control pattern with qubit n-1 leftmost and ``_`` at the target."""
-        bits = format(self.base, f"0{self.n}b")
-        slot = self.n - 1 - self.target
-        return bits[:slot] + "_" + bits[slot + 1 :]
+        return _pattern(self.n, self.target, self.base)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ControlledGate):
@@ -111,20 +128,57 @@ class PalindromicSubcircuit:
         return 2 * len(self.prefix) + 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Circuit:
+    """Gates as integer codes; see the module docstring.  The lists are
+    shared between circuits (``cancel_pass`` keeps ``u_at`` and ``comps``)
+    and must not be changed."""
+
     n: int
-    gates: tuple[ControlledGate, ...]
+    code: list[int]
+    u_at: list[int]
+    comps: np.ndarray
+
+    def __post_init__(self) -> None:
+        if self.comps.shape != (len(self.u_at), 2, 2):
+            raise ValueError(f"need ({len(self.u_at)}, 2, 2) components, got {self.comps.shape}")
 
     def __len__(self) -> int:
-        return len(self.gates)
+        return len(self.code)
 
+    @classmethod
+    def from_gates(cls, n: int, gates: Iterable[ControlledGate]) -> Circuit:
+        """The circuit of ``gates`` in application order."""
+        x_codes: dict[int, int] = {}
+        code, u_at, ops = [], [], []
+        for g in gates:
+            if g.n != n:
+                raise ValueError(f"gate for n={g.n} in a circuit for n={n}")
+            at = g.target << n | g.base
+            if g.is_x:
+                code.append(x_codes.setdefault(at, at))
+            else:
+                code.append(~len(u_at))
+                u_at.append(at)
+                ops.append(g.op)
+        return cls(n, code, u_at, np.array(ops, dtype=complex).reshape(-1, 2, 2))
 
-def _check_endpoints(c: int, r: int, n: int) -> None:
-    if c == r:
-        raise ValueError("endpoints must differ")
-    if not (0 <= c < (1 << n) and 0 <= r < (1 << n)):
-        raise ValueError(f"indices ({c}, {r}) out of range for n={n}")
+    @functools.cached_property
+    def gates(self) -> tuple[ControlledGate, ...]:
+        """One :class:`ControlledGate` per gate; equal X gates share one."""
+        n, mask = self.n, (1 << self.n) - 1
+        x_gates: dict[int, ControlledGate] = {}
+        gates = []
+        for g in self.code:
+            if g >= 0:
+                gate = x_gates.get(g)
+                if gate is None:
+                    gate = x_gates[g] = ControlledGate(n, g >> n, g & mask, "X")
+            else:
+                at = self.u_at[~g]
+                gate = ControlledGate(n, at >> n, at & mask, self.comps[~g])
+            gates.append(gate)
+        return tuple(gates)
 
 
 def gray_code(c: int, r: int, n: int) -> tuple[int, ...]:
@@ -133,7 +187,10 @@ def gray_code(c: int, r: int, n: int) -> tuple[int, ...]:
     Bit flips therefore occur in increasing significance 2^0, 2^1, ...; the
     sequence has at most n+1 codes.
     """
-    _check_endpoints(c, r, n)
+    if c == r:
+        raise ValueError("endpoints must differ")
+    if not (0 <= c < (1 << n) and 0 <= r < (1 << n)):
+        raise ValueError(f"indices ({c}, {r}) out of range for n={n}")
     codes = [c]
     g = c
     while g != r:
@@ -143,59 +200,35 @@ def gray_code(c: int, r: int, n: int) -> tuple[int, ...]:
     return tuple(codes)
 
 
-def subcircuit_for_pair(
-    r: int, c: int, n: int, comp: Optional[np.ndarray] = None
-) -> PalindromicSubcircuit:
-    """Build the palindromic subcircuit for ordering pair (r, c).
-
-    ``comp`` defaults to the identity, which is what structural gate
-    counting uses; the middle gate never cancels either way.
-    """
-    _check_endpoints(c, r, n)
-    gates = gray_circuit(n, [(r, c, comp)]).gates
-    k = len(gates) // 2
-    return PalindromicSubcircuit(prefix=gates[:k], middle=gates[k], pair=(r, c))
-
-
 def gray_circuit(
-    n: int, subcircuits: Iterable[tuple[int, int, Optional[np.ndarray]]]
+    n: int, pairs: Iterable[tuple[int, int]], comps: Optional[np.ndarray] = None
 ) -> Circuit:
-    """Concatenate the palindromic subcircuits of (r, c, component) triples,
-    in the given order.
+    """Concatenate the palindromic subcircuits of (r, c) pairs, in the given
+    order.  Pair j's component gate is U gate j, with component ``comps[j]``,
+    or the identity for every pair if ``comps`` is None.
 
-    Each subcircuit walks the Gray code from c to r as ints.  One gate
-    object is made per distinct X gate, and per distinct position of a
-    ``None`` (identity) component, and shared by every subcircuit that
-    uses it; gates are immutable, so sharing is safe.
+    Each subcircuit walks the Gray code from c to r as ints.
     """
-    eye = np.eye(2, dtype=complex)
-    eye.flags.writeable = False  # shared by every identity middle gate
-    x_gates: dict[int, ControlledGate] = {}
-    eye_gates: dict[tuple[int, int], ControlledGate] = {}
-    gates: list[ControlledGate] = []
-    for r, c, comp in subcircuits:
-        start = len(gates)
+    x_codes: dict[int, int] = {}
+    code: list[int] = []
+    u_at: list[int] = []
+    for j, (r, c) in enumerate(pairs):
+        run = []
         g, diff = c, c ^ r
         while diff & (diff - 1):  # more than the last flip to go
             low = diff & -diff
-            key = g | low | low << n  # the pair's upper state and the flipped bit
-            gate = x_gates.get(key)
-            if gate is None:
-                gate = x_gates[key] = ControlledGate(n, low.bit_length() - 1, g & ~low, "X")
-            gates.append(gate)
+            x = (low.bit_length() - 1) << n | g & ~low
+            run.append(x_codes.setdefault(x, x))
             g ^= low
             diff ^= low
-        mid = len(gates)
-        at = (diff.bit_length() - 1, g & ~diff)
-        if comp is not None:
-            gates.append(ControlledGate(n, *at, comp))
-        else:
-            gate = eye_gates.get(at)
-            if gate is None:
-                gate = eye_gates[at] = ControlledGate(n, *at, eye)
-            gates.append(gate)
-        gates.extend(reversed(gates[start:mid]))
-    return Circuit(n=n, gates=tuple(gates))
+        u_at.append((diff.bit_length() - 1) << n | g & ~diff)
+        code += run
+        code.append(~j)
+        run.reverse()
+        code += run
+    if comps is None:
+        comps = np.broadcast_to(np.eye(2, dtype=complex), (len(u_at), 2, 2))
+    return Circuit(n, code, u_at, comps)
 
 
 def construct_circuit(d: Decomposition, skip_identity: bool = False) -> Circuit:
@@ -211,7 +244,7 @@ def construct_circuit(d: Decomposition, skip_identity: bool = False) -> Circuit:
     if skip_identity:
         keep = np.abs(comps - np.eye(2)).max(axis=(1, 2)) >= UNITARY_TOL
         rows, cols, comps = rows[keep], cols[keep], comps[keep]
-    return gray_circuit(d.n, zip(rows.tolist(), cols.tolist(), comps))
+    return gray_circuit(d.n, zip(rows.tolist(), cols.tolist()), comps)
 
 
 def split_subcircuits(c: Circuit) -> list[PalindromicSubcircuit]:
@@ -254,36 +287,38 @@ def split_subcircuits(c: Circuit) -> list[PalindromicSubcircuit]:
     return subs
 
 
+# Component matrices per block of the circuit file's writer and reader.
+_BLOCK = 1024
+
+
 def write_circuit(c: Circuit) -> str:
-    """Circuit file text.  Each distinct position's ``t=.. c=..`` text is
-    rendered once, and the floats of all component matrices (real and
-    imaginary parts, row-major) by a single ``repr`` of one list."""
-    ops = [g.op for g in c.gates if not g.is_x]
-    floats = np.array(ops, dtype=complex).reshape(-1).view(float).tolist()
-    entries = zip(*[iter(repr(floats)[1:-1].split(", "))] * 8)  # 8 floats per matrix
-    lines = [f"n={c.n} gates={len(c.gates)}"]
-    positions: dict[tuple[int, int], str] = {}
-    for g in c.gates:
-        at = positions.get((g.target, g.base))
-        if at is None:
-            at = positions[g.target, g.base] = f"t={g.target} c={g.pattern()}"
-        if g.is_x:
-            lines.append("X " + at)
-        else:
-            lines.append("U %s m=%s,%s;%s,%s;%s,%s;%s,%s" % (at, *next(entries)))
-    return "\n".join(lines) + "\n"
+    """Circuit file text.  Each distinct position's ``t=.. c=..`` text and
+    each distinct X line is rendered once, and the floats of the component
+    matrices (real and imaginary parts, row-major) by one ``repr`` of a list
+    per block of matrices, which bounds the float strings alive at once."""
+    n, code, u_at = c.n, c.code, c.u_at
+    floats = c.comps.reshape(-1).view(float).reshape(-1, 8)
+    distinct = set(code)
+    at = {p: position_text(p, n) for p in distinct.union(u_at) if p >= 0}
+    lines = {g: "X " + at[g] for g in distinct if g >= 0}  # code -> its line
+    for start in range(0, len(u_at), _BLOCK):
+        block = repr(floats[start : start + _BLOCK].reshape(-1).tolist())[1:-1].split(", ")
+        entries = zip(*[iter(block)] * 8)
+        for j, (p, m) in enumerate(zip(u_at[start : start + _BLOCK], entries), start):
+            lines[~j] = "U %s m=%s,%s;%s,%s;%s,%s;%s,%s" % (at[p], *m)
+    return "\n".join([f"n={n} gates={len(code)}", *map(lines.__getitem__, code), ""])
 
 
-def _parse_fields(line: str) -> dict[str, str]:
+def _parse_fields(tokens: list[str]) -> dict[str, str]:
     fields = {}
-    for tok in line.split()[1:]:
+    for tok in tokens:
         key, _, val = tok.partition("=")
         fields[key] = val
     return fields
 
 
-def _parse_position(t: str, pattern: str, n: int, line: str) -> tuple[int, int]:
-    """Target and base of a gate line's ``t=`` and ``c=`` fields."""
+def _parse_position(t: str, pattern: str, n: int, line: str) -> int:
+    """Position code of a gate line's ``t=`` and ``c=`` fields."""
     target = int(t)
     if not 0 <= target < n:
         raise ValueError(f"target {target} out of range for n={n}: {line!r}")
@@ -298,16 +333,59 @@ def _parse_position(t: str, pattern: str, n: int, line: str) -> tuple[int, int]:
             raise ValueError(f"bad pattern character {ch!r}: {line!r}")
     if pattern[slot] != "_":
         raise ValueError(f"no '_' at target position: {line!r}")
-    return target, int(pattern[:slot] + "0" + pattern[slot + 1 :], 2)
+    return target << n | int(pattern[:slot] + "0" + pattern[slot + 1 :], 2)
+
+
+def _components(fields: list[str], lines: list[str]) -> np.ndarray:
+    """The ``(k, 2, 2)`` components of the ``m=`` fields of k U lines,
+    each field holding four ``;``-separated entries.
+
+    The entries are checked as ``re,im`` pairs at once, their numbers
+    converted by one numpy call, and the matrices tested for finiteness
+    and unitarity at once; an error names the first line at fault.
+    """
+    if not fields:
+        return np.empty((0, 2, 2), dtype=complex)
+    joined = ";".join(fields)
+    entries = joined.split(";")
+    # as many commas as entries and one in every entry: exactly one in each
+    if joined.count(",") != len(entries) or not all("," in e for e in entries):
+        for m, line in zip(fields, lines):
+            if any(e.count(",") != 1 for e in m.split(";")):
+                raise ValueError(f"component entries must be re,im pairs: {line!r}")
+    numbers = joined.replace(";", ",").split(",")
+    try:
+        values = np.array(numbers, dtype=float)
+    except ValueError:
+        for j, s in enumerate(numbers):
+            try:
+                float(s)
+            except ValueError:
+                line = lines[j // 8]
+                raise ValueError(f"bad number {s!r} in component matrix: {line!r}") from None
+        raise
+    comps = values.view(complex).reshape(-1, 2, 2)
+    finite = np.isfinite(values).reshape(-1, 8).all(axis=1)
+    with np.errstate(all="ignore"):  # a huge finite entry overflows: not unitary
+        unitary = is_unitary_entries(*comps.reshape(-1, 4).T)
+    bad = np.flatnonzero(~(finite & unitary))
+    if len(bad):
+        line = lines[bad[0]]
+        if not finite[bad[0]]:
+            raise ValueError(f"component matrix has non-finite entries: {line!r}")
+        raise ValueError(f"component matrix is not unitary within {UNITARY_TOL}: {line!r}")
+    return comps
 
 
 def read_circuit(text: str) -> Circuit:
-    """Parse a circuit file.  Each distinct ``(t, c)`` position is parsed
-    once, and equal X lines share one (immutable) gate object."""
+    """Parse a circuit file.  Each distinct ``(t, c)`` position and each
+    distinct X line is parsed once.  The ``m=`` fields are checked and
+    converted by :func:`_components` per block of U lines, which bounds the
+    number strings alive at once."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("n="):
         raise ValueError("circuit file must start with 'n=<int> gates=<int>'")
-    head = _parse_fields("_ " + lines[0])
+    head = _parse_fields(lines[0].split())
     try:
         n = int(head["n"])
         count = int(head["gates"])
@@ -317,39 +395,40 @@ def read_circuit(text: str) -> Circuit:
         raise ValueError(f"bad header: {lines[0]!r}")
     if len(lines) - 1 != count:
         raise ValueError(f"header says {count} gates, file has {len(lines) - 1}")
-    positions: dict[tuple[str, str], tuple[int, int]] = {}
-    x_lines: dict[str, ControlledGate] = {}  # X gate of each distinct X line
-    gates = []
+    positions: dict[tuple[str, str], int] = {}
+    x_codes: dict[str, int] = {}  # code of each distinct X line
+    code: list[int] = []
+    u_at: list[int] = []
+    blocks: list[np.ndarray] = []  # components, one array per block of U lines
+    fields: list[str] = []  # m= of each U line of the current block
+    u_lines: list[str] = []
     for line in lines[1:]:
-        gate = x_lines.get(line)
-        if gate is not None:
-            gates.append(gate)
-            continue
-        kind = line.split(None, 1)[0]
-        if kind not in ("X", "U"):
-            raise ValueError(f"unknown gate line {line!r}")
-        f = _parse_fields(line)
-        for key in ("t", "c", "m") if kind == "U" else ("t", "c"):
-            if key not in f:
-                raise ValueError(f"missing field {key}=: {line!r}")
-        at = (f["t"], f["c"])
-        if at not in positions:
-            positions[at] = _parse_position(*at, n, line)
-        target, base = positions[at]
-        if kind == "X":
-            gate = x_lines[line] = ControlledGate(n, target, base, "X")
-        else:
-            parts = f["m"].split(";")
-            if len(parts) != 4:
-                raise ValueError(f"component matrix needs 4 entries: {line!r}")
-            vals = []
-            for p in parts:
-                real, _, imag = p.partition(",")
-                vals.append(complex(float(real), float(imag)))
-            if not all(map(cmath.isfinite, vals)):
-                raise ValueError(f"component matrix has non-finite entries: {line!r}")
-            if not is_unitary_entries(*vals):
-                raise ValueError(f"component matrix is not unitary within {UNITARY_TOL}: {line!r}")
-            gate = ControlledGate(n, target, base, np.array(vals, dtype=complex).reshape(2, 2))
-        gates.append(gate)
-    return Circuit(n=n, gates=tuple(gates))
+        g = x_codes.get(line)
+        if g is None:
+            kind, *tokens = line.split()
+            if kind not in ("X", "U"):
+                raise ValueError(f"unknown gate line {line!r}")
+            f = _parse_fields(tokens)
+            for key in ("t", "c", "m") if kind == "U" else ("t", "c"):
+                if key not in f:
+                    raise ValueError(f"missing field {key}=: {line!r}")
+            at = (f["t"], f["c"])
+            g = positions.get(at)
+            if g is None:
+                g = positions[at] = _parse_position(*at, n, line)
+            if kind == "X":
+                x_codes[line] = g
+            else:
+                m = f["m"]
+                if m.count(";") != 3:
+                    raise ValueError(f"component matrix needs 4 entries: {line!r}")
+                u_at.append(g)
+                fields.append(m)
+                u_lines.append(line)
+                if len(fields) == _BLOCK:
+                    blocks.append(_components(fields, u_lines))
+                    fields, u_lines = [], []
+                g = ~(len(u_at) - 1)
+        code.append(g)
+    blocks.append(_components(fields, u_lines))
+    return Circuit(n, code, u_at, np.concatenate(blocks))

@@ -5,20 +5,25 @@ decomposition by full dim x dim elimination products, a circuit's unitary
 by pushing every basis column through every gate, one amplitude pair at a
 time, cancellation by repeated peephole deletion, circuit construction
 with gates that name each control qubit's bit explicitly, and the maximal
-overlap test by recursive runs of leaf sets.  The small
-matrix helpers the library does not need live here too.
+overlap test by recursive runs of leaf sets.  The library runs its stack
+cancellation and row-tracking simulator on integer gate codes; the same
+algorithms over gate objects are kept here as references.  The small
+matrix helpers and per-column counts the library does not need live here
+as well.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
 from palinopt.linalg import ZERO_TOL, TwoLevelMatrix
+from palinopt.optimize import cancel_pass, count_structural, structural_circuit
+from palinopt.ordering import OrderArray
 from palinopt.palindrome import dfs_order, overlap
-from palinopt.synth import Circuit, ControlledGate, PalindromicSubcircuit, gray_code, subcircuit_for_pair
+from palinopt.synth import Circuit, ControlledGate, PalindromicSubcircuit, gray_circuit, gray_code
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -45,6 +50,22 @@ def expand_two_level(t: TwoLevelMatrix) -> np.ndarray:
     m[r, c] = t.comp[1, 0]
     m[r, r] = t.comp[1, 1]
     return m
+
+
+def subcircuit_for_pair(
+    r: int, c: int, n: int, comp: Optional[np.ndarray] = None
+) -> PalindromicSubcircuit:
+    """The palindromic subcircuit for ordering pair (r, c), built by the
+    library's circuit construction.
+
+    ``comp`` defaults to the identity, which is what structural gate
+    counting uses; the middle gate never cancels either way.
+    """
+    gray_code(c, r, n)  # checks the endpoints
+    comps = None if comp is None else np.asarray(comp, dtype=complex)[None]
+    gates = gray_circuit(n, [(r, c)], comps).gates
+    k = len(gates) // 2
+    return PalindromicSubcircuit(prefix=gates[:k], middle=gates[k], pair=(r, c))
 
 
 def build_subcircuit(v: TwoLevelMatrix, n: int) -> PalindromicSubcircuit:
@@ -103,9 +124,10 @@ def circuit_matrix(c: Circuit) -> np.ndarray:
     return m
 
 
-def cancel_pass_peephole(c: Circuit) -> Circuit:
-    """Delete adjacent equal-symbol X pairs, rescanning until none remain."""
-    gates = list(c.gates)
+def cancel_pass_peephole(gates) -> list:
+    """Delete adjacent equal-symbol X pairs from a gate sequence,
+    rescanning until none remain."""
+    gates = list(gates)
     changed = True
     while changed:
         changed = False
@@ -118,7 +140,71 @@ def cancel_pass_peephole(c: Circuit) -> Circuit:
                 i = max(i - 1, 0)
             else:
                 i += 1
-    return Circuit(n=c.n, gates=tuple(gates))
+    return gates
+
+
+def ref_cancel_pass(c: Circuit) -> Circuit:
+    """Stack scan over gate objects: push each gate, but pop instead when
+    it is an X gate with the same (target, base) as an X gate on top."""
+    stack: list[ControlledGate] = []
+    for g in c.gates:
+        if stack and g.is_x:
+            top = stack[-1]
+            if top.is_x and top.target == g.target and top.base == g.base:
+                stack.pop()
+                continue
+        stack.append(g)
+    return Circuit.from_gates(c.n, stack)
+
+
+def ref_circuit_to_matrix(c: Circuit) -> np.ndarray:
+    """Row-tracking simulation over gate objects: an X gate swaps which
+    row holds each of its basis states, a U gate updates its two rows by a
+    fancy-indexed gather and scatter."""
+    dim = 1 << c.n
+    m = np.eye(dim, dtype=complex)
+    row = list(range(dim))
+    for g in c.gates:
+        i0, i1 = g.basis_pair
+        if g.is_x:
+            row[i0], row[i1] = row[i1], row[i0]
+        else:
+            rows = [row[i0], row[i1]]
+            m[rows] = g.op @ m[rows]
+    return m[row]
+
+
+def column_counts(n: int) -> list[int]:
+    """Within-column cancelled gate counts for the palindromic ordering.
+
+    Column c of one level spawns columns 2c (count doubled plus 3: a new
+    branch plus a new leaf) and 2c+1 (doubled plus 2) of the next; the last
+    two columns collapse to 1 and 0.  Base counts at n=2 are structural.
+    The column sum exceeds the whole-circuit count by the boundary
+    cancellations 2(2^{n-1} - 1).
+    """
+    if n < 2:
+        raise ValueError(f"qubit count must be >= 2, got {n}")
+    counts = [5, 4, 1, 0]  # n=2 columns 0..3 (column 3 is empty)
+    for m in range(3, n + 1):
+        prev = counts
+        counts = []
+        for c in range((1 << (m - 1)) - 1):
+            counts.append(2 * prev[c] + 3)
+            counts.append(2 * prev[c] + 2)
+        counts.append(1)  # final nonempty column: single adjacent pair
+        counts.append(0)
+    return counts[:-1]
+
+
+def intercolumn_cancellation(n: int, order: OrderArray) -> int:
+    """Gates cancelled at column boundaries: the per-column cancelled counts
+    sum to more than the whole-circuit cancelled count by exactly this."""
+    per_column = sum(
+        len(cancel_pass(structural_circuit(n, ((r, c) for r in rows))))
+        for c, rows in enumerate(order.columns)
+    )
+    return per_column - count_structural(n, order, cancelled=True)
 
 
 def total_overlap(subs) -> int:
@@ -226,16 +312,15 @@ def ref_subcircuit(r: int, c: int, n: int, comp) -> list[RefGate]:
     return prefix + [middle] + prefix[::-1]
 
 
-def ref_construct(d) -> Circuit:
+def ref_construct(d) -> list[RefGate]:
     """The decomposition's subcircuits in reverse factor order."""
-    gates = [g for v in reversed(d.factors) for g in ref_subcircuit(v.row, v.col, d.n, v.comp)]
-    return Circuit(n=d.n, gates=tuple(gates))
+    return [g for v in reversed(d.factors) for g in ref_subcircuit(v.row, v.col, d.n, v.comp)]
 
 
-def ref_write(c: Circuit) -> str:
+def ref_write(n: int, gates) -> str:
     """Circuit file text, every line rendered from its gate alone."""
-    lines = [f"n={c.n} gates={len(c.gates)}"]
-    for g in c.gates:
+    lines = [f"n={n} gates={len(gates)}"]
+    for g in gates:
         if g.is_x:
             lines.append(f"X t={g.target} c={g.pattern()}")
         else:

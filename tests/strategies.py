@@ -38,7 +38,7 @@ def random_circuits(draw, max_n: int = 5, max_gates: int = 40, x_share: float = 
         else:
             op = random_unitary(1, draw(st.integers(0, 2**32 - 1)))
         gates.append(ControlledGate(n=n, target=target, base=base, op=op))
-    return Circuit(n, tuple(gates))
+    return Circuit.from_gates(n, gates)
 
 
 # The sine of a 2x2 block's mixing angle: none, a value at least 1% away

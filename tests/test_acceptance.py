@@ -8,6 +8,7 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from oracles import intercolumn_cancellation, subcircuit_for_pair
 
 from palinopt.cli import main
 from palinopt.decompose import two_level_decompose
@@ -18,13 +19,12 @@ from palinopt.optimize import (
     formula_conventional,
     formula_conventional_cancel,
     formula_poa,
-    intercolumn_cancellation,
     poa_recurrence,
 )
 from palinopt.ordering import conventional_order, poa_order
 from palinopt.palindrome import build_trie, dfs_order, mos_check, overlap, trie_gate_count
 from palinopt.sim import circuit_to_matrix
-from palinopt.synth import Circuit, construct_circuit, subcircuit_for_pair
+from palinopt.synth import Circuit, construct_circuit
 
 TABLE = [
     (2, 8, 8, 10),
@@ -45,7 +45,7 @@ def column_circuit_gates(n, rows, col):
     gates = []
     for r in rows:
         gates.extend(subcircuit_for_pair(r, col, n).flatten())
-    return Circuit(n, tuple(gates))
+    return Circuit.from_gates(n, gates)
 
 
 def test_criterion_1_table_reproduction(capsys):

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import subcircuit_for_pair
 
 import palinopt
 from palinopt.cli import build_parser, main
@@ -12,7 +13,7 @@ from palinopt.linalg import random_unitary, write_matrix
 from palinopt.optimize import formula_poa
 from palinopt.ordering import conventional_order, poa_order, save_order
 from palinopt.palindrome import build_trie, dump_trie
-from palinopt.synth import Circuit, ControlledGate, read_circuit, subcircuit_for_pair, write_circuit
+from palinopt.synth import Circuit, ControlledGate, read_circuit, write_circuit
 
 
 def run(capsys, *argv):
@@ -415,7 +416,7 @@ def _x(n, target, base):
 
 def _palindrome(n, xs, target, base):
     """One subcircuit's gates: X run ``xs``, identity middle, mirrored run."""
-    return Circuit(n, (*xs, ControlledGate(n, target, base, np.eye(2)), *xs[::-1]))
+    return Circuit.from_gates(n, (*xs, ControlledGate(n, target, base, np.eye(2)), *xs[::-1]))
 
 
 @pytest.mark.parametrize(

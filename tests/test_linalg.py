@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from oracles import adjoint, expand_two_level, matmul
 
 from palinopt.linalg import (
@@ -228,3 +229,42 @@ def test_read_matrix_rejects_garbage():
         read_matrix("2\n1,0 0,0\n")  # short row count
     with pytest.raises(ValueError):
         read_matrix("2\n1 0\n0 1\n")  # missing commas
+
+
+@pytest.mark.parametrize(
+    "row, match",
+    [
+        ("1,0", "row 0: expected 2 entries, got 1"),
+        ("1,0 0,0 0,0", "row 0: expected 2 entries, got 3"),
+        ("1,0 0", "row 0 entry 1: missing comma in '0'"),
+        # two entries and two commas, but not one comma per entry
+        ("1 0,0,0", "row 0 entry 0: missing comma in '1'"),
+        ("1,0 0,0,0", "row 0 entry 1: more than one comma in '0,0,0'"),
+        ("1,0 ,0", "row 0 entry 1: bad number ''"),
+        ("1,0 0,x", "row 0 entry 1: bad number 'x'"),
+        ("1,0 0,inf", "non-finite"),
+        ("1,0 nan,0", "non-finite"),
+    ],
+)
+def test_read_matrix_names_the_bad_row_and_entry(row, match):
+    with pytest.raises(ValueError, match=match):
+        read_matrix(f"2\n{row}\n0,0 1,0\n")
+    with pytest.raises(ValueError, match=match.replace("row 0", "row 1")):
+        read_matrix(f"2\n1,0 0,0\n{row}\n")
+
+
+@st.composite
+def finite_complex_matrices(draw):
+    """Square complex matrices whose parts are any finite floats: signed
+    zeros, subnormals and values near the float range included."""
+    dim = draw(st.integers(1, 5))
+    parts = draw(arrays(np.float64, (dim, dim, 2), elements=st.floats(allow_nan=False, allow_infinity=False)))
+    return parts.view(complex).reshape(dim, dim)
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=finite_complex_matrices())
+def test_matrix_text_round_trip_is_bit_exact(m):
+    again = read_matrix(write_matrix(m))
+    assert again.shape == m.shape
+    assert np.array_equal(again.view(np.uint64), m.view(np.uint64))

@@ -1,19 +1,23 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from oracles import cancel_pass_peephole
+from oracles import (
+    cancel_pass_peephole,
+    column_counts,
+    intercolumn_cancellation,
+    ref_cancel_pass,
+    subcircuit_for_pair,
+)
 from strategies import random_circuits
 
 from palinopt.decompose import two_level_decompose
 from palinopt.linalg import random_unitary
 from palinopt.optimize import (
     cancel_pass,
-    column_counts,
     count_structural,
     formula_conventional,
     formula_conventional_cancel,
     formula_poa,
-    intercolumn_cancellation,
     poa_recurrence,
     structural_circuit,
     table_rows,
@@ -21,7 +25,7 @@ from palinopt.optimize import (
 from palinopt.ordering import conventional_order, poa_order
 from palinopt.palindrome import overlap
 from palinopt.sim import circuit_to_matrix
-from palinopt.synth import Circuit, ControlledGate, construct_circuit, subcircuit_for_pair
+from palinopt.synth import Circuit, ControlledGate, construct_circuit
 
 TABLE = {
     2: (8, 8, 10),
@@ -39,7 +43,7 @@ def xgate(n, target, base):
 
 def test_cancel_adjacent_pair():
     g = xgate(3, 0, 0b000)
-    assert cancel_pass(Circuit(3, (g, g))).gates == ()
+    assert cancel_pass(Circuit.from_gates(3, (g, g))).gates == ()
 
 
 def test_cancel_abc_example():
@@ -50,13 +54,13 @@ def test_cancel_abc_example():
     m1 = ControlledGate(n=4, target=3, base=0b0000, op=np.eye(2))
     m2 = ControlledGate(n=4, target=3, base=0b0100, op=np.eye(2))
     gates = (a, b, c, m1, c, b, a, a, b, m2, b, a)
-    out = cancel_pass(Circuit(4, gates))
+    out = cancel_pass(Circuit.from_gates(4, gates))
     assert out.gates == (a, b, c, m1, c, m2, b, a)
 
 
 def test_cancel_keeps_component_gates():
     m = ControlledGate(n=2, target=0, base=0b00, op=np.eye(2))
-    out = cancel_pass(Circuit(2, (m, m)))
+    out = cancel_pass(Circuit.from_gates(2, (m, m)))
     assert len(out) == 2
 
 
@@ -72,14 +76,23 @@ def test_stack_and_peephole_agree(n):
     for order in (conventional_order(n), poa_order(n)):
         d = two_level_decompose(random_unitary(n, 1), order)
         circuit = construct_circuit(d)
-        assert cancel_pass(circuit).gates == cancel_pass_peephole(circuit).gates
+        assert cancel_pass(circuit).gates == tuple(cancel_pass_peephole(circuit.gates))
 
 
 @settings(max_examples=100, deadline=None)
 @given(circuit=random_circuits(max_n=3, max_gates=30, x_share=0.8))
 def test_cancel_pass_matches_peephole_on_random_sequences(circuit):
     # Few qubits and mostly X gates, so equal X gates often meet.
-    assert cancel_pass(circuit).gates == cancel_pass_peephole(circuit).gates
+    assert cancel_pass(circuit).gates == tuple(cancel_pass_peephole(circuit.gates))
+
+
+@settings(max_examples=100, deadline=None)
+@given(circuit=random_circuits(max_n=3, max_gates=30, x_share=0.8))
+def test_cancel_pass_matches_gate_object_reference(circuit):
+    # The scan over codes against the same scan over gate objects.
+    out = cancel_pass(circuit)
+    assert out.gates == ref_cancel_pass(circuit).gates
+    assert out.u_at is circuit.u_at and out.comps is circuit.comps
 
 
 @pytest.mark.parametrize("n", [3, 4])

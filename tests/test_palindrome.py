@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import ref_mos_check, total_overlap, trie_leaves
+from oracles import ref_mos_check, subcircuit_for_pair, total_overlap, trie_leaves
 
 from palinopt.optimize import cancel_pass
 from palinopt.ordering import conventional_order, poa_order
@@ -25,7 +25,7 @@ from palinopt.palindrome import (
     overlap,
     trie_gate_count,
 )
-from palinopt.synth import Circuit, ControlledGate, PalindromicSubcircuit, subcircuit_for_pair
+from palinopt.synth import Circuit, ControlledGate, PalindromicSubcircuit
 
 
 def _sym(target):
@@ -49,7 +49,7 @@ def column_subcircuits(order, col, n):
 
 def cancelled_length(subs, n=4):
     gates = tuple(g for s in subs for g in s.flatten())
-    return len(cancel_pass(Circuit(n, gates)))
+    return len(cancel_pass(Circuit.from_gates(n, gates)))
 
 
 def _shuffled_dfs(node, rnd):
@@ -274,3 +274,30 @@ def test_mos_check_matches_recursive_reference(case):
 def test_mos_empty_trie_and_sequence():
     t = build_trie([])
     assert mos_check(t, []) and ref_mos_check(t, [])
+
+
+def test_dump_trie_text():
+    # Labels are rendered from the integer keys at dump time.
+    text = dump_trie(build_trie(column_subcircuits(poa_order(3), 0, 3)))
+    assert text == (
+        "V(2, 0) [leaf (2, 0)]\n"
+        "V(4, 0) [leaf (4, 0)]\n"
+        "X t=1 c=0_0\n"
+        "  V(6, 0) [leaf (6, 0)]\n"
+        "V(1, 0) [leaf (1, 0)]\n"
+        "X t=0 c=00_\n"
+        "  V(3, 0) [leaf (3, 0)]\n"
+        "  V(5, 0) [leaf (5, 0)]\n"
+        "  X t=1 c=0_1\n"
+        "    V(7, 0) [leaf (7, 0)]\n"
+    )
+
+
+def test_trie_keys_are_ints():
+    t = build_trie(column_subcircuits(conventional_order(3), 0, 3))
+    stack = [t.root]
+    while stack:
+        node = stack.pop()
+        for key, child in node.children.items():
+            assert type(key) is int and (key < 0) == child.is_leaf
+            stack.append(child)

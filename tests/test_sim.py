@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from oracles import apply_gate, build_subcircuit, circuit_matrix, expand_two_level
+from oracles import (
+    apply_gate,
+    build_subcircuit,
+    circuit_matrix,
+    expand_two_level,
+    ref_circuit_to_matrix,
+)
 from strategies import random_circuits
 
 from palinopt.decompose import two_level_decompose
@@ -66,14 +72,14 @@ def test_dimension_mismatch():
 
 
 def test_empty_circuit_is_identity():
-    assert np.array_equal(circuit_to_matrix(Circuit(3, ())), np.eye(8))
+    assert np.array_equal(circuit_to_matrix(Circuit.from_gates(3, ())), np.eye(8))
 
 
 def test_gray_walk_circuit_is_two_level_x():
     # The 5-gate walk between |000> and |111> with an X middle acts as the
     # permutation swapping indices 0 and 7.
     t = TwoLevelMatrix(row=7, col=0, comp=X2, dim=8)
-    circuit = Circuit(3, build_subcircuit(t, 3).flatten())
+    circuit = Circuit.from_gates(3, build_subcircuit(t, 3).flatten())
     m = circuit_to_matrix(circuit)
     assert np.allclose(m, expand_two_level(t))
 
@@ -100,8 +106,16 @@ def test_circuit_to_matrix_matches_column_oracle(circuit):
     assert np.max(np.abs(m - circuit_matrix(circuit))) < 1e-12
 
 
+@settings(max_examples=60, deadline=None)
+@given(circuit=random_circuits())
+def test_circuit_to_matrix_matches_gate_object_reference(circuit):
+    # Row views updated through a scratch pair against the fancy-indexed
+    # gather and scatter over gate objects.
+    assert np.max(np.abs(circuit_to_matrix(circuit) - ref_circuit_to_matrix(circuit))) < 1e-12
+
+
 def test_verify_identity():
-    report = verify(np.eye(4), Circuit(2, ()))
+    report = verify(np.eye(4), Circuit.from_gates(2, ()))
     assert report.passed
     assert report.frobenius == 0.0
     assert report.gates == 0
@@ -122,7 +136,7 @@ def test_verify_detects_deleted_gate():
     u = random_unitary(3, 21)
     d = two_level_decompose(u, conventional_order(3))
     circuit = construct_circuit(d)
-    mutated = Circuit(3, circuit.gates[:-1])
+    mutated = Circuit.from_gates(3, circuit.gates[:-1])
     report = verify(u, mutated)
     assert not report.passed
     assert report.frobenius > 0.5
@@ -130,4 +144,4 @@ def test_verify_detects_deleted_gate():
 
 def test_verify_dimension_mismatch():
     with pytest.raises(ValueError):
-        verify(np.eye(8), Circuit(2, ()))
+        verify(np.eye(8), Circuit.from_gates(2, ()))

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import build_subcircuit, cancel_pass_peephole, ref_construct, ref_write
+from oracles import build_subcircuit, cancel_pass_peephole, ref_construct, ref_write, subcircuit_for_pair
 from strategies import random_circuits, valid_orders
 
+from palinopt import cli, synth
 from palinopt.decompose import two_level_decompose
-from palinopt.linalg import TwoLevelMatrix, random_unitary
+from palinopt.linalg import TwoLevelMatrix, random_unitary, write_matrix
 from palinopt.optimize import cancel_pass
 from palinopt.ordering import conventional_order, poa_order
 from palinopt.synth import (
@@ -16,7 +17,6 @@ from palinopt.synth import (
     gray_code,
     read_circuit,
     split_subcircuits,
-    subcircuit_for_pair,
     write_circuit,
 )
 
@@ -178,7 +178,7 @@ def test_circuit_text_round_trip():
 
 def test_circuit_text_format():
     sub = subcircuit_for_pair(7, 0, 3)
-    text = write_circuit(Circuit(3, sub.flatten()))
+    text = write_circuit(Circuit.from_gates(3, sub.flatten()))
     lines = text.splitlines()
     assert lines[0] == "n=3 gates=5"
     assert lines[1] == "X t=0 c=00_"
@@ -215,6 +215,14 @@ def test_read_circuit_rejects_target_out_of_range():
         ("nan,0;0,0;0,0;1,0", "non-finite"),
         ("1,0;0,inf;0,0;1,0", "non-finite"),
         ("1e200,1e200;0,0;0,0;1,0", "not unitary"),
+        ("1,0;0,0;0,0", "needs 4 entries"),
+        ("1,0;0,0;0,0;1,0;0,0", "needs 4 entries"),
+        ("1,0;0;0,0;1,0", "re,im pairs"),
+        ("1,0;0,0,0;0,0;1,0", "re,im pairs"),
+        # four commas in four entries, but not one in each
+        ("1;0,0,0;0,0;1,0", "re,im pairs"),
+        ("1,0;,0;0,0;1,0", "bad number ''"),
+        ("1,0;0,x;0,0;1,0", "bad number 'x'"),
     ],
 )
 def test_read_circuit_rejects_bad_component(m, match):
@@ -267,8 +275,8 @@ def test_circuit_text_matches_controls_tuple_reference(order, seed):
     # text of gates that list every control bit, cancelled or not.
     d = two_level_decompose(random_unitary(order.n, seed), order)
     circuit, reference = construct_circuit(d), ref_construct(d)
-    assert write_circuit(circuit) == ref_write(reference)
-    assert write_circuit(cancel_pass(circuit)) == ref_write(cancel_pass_peephole(reference))
+    assert write_circuit(circuit) == ref_write(d.n, reference)
+    assert write_circuit(cancel_pass(circuit)) == ref_write(d.n, cancel_pass_peephole(reference))
 
 
 @settings(max_examples=60, deadline=None)
@@ -278,3 +286,112 @@ def test_read_write_round_trip_gate_for_gate(circuit):
     assert again.n == circuit.n
     assert again.gates == circuit.gates
     assert all(g.op.dtype == complex for g in again.gates if not g.is_x)
+
+
+@pytest.mark.parametrize(
+    "m, match",
+    [
+        ("2,0;0,0;0,0;2,0", "not unitary"),
+        ("nan,0;0,0;0,0;1,0", "non-finite"),
+        ("1,0;0,0;0,0", "needs 4 entries"),
+        ("1,0;0,0,0;0,0;1,0", "re,im pairs"),
+        ("1,0;0,x;0,0;1,0", "bad number 'x'"),
+    ],
+)
+def test_read_circuit_names_the_first_bad_component_line(m, match):
+    # The components are checked all at once; the message still quotes the
+    # first line that fails, here the third of four U lines.
+    good = "1.0,0.0;0.0,0.0;0.0,0.0;1.0,0.0"
+    bad = f"U t=1 c=_1 m={m}"
+    body = [f"U t=0 c=0_ m={good}", "X t=0 c=1_", bad, f"U t=1 c=_0 m={m}"]
+    with pytest.raises(ValueError, match=match) as info:
+        read_circuit("n=2 gates=4\n" + "\n".join(body) + "\n")
+    assert str(info.value).endswith(repr(bad))
+
+
+def test_circuit_codes_match_its_gates():
+    # X gates are position codes target << n | base, U gate j is ~j with
+    # its position in u_at[j] and its component in comps[j].
+    n = 3
+    d = two_level_decompose(random_unitary(n, 5), poa_order(n))
+    circuit = cancel_pass(construct_circuit(d))
+    assert len(circuit.code) == len(circuit) == len(circuit.gates)
+    j = 0
+    for g, gate in zip(circuit.code, circuit.gates):
+        at = gate.target << n | gate.base
+        if gate.is_x:
+            assert g == at
+        else:
+            assert g == ~j and circuit.u_at[j] == at
+            assert np.array_equal(circuit.comps[j], gate.op)
+            j += 1
+    assert j == len(circuit.u_at) == len(d.factors)
+    assert np.array_equal(circuit.comps, d.comps[::-1])
+
+
+def test_circuit_shares_each_distinct_x_code():
+    # At n=6 most position codes are past CPython's cached small ints.
+    d = two_level_decompose(random_unitary(6, 4), conventional_order(6))
+    for circuit in (construct_circuit(d), read_circuit(write_circuit(construct_circuit(d)))):
+        first = {}
+        for g in circuit.code:
+            if g >= 0:
+                assert first.setdefault(g, g) is g
+
+
+def test_circuit_rejects_mismatched_components():
+    with pytest.raises(ValueError, match="components"):
+        Circuit(2, [~0], [0], np.zeros((2, 2, 2), dtype=complex))
+    gate = ControlledGate(n=3, target=0, base=0, op="X")
+    with pytest.raises(ValueError, match="n=3"):
+        Circuit.from_gates(2, [gate])
+
+
+def test_gates_are_built_once_on_first_access():
+    d = two_level_decompose(random_unitary(2, 3), conventional_order(2))
+    circuit = construct_circuit(d)
+    assert "gates" not in vars(circuit)
+    assert circuit.gates is circuit.gates
+
+
+@pytest.mark.parametrize("order", ["poa", "conventional"])
+def test_compile_builds_no_gate_object(tmp_path, capsys, monkeypatch, order):
+    def no_gate(self, *args):
+        raise AssertionError("built a ControlledGate")
+
+    monkeypatch.setattr(ControlledGate, "__init__", no_gate)
+    matrix = tmp_path / "u.mat"
+    matrix.write_text(write_matrix(random_unitary(3, 2)))
+    argv = ["compile", "--input", str(matrix), "--order", order, "--cancel", "--verify",
+            "--output", str(tmp_path / "u.circ")]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("pass=true ")
+
+
+def test_circuit_text_past_one_block_of_components(monkeypatch):
+    # 4100 U gates: several blocks of the writer and the reader.
+    n = 2
+    gates = []
+    for s in range(4100):
+        target = s % 2
+        gates.append(ControlledGate(n, target, (s >> 1 & 1) << (1 - target), random_unitary(1, s)))
+    circuit = Circuit.from_gates(n, gates)
+    text = write_circuit(circuit)
+    blocks = []
+    components = synth._components
+
+    def recorded(fields, lines):
+        blocks.append(len(fields))
+        return components(fields, lines)
+
+    monkeypatch.setattr(synth, "_components", recorded)
+    again = read_circuit(text)
+    assert blocks == [1024, 1024, 1024, 1024, 4]
+    assert np.array_equal(again.comps, circuit.comps)
+    assert again.code == circuit.code and again.u_at == circuit.u_at
+    assert write_circuit(again) == text
+    lines = text.splitlines()
+    lines[4099] = lines[4099].split(" m=")[0] + " m=2,0;0,0;0,0;2,0"  # U gate 4098
+    with pytest.raises(ValueError, match="not unitary") as info:
+        read_circuit("\n".join(lines))
+    assert str(info.value).endswith(repr(lines[4099]))
