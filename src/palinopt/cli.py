@@ -133,7 +133,7 @@ def cmd_trie(args: argparse.Namespace) -> int:
     trie = palindrome.build_trie(subs)
     print(palindrome.dump_trie(trie), end="")
     leaves, interior = trie.counts()
-    print(f"leaves={leaves} interior={interior} count={palindrome.trie_gate_count(trie)}")
+    print(f"leaves={leaves} interior={interior} count={leaves + 2 * interior}")
     return 0
 
 

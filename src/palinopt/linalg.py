@@ -113,9 +113,28 @@ def write_matrix(m: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
+def parse_floats(numbers: list[str], where) -> np.ndarray:
+    """``numbers`` converted by one numpy call; a number that does not parse
+    raises ValueError ``where(k, s)`` for the first such ``numbers[k] == s``."""
+    try:
+        return np.array(numbers, dtype=float)
+    except ValueError:
+        for k, s in enumerate(numbers):
+            try:
+                float(s)
+            except ValueError:
+                raise ValueError(where(k, s)) from None
+        raise
+
+
+# Rows per block of the matrix reader's number conversion.
+_BLOCK_ROWS = 64
+
+
 def read_matrix(text: str) -> np.ndarray:
     """Parse a matrix file.  Each row is checked for ``dim`` entries of one
-    ``re,im`` pair each, and all numbers are converted by one numpy call."""
+    ``re,im`` pair each, and the numbers are converted by one numpy call
+    per block of rows, which bounds the number strings alive at once."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty matrix file")
@@ -125,30 +144,25 @@ def read_matrix(text: str) -> np.ndarray:
         raise ValueError(f"bad dimension line: {lines[0]!r}") from exc
     if dim < 1 or len(lines) != dim + 1:
         raise ValueError(f"expected {dim} rows, got {len(lines) - 1}")
-    entries: list[str] = []
-    for i, line in enumerate(lines[1:]):
-        toks = line.split()
-        if len(toks) != dim:
-            raise ValueError(f"row {i}: expected {dim} entries, got {len(toks)}")
-        # dim commas and one in every entry: exactly one in each
-        if line.count(",") != dim or not all("," in tok for tok in toks):
-            for j, tok in enumerate(toks):
-                if "," not in tok:
-                    raise ValueError(f"row {i} entry {j}: missing comma in {tok!r}")
-                if tok.count(",") > 1:
-                    raise ValueError(f"row {i} entry {j}: more than one comma in {tok!r}")
-        entries += toks
-    numbers = ",".join(entries).split(",")  # re and im of each entry, row-major
-    try:
-        values = np.array(numbers, dtype=float)
-    except ValueError:
-        for k, s in enumerate(numbers):  # name the first entry that fails
-            try:
-                float(s)
-            except ValueError:
-                i, j = divmod(k // 2, dim)
-                raise ValueError(f"row {i} entry {j}: bad number {s!r}") from None
-        raise
+    blocks: list[np.ndarray] = []
+    for start in range(0, dim, _BLOCK_ROWS):
+        entries: list[str] = []
+        for i, line in enumerate(lines[1 + start : 1 + start + _BLOCK_ROWS], start):
+            toks = line.split()
+            if len(toks) != dim:
+                raise ValueError(f"row {i}: expected {dim} entries, got {len(toks)}")
+            # dim commas and one in every entry: exactly one in each
+            if line.count(",") != dim or not all("," in tok for tok in toks):
+                for j, tok in enumerate(toks):
+                    if "," not in tok:
+                        raise ValueError(f"row {i} entry {j}: missing comma in {tok!r}")
+                    if tok.count(",") > 1:
+                        raise ValueError(f"row {i} entry {j}: more than one comma in {tok!r}")
+            entries += toks
+        numbers = ",".join(entries).split(",")  # re and im of each entry, row-major
+        blocks.append(parse_floats(numbers, lambda k, s: (
+            f"row {start + k // 2 // dim} entry {k // 2 % dim}: bad number {s!r}")))
+    values = np.concatenate(blocks)
     if not np.all(np.isfinite(values)):
         raise ValueError("matrix contains non-finite entries")
     return values.view(complex).reshape(dim, dim)

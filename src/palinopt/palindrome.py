@@ -1,11 +1,11 @@
 """Trie-based ordering of palindromic subcircuits for maximal cancellation.
 
-The prefix of every subcircuit (its X-gate run plus the unique middle gate)
-is entered into a trie; subcircuits sharing a prefix share a path.  Listing
-leaves in depth-first order yields an ordering whose concatenation cancels
-the maximum number of adjacent self-inverting gates, and the trie shape
-gives the post-cancellation gate count directly: leaves + 2 * interior
-nodes.
+The X run of every subcircuit is entered into a trie by its gates' position
+codes, ending in a leaf for the subcircuit's pair; runs sharing a prefix
+share a path.  Listing leaves in depth-first order yields an ordering whose
+concatenation cancels the maximum number of adjacent self-inverting gates,
+and the trie shape gives the post-cancellation gate count directly: leaves
++ 2 * interior nodes, both counted while the trie is built.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .synth import PalindromicSubcircuit, position_text
 MiddleId = tuple[int, int]
 
 
-@dataclass
+@dataclass(slots=True)
 class TrieNode:
     # An X gate's child is keyed by its position code target << n | base,
     # a leaf by a negative int unique within the trie.
@@ -34,40 +34,34 @@ class TrieNode:
 class PalindromeTrie:
     root: TrieNode
     n: int  # qubit count of the subcircuits; 0 for an empty trie
+    leaves: int
+    interior: int  # nodes other than the root and the leaves
 
     def counts(self) -> tuple[int, int]:
-        """(leaf count, interior count); interior excludes the root."""
-        leaves = interior = 0
-        stack = list(self.root.children.values())
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                leaves += 1
-            else:
-                interior += 1
-            stack.extend(node.children.values())
-        return leaves, interior
+        """(leaf count, interior count), as recorded while building."""
+        return self.leaves, self.interior
 
 
 def build_trie(subcircuits: Iterable[PalindromicSubcircuit]) -> PalindromeTrie:
-    """One leaf per subcircuit; shared X-gate prefixes share paths."""
+    """One leaf per subcircuit; shared X-run prefixes share paths.  Children
+    are keyed by the X gates' position codes."""
     root = TrieNode()
-    n = 0
+    n = interior = 0
     pairs: set[MiddleId] = set()
     for sub in subcircuits:
         if sub.pair in pairs:
             raise ValueError(f"duplicate subcircuit for pair {sub.pair}")
         pairs.add(sub.pair)
-        n = sub.middle.n
+        n = sub.n
         node = root
-        for gate in sub.prefix:
-            key = gate.target << n | gate.base
+        for key in sub.prefix:
             child = node.children.get(key)
             if child is None:
                 child = node.children[key] = TrieNode()
+                interior += 1
             node = child
         node.children[-len(pairs)] = TrieNode(leaf_id=sub.pair)
-    return PalindromeTrie(root, n)
+    return PalindromeTrie(root, n, len(pairs), interior)
 
 
 # The recursive walks are module-level functions: a nested function that
@@ -126,25 +120,23 @@ def trie_gate_count(t: PalindromeTrie) -> int:
 def overlap(a: PalindromicSubcircuit, b: PalindromicSubcircuit) -> int:
     """Length of the cancelling run between consecutive subcircuits: the
     longest common prefix of their X-gate runs."""
-    k = 0
-    for ga, gb in zip(a.prefix, b.prefix):
-        if ga.symbol != gb.symbol:
-            break
-        k += 1
-    return k
+    runs = zip(a.prefix, b.prefix)
+    return next((k for k, (x, y) in enumerate(runs) if x != y), min(len(a.prefix), len(b.prefix)))
 
 
-def _dump(node: TrieNode, n: int, depth: int, lines: list[str]) -> list[str]:
+def _dump(node: TrieNode, n: int, indent: str, lines: list[str], labels: dict) -> list[str]:
     for key, child in node.children.items():
-        if child.is_leaf:
-            label = f"V{child.leaf_id} [leaf {child.leaf_id}]"
-        else:
-            label = "X " + position_text(key, n)
-        lines.append("  " * depth + label + "\n")
-        _dump(child, n, depth + 1, lines)
+        if key < 0:
+            lines.append(f"{indent}V{child.leaf_id} [leaf {child.leaf_id}]\n")
+            continue
+        label = labels.get(key)
+        if label is None:  # each distinct X gate's text is rendered once
+            label = labels[key] = "X " + position_text(key, n) + "\n"
+        lines.append(indent + label)
+        _dump(child, n, indent + "  ", lines, labels)
     return lines
 
 
 def dump_trie(t: PalindromeTrie) -> str:
     """Indented one-node-per-line rendering, leaves tagged with their id."""
-    return "".join(_dump(t.root, t.n, 0, []))
+    return "".join(_dump(t.root, t.n, "", [], {}))

@@ -15,9 +15,9 @@ one int per gate in application order: an X gate is its position code
 (>= 0), and the j-th component gate is ``~j`` (< 0).  ``u_at[j]`` is that
 gate's position code and ``comps[j]`` its 2x2 component matrix, rows of a
 ``(k, 2, 2)`` array.  Within a circuit each distinct X code is one shared
-int object.  Construction, cancellation, the file text and simulation work
-on the codes; ``Circuit.gates`` builds :class:`ControlledGate` objects on
-first access, one per distinct X gate.
+int object.  Construction, cancellation, the file text, splitting into
+subcircuits and simulation work on the codes; ``Circuit.gates`` builds
+:class:`ControlledGate` objects on first access, one per distinct X gate.
 
 Qubit 0 is the least significant bit of a basis-state index; the control
 pattern strings render qubit n-1 leftmost.
@@ -32,7 +32,7 @@ from typing import Iterable, Optional, Union
 import numpy as np
 
 from .decompose import Decomposition
-from .linalg import UNITARY_TOL, is_unitary_entries
+from .linalg import UNITARY_TOL, is_unitary_entries, parse_floats
 
 
 def _pattern(n: int, target: int, base: int) -> str:
@@ -85,11 +85,6 @@ class ControlledGate:
         raise AttributeError(f"ControlledGate is immutable; cannot set {name!r}")
 
     @property
-    def symbol(self) -> tuple[int, int]:
-        """Structural identity of an X gate: (target, base)."""
-        return (self.target, self.base)
-
-    @property
     def basis_pair(self) -> tuple[int, int]:
         """Basis states (target bit 0, target bit 1) on which the gate acts."""
         return (self.base, self.base | 1 << self.target)
@@ -117,15 +112,13 @@ class ControlledGate:
 
 @dataclass(frozen=True)
 class PalindromicSubcircuit:
-    prefix: tuple[ControlledGate, ...]
-    middle: ControlledGate
+    """The subcircuit of pair (r, c) as position codes: the X run ``prefix``
+    in application order, the component gate ``middle``, the X run mirrored."""
+
+    prefix: tuple[int, ...]
+    middle: int
     pair: tuple[int, int]
-
-    def flatten(self) -> tuple[ControlledGate, ...]:
-        return self.prefix + (self.middle,) + self.prefix[::-1]
-
-    def __len__(self) -> int:
-        return 2 * len(self.prefix) + 1
+    n: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,37 +246,35 @@ def split_subcircuits(c: Circuit) -> list[PalindromicSubcircuit]:
     Expects the exact construct_circuit layout (X run, component gate,
     mirrored X run per subcircuit); cancelled circuits no longer have this
     shape and are rejected.  Each subcircuit's pair (r, c) is read off its
-    gates: the middle gate moves ``base`` to r, and the X run moves c to
-    ``base``.  The X run must be the Gray walk from c: each gate acts on the
-    running state, at a target above the last one and below the middle's.
+    codes: the middle gate moves its base to r, and the X run moves c to
+    that base.  The X run must be the Gray walk from c: each gate acts on
+    the running state, at a target above the last one and below the
+    middle's; one walk back from the middle's base checks it and finds c.
     """
+    n, code, u_at = c.n, c.code, c.u_at
+    mask = (1 << n) - 1
     subs: list[PalindromicSubcircuit] = []
-    gates = c.gates
     i = 0
-    while i < len(gates):
+    while i < len(code):
         start = i
-        flips = 0
-        while i < len(gates) and gates[i].is_x:
-            flips ^= 1 << gates[i].target
+        while i < len(code) and code[i] >= 0:
             i += 1
-        if i == len(gates):
+        if i == len(code):
             raise ValueError("trailing X gates with no component gate")
-        prefix = gates[start:i]
-        middle = gates[i]
-        i += 1
-        if gates[i : i + len(prefix)] != prefix[::-1]:
-            raise ValueError(
-                "gate sequence is not palindromic; was this circuit cancelled?"
-            )
-        i += len(prefix)
-        pair = (middle.base | 1 << middle.target, middle.base ^ flips)
-        g, low = pair[1], 0
-        for x in prefix:
-            bit = 1 << x.target
-            if not low < bit < 1 << middle.target or x.base != g & ~bit:
-                raise ValueError(f"X run is not the Gray walk of pair {pair}")
-            g, low = g ^ bit, bit
-        subs.append(PalindromicSubcircuit(prefix=prefix, middle=middle, pair=pair))
+        prefix, middle, end = code[start:i], u_at[~code[i]], 2 * i + 1 - start
+        if code[end - 1 : i : -1] != prefix:
+            raise ValueError("gate sequence is not palindromic; was this circuit cancelled?")
+        base, top = middle & mask, 1 << (middle >> n)
+        g, high, walk = base, top, True
+        for x in reversed(prefix):
+            bit = 1 << (x >> n)
+            walk = walk and bit < high and x & mask == g & ~bit
+            g, high = g ^ bit, bit
+        pair = (base | top, g)
+        if not walk:
+            raise ValueError(f"X run is not the Gray walk of pair {pair}")
+        subs.append(PalindromicSubcircuit(tuple(prefix), middle, pair, n))
+        i = end
     return subs
 
 
@@ -354,16 +345,9 @@ def _components(fields: list[str], lines: list[str]) -> np.ndarray:
             if any(e.count(",") != 1 for e in m.split(";")):
                 raise ValueError(f"component entries must be re,im pairs: {line!r}")
     numbers = joined.replace(";", ",").split(",")
-    try:
-        values = np.array(numbers, dtype=float)
-    except ValueError:
-        for j, s in enumerate(numbers):
-            try:
-                float(s)
-            except ValueError:
-                line = lines[j // 8]
-                raise ValueError(f"bad number {s!r} in component matrix: {line!r}") from None
-        raise
+    values = parse_floats(
+        numbers, lambda k, s: f"bad number {s!r} in component matrix: {lines[k // 8]!r}"
+    )
     comps = values.view(complex).reshape(-1, 2, 2)
     finite = np.isfinite(values).reshape(-1, 8).all(axis=1)
     with np.errstate(all="ignore"):  # a huge finite entry overflows: not unitary
@@ -378,10 +362,11 @@ def _components(fields: list[str], lines: list[str]) -> np.ndarray:
 
 
 def read_circuit(text: str) -> Circuit:
-    """Parse a circuit file.  Each distinct ``(t, c)`` position and each
-    distinct X line is parsed once.  The ``m=`` fields are checked and
-    converted by :func:`_components` per block of U lines, which bounds the
-    number strings alive at once."""
+    """Parse a circuit file.  Each distinct ``(t, c)`` position, X line and
+    U-line head (the text before `` m=``, reused only for a line whose rest is
+    one field without whitespace) is parsed once.  The ``m=`` fields are
+    checked and converted by :func:`_components` per block of U lines, which
+    bounds the number strings alive at once."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("n="):
         raise ValueError("circuit file must start with 'n=<int> gates=<int>'")
@@ -397,6 +382,7 @@ def read_circuit(text: str) -> Circuit:
         raise ValueError(f"header says {count} gates, file has {len(lines) - 1}")
     positions: dict[tuple[str, str], int] = {}
     x_codes: dict[str, int] = {}  # code of each distinct X line
+    u_heads: dict[str, int] = {}  # position code of each distinct U-line head
     code: list[int] = []
     u_at: list[int] = []
     blocks: list[np.ndarray] = []  # components, one array per block of U lines
@@ -405,30 +391,37 @@ def read_circuit(text: str) -> Circuit:
     for line in lines[1:]:
         g = x_codes.get(line)
         if g is None:
-            kind, *tokens = line.split()
-            if kind not in ("X", "U"):
-                raise ValueError(f"unknown gate line {line!r}")
-            f = _parse_fields(tokens)
-            for key in ("t", "c", "m") if kind == "U" else ("t", "c"):
-                if key not in f:
-                    raise ValueError(f"missing field {key}=: {line!r}")
-            at = (f["t"], f["c"])
-            g = positions.get(at)
+            head, _, m = line.partition(" m=")
+            one_field = m.split() == [m]
+            g = u_heads.get(head) if one_field else None
             if g is None:
-                g = positions[at] = _parse_position(*at, n, line)
-            if kind == "X":
-                x_codes[line] = g
-            else:
+                kind, *tokens = line.split()
+                if kind not in ("X", "U"):
+                    raise ValueError(f"unknown gate line {line!r}")
+                f = _parse_fields(tokens)
+                for key in ("t", "c", "m") if kind == "U" else ("t", "c"):
+                    if key not in f:
+                        raise ValueError(f"missing field {key}=: {line!r}")
+                at = (f["t"], f["c"])
+                g = positions.get(at)
+                if g is None:
+                    g = positions[at] = _parse_position(*at, n, line)
+                if kind == "X":
+                    x_codes[line] = g
+                    code.append(g)
+                    continue
+                if one_field:  # t= and c= are in the head
+                    u_heads[head] = g
                 m = f["m"]
-                if m.count(";") != 3:
-                    raise ValueError(f"component matrix needs 4 entries: {line!r}")
-                u_at.append(g)
-                fields.append(m)
-                u_lines.append(line)
-                if len(fields) == _BLOCK:
-                    blocks.append(_components(fields, u_lines))
-                    fields, u_lines = [], []
-                g = ~(len(u_at) - 1)
+            if m.count(";") != 3:
+                raise ValueError(f"component matrix needs 4 entries: {line!r}")
+            u_at.append(g)
+            fields.append(m)
+            u_lines.append(line)
+            if len(fields) == _BLOCK:
+                blocks.append(_components(fields, u_lines))
+                fields, u_lines = [], []
+            g = ~(len(u_at) - 1)
         code.append(g)
     blocks.append(_components(fields, u_lines))
     return Circuit(n, code, u_at, np.concatenate(blocks))

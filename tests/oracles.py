@@ -6,16 +6,17 @@ by pushing every basis column through every gate, one amplitude pair at a
 time, cancellation by repeated peephole deletion, circuit construction
 with gates that name each control qubit's bit explicitly, and the maximal
 overlap test by recursive runs of leaf sets.  The library runs its stack
-cancellation and row-tracking simulator on integer gate codes; the same
-algorithms over gate objects are kept here as references.  The small
-matrix helpers and per-column counts the library does not need live here
-as well.
+cancellation, row-tracking simulator, subcircuit split and trie on integer
+gate codes; the same algorithms over gate objects are kept here as
+references, and so is the circuit reader without its U-line head cache.
+The small matrix helpers and per-column counts the library does not need
+live here as well.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -23,7 +24,17 @@ from palinopt.linalg import ZERO_TOL, TwoLevelMatrix
 from palinopt.optimize import cancel_pass, count_structural, structural_circuit
 from palinopt.ordering import OrderArray
 from palinopt.palindrome import dfs_order, overlap
-from palinopt.synth import Circuit, ControlledGate, PalindromicSubcircuit, gray_circuit, gray_code
+from palinopt.synth import (
+    _BLOCK,
+    Circuit,
+    ControlledGate,
+    PalindromicSubcircuit,
+    _components,
+    _parse_fields,
+    _parse_position,
+    gray_circuit,
+    gray_code,
+)
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -52,25 +63,108 @@ def expand_two_level(t: TwoLevelMatrix) -> np.ndarray:
     return m
 
 
-def subcircuit_for_pair(
-    r: int, c: int, n: int, comp: Optional[np.ndarray] = None
-) -> PalindromicSubcircuit:
-    """The palindromic subcircuit for ordering pair (r, c), built by the
-    library's circuit construction.
-
-    ``comp`` defaults to the identity, which is what structural gate
-    counting uses; the middle gate never cancels either way.
-    """
+def subcircuit_for_pair(r: int, c: int, n: int) -> PalindromicSubcircuit:
+    """The palindromic subcircuit for ordering pair (r, c), cut out of the
+    library's circuit construction of that one pair."""
     gray_code(c, r, n)  # checks the endpoints
-    comps = None if comp is None else np.asarray(comp, dtype=complex)[None]
-    gates = gray_circuit(n, [(r, c)], comps).gates
-    k = len(gates) // 2
-    return PalindromicSubcircuit(prefix=gates[:k], middle=gates[k], pair=(r, c))
+    circuit = gray_circuit(n, [(r, c)])
+    k = len(circuit) // 2
+    return PalindromicSubcircuit(tuple(circuit.code[:k]), circuit.u_at[0], (r, c), n)
 
 
-def build_subcircuit(v: TwoLevelMatrix, n: int) -> PalindromicSubcircuit:
-    """The palindromic subcircuit of one two-level factor."""
-    return subcircuit_for_pair(v.row, v.col, n, comp=v.comp)
+def subcircuits_circuit(n: int, subs, comps=None) -> Circuit:
+    """The circuit of ``subs`` in order: each X run, its component gate
+    (``comps[j]`` for subcircuit j, or the identity) and the X run
+    mirrored."""
+    code: list[int] = []
+    u_at: list[int] = []
+    for j, s in enumerate(subs):
+        code += [*s.prefix, ~j, *s.prefix[::-1]]
+        u_at.append(s.middle)
+    if comps is None:
+        comps = np.broadcast_to(np.eye(2, dtype=complex), (len(u_at), 2, 2))
+    return Circuit(n, code, u_at, np.asarray(comps, dtype=complex).reshape(-1, 2, 2))
+
+
+@dataclass(frozen=True)
+class RefSubcircuit:
+    """A palindromic subcircuit as gate objects."""
+
+    prefix: tuple[ControlledGate, ...]
+    middle: ControlledGate
+    pair: tuple[int, int]
+
+
+def ref_split_subcircuits(c: Circuit) -> list[RefSubcircuit]:
+    """Palindromic subcircuits of an uncancelled circuit, read off its gate
+    objects: the X run's flips give the pair, and each X gate is checked
+    against the running state of the walk from c."""
+    subs: list[RefSubcircuit] = []
+    gates = c.gates
+    i = 0
+    while i < len(gates):
+        start = i
+        flips = 0
+        while i < len(gates) and gates[i].is_x:
+            flips ^= 1 << gates[i].target
+            i += 1
+        if i == len(gates):
+            raise ValueError("trailing X gates with no component gate")
+        prefix = gates[start:i]
+        middle = gates[i]
+        i += 1
+        if gates[i : i + len(prefix)] != prefix[::-1]:
+            raise ValueError("gate sequence is not palindromic; was this circuit cancelled?")
+        i += len(prefix)
+        pair = (middle.base | 1 << middle.target, middle.base ^ flips)
+        g, low = pair[1], 0
+        for x in prefix:
+            bit = 1 << x.target
+            if not low < bit < 1 << middle.target or x.base != g & ~bit:
+                raise ValueError(f"X run is not the Gray walk of pair {pair}")
+            g, low = g ^ bit, bit
+        subs.append(RefSubcircuit(prefix=prefix, middle=middle, pair=pair))
+    return subs
+
+
+def ref_overlap(a: RefSubcircuit, b: RefSubcircuit) -> int:
+    """Common prefix length of two X runs, gates compared by (target, base)."""
+    k = 0
+    for ga, gb in zip(a.prefix, b.prefix):
+        if (ga.target, ga.base) != (gb.target, gb.base):
+            break
+        k += 1
+    return k
+
+
+def _ref_dump(node: dict, depth: int, lines: list[str]) -> tuple[int, int]:
+    leaves = interior = 0
+    for label, children in node.values():
+        lines.append("  " * depth + label + "\n")
+        if children is None:
+            leaves += 1
+        else:
+            below = _ref_dump(children, depth + 1, lines)
+            leaves, interior = leaves + below[0], interior + 1 + below[1]
+    return leaves, interior
+
+
+def ref_trie(subs) -> tuple[tuple[int, int], str]:
+    """(leaf count, interior count) and the dump text of the palindrome trie
+    of gate-object subcircuits.  Nodes are nested dicts keyed by gate
+    (target, base), children in insertion order; labels are rendered from
+    the gates' control patterns, and the counts come from walking the
+    finished trie."""
+    root: dict = {}
+    for k, s in enumerate(subs):
+        node = root
+        for g in s.prefix:
+            label = f"X t={g.target} c={g.pattern()}"
+            node = node.setdefault((g.target, g.base), (label, {}))[1]
+        node[k] = (f"V{s.pair} [leaf {s.pair}]", None)
+    lines: list[str] = []
+    counts = _ref_dump(root, 0, lines)
+    return counts, "".join(lines)
 
 
 def dense_decompose(u: np.ndarray, order) -> list[TwoLevelMatrix]:
@@ -125,7 +219,7 @@ def circuit_matrix(c: Circuit) -> np.ndarray:
 
 
 def cancel_pass_peephole(gates) -> list:
-    """Delete adjacent equal-symbol X pairs from a gate sequence,
+    """Delete adjacent equal X gate pairs from a gate sequence,
     rescanning until none remain."""
     gates = list(gates)
     changed = True
@@ -134,7 +228,7 @@ def cancel_pass_peephole(gates) -> list:
         i = 0
         while i + 1 < len(gates):
             a, b = gates[i], gates[i + 1]
-            if a.is_x and b.is_x and a.symbol == b.symbol:
+            if a.is_x and b.is_x and a == b:
                 del gates[i : i + 2]
                 changed = True
                 i = max(i - 1, 0)
@@ -286,10 +380,6 @@ class RefGate:
     def is_x(self) -> bool:
         return isinstance(self.op, str)
 
-    @property
-    def symbol(self) -> tuple[int, tuple[tuple[int, int], ...]]:
-        return (self.target, self.controls)
-
     def pattern(self) -> str:
         bits = dict(self.controls)
         return "".join(
@@ -327,3 +417,58 @@ def ref_write(n: int, gates) -> str:
             m = ";".join(f"{float(z.real)!r},{float(z.imag)!r}" for z in np.asarray(g.op).flat)
             lines.append(f"U t={g.target} c={g.pattern()} m={m}")
     return "\n".join(lines) + "\n"
+
+
+def ref_read_circuit(text: str) -> Circuit:
+    """Circuit file parser that runs the full field parse on every line not
+    seen before as an X line (the reader's U-line head cache left out)."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines or not lines[0].startswith("n="):
+        raise ValueError("circuit file must start with 'n=<int> gates=<int>'")
+    head = _parse_fields(lines[0].split())
+    try:
+        n = int(head["n"])
+        count = int(head["gates"])
+    except (KeyError, ValueError) as exc:
+        raise ValueError(f"bad header: {lines[0]!r}") from exc
+    if n < 1:
+        raise ValueError(f"bad header: {lines[0]!r}")
+    if len(lines) - 1 != count:
+        raise ValueError(f"header says {count} gates, file has {len(lines) - 1}")
+    positions: dict[tuple[str, str], int] = {}
+    x_codes: dict[str, int] = {}
+    code: list[int] = []
+    u_at: list[int] = []
+    blocks: list[np.ndarray] = []
+    fields: list[str] = []
+    u_lines: list[str] = []
+    for line in lines[1:]:
+        g = x_codes.get(line)
+        if g is None:
+            kind, *tokens = line.split()
+            if kind not in ("X", "U"):
+                raise ValueError(f"unknown gate line {line!r}")
+            f = _parse_fields(tokens)
+            for key in ("t", "c", "m") if kind == "U" else ("t", "c"):
+                if key not in f:
+                    raise ValueError(f"missing field {key}=: {line!r}")
+            at = (f["t"], f["c"])
+            g = positions.get(at)
+            if g is None:
+                g = positions[at] = _parse_position(*at, n, line)
+            if kind == "X":
+                x_codes[line] = g
+            else:
+                m = f["m"]
+                if m.count(";") != 3:
+                    raise ValueError(f"component matrix needs 4 entries: {line!r}")
+                u_at.append(g)
+                fields.append(m)
+                u_lines.append(line)
+                if len(fields) == _BLOCK:
+                    blocks.append(_components(fields, u_lines))
+                    fields, u_lines = [], []
+                g = ~(len(u_at) - 1)
+        code.append(g)
+    blocks.append(_components(fields, u_lines))
+    return Circuit(n, code, u_at, np.concatenate(blocks))

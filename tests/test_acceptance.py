@@ -8,7 +8,7 @@ from itertools import permutations
 
 import numpy as np
 import pytest
-from oracles import intercolumn_cancellation, subcircuit_for_pair
+from oracles import intercolumn_cancellation, subcircuit_for_pair, subcircuits_circuit
 
 from palinopt.cli import main
 from palinopt.decompose import two_level_decompose
@@ -24,7 +24,7 @@ from palinopt.optimize import (
 from palinopt.ordering import conventional_order, poa_order
 from palinopt.palindrome import build_trie, dfs_order, mos_check, overlap, trie_gate_count
 from palinopt.sim import circuit_to_matrix
-from palinopt.synth import Circuit, construct_circuit
+from palinopt.synth import construct_circuit
 
 TABLE = [
     (2, 8, 8, 10),
@@ -42,10 +42,7 @@ def report(num, name, ok):
 
 
 def column_circuit_gates(n, rows, col):
-    gates = []
-    for r in rows:
-        gates.extend(subcircuit_for_pair(r, col, n).flatten())
-    return Circuit.from_gates(n, gates)
+    return subcircuits_circuit(n, [subcircuit_for_pair(r, col, n) for r in rows])
 
 
 def test_criterion_1_table_reproduction(capsys):

@@ -277,6 +277,30 @@ def test_trie_from_circuit_file(tmp_path, capsys):
     assert "leaves=28" in out.splitlines()[-1]
 
 
+@pytest.mark.parametrize("source", ["input", "column"])
+def test_trie_builds_no_gate_object(tmp_path, capsys, monkeypatch, source):
+    # Reading, splitting, building, counting and dumping run on gate codes.
+    inp = write_unitary(tmp_path, 4, seed=5)
+    circ = tmp_path / "c.circ"
+    assert main(["compile", "--input", str(inp), "--output", str(circ)]) == 0
+    capsys.readouterr()
+
+    def no_gate(self, *args):
+        raise AssertionError("built a ControlledGate")
+
+    monkeypatch.setattr(ControlledGate, "__init__", no_gate)
+    if source == "input":
+        code, out, err = run(capsys, "trie", "--input", str(circ))
+        leaves = 120
+    else:
+        code, out, err = run(capsys, "trie", "--n", "4", "--order", "poa", "--column", "0")
+        leaves = 15
+    assert (code, err) == (0, "")
+    fields = dict(kv.split("=") for kv in out.splitlines()[-1].split())
+    assert int(fields["leaves"]) == leaves
+    assert int(fields["count"]) == leaves + 2 * int(fields["interior"])
+
+
 def test_trie_rejects_cancelled_circuit(tmp_path, capsys):
     inp = write_unitary(tmp_path, 3, seed=3)
     out_path = tmp_path / "c.circ"

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from oracles import adjoint, expand_two_level, matmul
 
+from palinopt import linalg
 from palinopt.linalg import (
     UNITARY_TOL,
     TwoLevelMatrix,
@@ -268,3 +269,40 @@ def test_matrix_text_round_trip_is_bit_exact(m):
     again = read_matrix(write_matrix(m))
     assert again.shape == m.shape
     assert np.array_equal(again.view(np.uint64), m.view(np.uint64))
+
+
+def _wide_matrix(dim):
+    """A dim x dim matrix of Gaussian parts spread over many magnitudes."""
+    rng = np.random.default_rng(dim)
+    parts = rng.standard_normal((dim, dim, 2)) * 10.0 ** rng.integers(-300, 300, (dim, dim, 2))
+    return parts.view(complex).reshape(dim, dim)
+
+
+def test_matrix_text_past_one_block_of_rows(monkeypatch):
+    # 130 rows: blocks of 64, 64 and 2 rows, each converted on its own.
+    m = _wide_matrix(130)
+    blocks = []
+    parse = linalg.parse_floats
+
+    def recorded(numbers, where):
+        blocks.append(len(numbers) // (2 * 130))
+        return parse(numbers, where)
+
+    monkeypatch.setattr(linalg, "parse_floats", recorded)
+    again = read_matrix(write_matrix(m))
+    assert blocks == [64, 64, 2]
+    assert np.array_equal(again.view(np.uint64), m.view(np.uint64))
+
+
+@pytest.mark.parametrize(
+    "i, j, part", [(0, 0, 0), (63, 129, 1), (64, 0, 0), (100, 5, 1), (128, 77, 0), (129, 129, 1)]
+)
+def test_read_matrix_names_a_bad_number_in_any_block(i, j, part):
+    lines = write_matrix(_wide_matrix(130)).splitlines()
+    row = lines[1 + i].split()
+    entry = row[j].split(",")
+    entry[part] = "x"
+    row[j] = ",".join(entry)
+    lines[1 + i] = " ".join(row)
+    with pytest.raises(ValueError, match=rf"^row {i} entry {j}: bad number 'x'$"):
+        read_matrix("\n".join(lines))

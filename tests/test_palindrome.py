@@ -1,7 +1,8 @@
 """Trie construction, mos characterization, and overlap accounting.
 
 The abstract two-subcircuit example ABCA1CBA . ABA2BA = ABCA1CA2BA is
-modelled with real X gates standing in for the symbols A, B, C.
+modelled with real X gates standing in for the symbols A, B, C: their
+position codes target << n | base at n=4.
 """
 
 import gc
@@ -11,9 +12,18 @@ from itertools import permutations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import ref_mos_check, subcircuit_for_pair, total_overlap, trie_leaves
+from oracles import (
+    ref_mos_check,
+    ref_overlap,
+    ref_split_subcircuits,
+    ref_trie,
+    subcircuit_for_pair,
+    subcircuits_circuit,
+    total_overlap,
+    trie_leaves,
+)
 
 from palinopt.optimize import cancel_pass
 from palinopt.ordering import conventional_order, poa_order
@@ -25,22 +35,29 @@ from palinopt.palindrome import (
     overlap,
     trie_gate_count,
 )
-from palinopt.synth import Circuit, ControlledGate, PalindromicSubcircuit
+from palinopt.synth import (
+    Circuit,
+    PalindromicSubcircuit,
+    gray_circuit,
+    read_circuit,
+    split_subcircuits,
+    write_circuit,
+)
 
 
 def _sym(target):
-    return ControlledGate(n=4, target=target, base=0, op="X")
+    return target << 4  # the X gate on ``target`` with base 0 at n=4
 
 
 A, B, C = _sym(0), _sym(1), _sym(2)
 
 
 def _mid(ident):
-    return ControlledGate(n=4, target=3, base=0, op=np.eye(2, dtype=complex))
+    return 3 << 4  # the component gate on qubit 3 with base 0
 
 
 def sub(prefix, ident):
-    return PalindromicSubcircuit(prefix=tuple(prefix), middle=_mid(ident), pair=ident)
+    return PalindromicSubcircuit(prefix=tuple(prefix), middle=_mid(ident), pair=ident, n=4)
 
 
 def column_subcircuits(order, col, n):
@@ -48,8 +65,7 @@ def column_subcircuits(order, col, n):
 
 
 def cancelled_length(subs, n=4):
-    gates = tuple(g for s in subs for g in s.flatten())
-    return len(cancel_pass(Circuit.from_gates(n, gates)))
+    return len(cancel_pass(subcircuits_circuit(n, subs)))
 
 
 def _shuffled_dfs(node, rnd):
@@ -163,7 +179,8 @@ def test_mos_order_cancels_to_trie_count():
 def test_total_overlap_matches_cancellation():
     for col in (0, 1, 2):
         subs = column_subcircuits(poa_order(3), col, 3)
-        raw = sum(len(s) for s in subs)
+        raw = len(subcircuits_circuit(3, subs))
+        assert raw == sum(2 * len(s.prefix) + 1 for s in subs)
         assert raw - 2 * total_overlap(subs) == cancelled_length(subs, 3)
 
 
@@ -301,3 +318,98 @@ def test_trie_keys_are_ints():
         for key, child in node.children.items():
             assert type(key) is int and (key < 0) == child.is_leaf
             stack.append(child)
+
+
+@st.composite
+def pair_sequences(draw):
+    """n = 2..5 and a random subset of its (r, c) pairs in a random order."""
+    n = draw(st.integers(2, 5))
+    dim = 1 << n
+    pairs = draw(st.permutations([(r, c) for c in range(dim) for r in range(c + 1, dim)]))
+    return n, pairs[: draw(st.integers(0, len(pairs)))]
+
+
+@settings(max_examples=80, deadline=None)
+@given(pair_sequences())
+def test_split_and_trie_match_gate_object_reference(case):
+    # The split and the trie run on position codes; the references read the
+    # same circuit file through gate objects and render labels from them.
+    n, pairs = case
+    circuit = read_circuit(write_circuit(gray_circuit(n, pairs)))
+    subs, ref = split_subcircuits(circuit), ref_split_subcircuits(circuit)
+    assert [s.pair for s in subs] == [s.pair for s in ref] == pairs
+    assert [s.prefix for s in subs] == [tuple(g.target << n | g.base for g in s.prefix) for s in ref]
+    assert [s.middle for s in subs] == [s.middle.target << n | s.middle.base for s in ref]
+    assert [overlap(a, b) for a, b in zip(subs, subs[1:])] == [
+        ref_overlap(a, b) for a, b in zip(ref, ref[1:])
+    ]
+    trie = build_trie(subs)
+    counts, text = ref_trie(ref)
+    assert trie.counts() == counts
+    assert trie_gate_count(trie) == counts[0] + 2 * counts[1]
+    assert dump_trie(trie) == text
+
+
+def _x_codes(n):
+    """Position codes target << n | base of any gate at n qubits."""
+    return st.integers(0, n - 1).flatmap(
+        lambda t: st.integers(0, (1 << n) - 1).map(lambda b: t << n | b & ~(1 << t))
+    )
+
+
+@st.composite
+def palindrome_shaped_circuits(draw):
+    """Circuits of X run, component gate, mirrored X run: each run a Gray
+    walk's or random X gates, then maybe one code replaced by a random X
+    gate and the tail cut off."""
+    n = draw(st.integers(1, 4))
+    code, u_at = [], []
+    for j in range(draw(st.integers(0, 4))):
+        if draw(st.booleans()):
+            c = draw(st.integers(0, (1 << n) - 2))
+            s = subcircuit_for_pair(draw(st.integers(c + 1, (1 << n) - 1)), c, n)
+            run, middle = list(s.prefix), s.middle
+        else:
+            run, middle = draw(st.lists(_x_codes(n), max_size=n + 1)), draw(_x_codes(n))
+        code += [*run, ~j, *run[::-1]]
+        u_at.append(middle)
+    if code and draw(st.booleans()):
+        code[draw(st.integers(0, len(code) - 1))] = draw(_x_codes(n))
+    code = code[: draw(st.integers(0, len(code)))] if draw(st.booleans()) else code
+    return Circuit(n, code, u_at, np.broadcast_to(np.eye(2, dtype=complex), (len(u_at), 2, 2)))
+
+
+def _split_outcome(split, circuit, key):
+    try:
+        return [(s.pair, key(s)) for s in split(circuit)]
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(palindrome_shaped_circuits())
+def test_split_checks_match_gate_object_reference(circuit):
+    # Both accept the same circuits with the same subcircuits, and reject
+    # the others with the same message.
+    n = circuit.n
+
+    def gate_codes(s):
+        return tuple(g.target << n | g.base for g in (*s.prefix, s.middle))
+
+    got = _split_outcome(split_subcircuits, circuit, lambda s: (*s.prefix, s.middle))
+    assert got == _split_outcome(ref_split_subcircuits, circuit, gate_codes)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_trie_counts_are_recorded_while_building(n):
+    # counts() returns what build_trie recorded; a walk of the finished
+    # trie gives the same pair.
+    trie = build_trie(split_subcircuits(gray_circuit(n, poa_order(n).pairs())))
+    leaves = interior = 0
+    stack = list(trie.root.children.values())
+    while stack:
+        node = stack.pop()
+        leaves, interior = leaves + node.is_leaf, interior + (not node.is_leaf)
+        stack.extend(node.children.values())
+    assert trie.counts() == (trie.leaves, trie.interior) == (leaves, interior)
+    assert leaves == (1 << (n - 1)) * ((1 << n) - 1)

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from oracles import (
     apply_gate,
-    build_subcircuit,
     circuit_matrix,
     expand_two_level,
     ref_circuit_to_matrix,
+    subcircuit_for_pair,
+    subcircuits_circuit,
 )
 from strategies import random_circuits
 
@@ -79,7 +80,7 @@ def test_gray_walk_circuit_is_two_level_x():
     # The 5-gate walk between |000> and |111> with an X middle acts as the
     # permutation swapping indices 0 and 7.
     t = TwoLevelMatrix(row=7, col=0, comp=X2, dim=8)
-    circuit = Circuit.from_gates(3, build_subcircuit(t, 3).flatten())
+    circuit = subcircuits_circuit(3, [subcircuit_for_pair(t.row, t.col, 3)], [t.comp])
     m = circuit_to_matrix(circuit)
     assert np.allclose(m, expand_two_level(t))
 

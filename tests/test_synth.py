@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import build_subcircuit, cancel_pass_peephole, ref_construct, ref_write, subcircuit_for_pair
+from oracles import (
+    cancel_pass_peephole,
+    ref_construct,
+    ref_read_circuit,
+    ref_write,
+    subcircuit_for_pair,
+    subcircuits_circuit,
+)
 from strategies import random_circuits, valid_orders
 
 from palinopt import cli, synth
@@ -63,8 +70,10 @@ def test_gray_code_rejects_equal_endpoints():
 
 def test_subcircuit_pair_7_0():
     v = TwoLevelMatrix(row=7, col=0, comp=X2, dim=8)
-    sub = build_subcircuit(v, 3)
-    gates = sub.flatten()
+    sub = subcircuit_for_pair(v.row, v.col, 3)
+    assert sub.prefix == (0 << 3 | 0b000, 1 << 3 | 0b001)
+    assert sub.middle == 2 << 3 | 0b011
+    gates = subcircuits_circuit(3, [sub], [v.comp]).gates
     assert len(gates) == 5
     assert [g.is_x for g in gates] == [True, True, False, True, True]
     assert (gates[0].target, gates[0].base) == (0, 0b000)
@@ -76,15 +85,15 @@ def test_subcircuit_pair_7_0():
 
 def test_subcircuit_adjacent_pair_has_empty_prefix():
     v = TwoLevelMatrix(row=1, col=0, comp=X2, dim=8)
-    sub = build_subcircuit(v, 3)
+    sub = subcircuit_for_pair(v.row, v.col, 3)
     assert sub.prefix == ()
-    assert (sub.middle.target, sub.middle.base) == (0, 0b000)
+    assert (sub.middle >> 3, sub.middle & 0b111) == (0, 0b000)
 
 
 def test_subcircuit_pair_2_0():
     sub = subcircuit_for_pair(2, 0, 3)
     assert sub.prefix == ()
-    assert (sub.middle.target, sub.middle.base) == (1, 0b000)
+    assert (sub.middle >> 3, sub.middle & 0b111) == (1, 0b000)
 
 
 def test_subcircuit_length_formula():
@@ -92,13 +101,14 @@ def test_subcircuit_length_formula():
     for c in range(8):
         for r in range(c + 1, 8):
             m = len(gray_code(c, r, 3))
-            assert len(subcircuit_for_pair(r, c, 3)) == 2 * m - 3
+            sub = subcircuit_for_pair(r, c, 3)
+            assert len(subcircuits_circuit(3, [sub])) == 2 * len(sub.prefix) + 1 == 2 * m - 3
 
 
 def test_prefix_targets_strictly_increase():
     for c in range(16):
         for r in range(c + 1, 16):
-            targets = [g.target for g in subcircuit_for_pair(r, c, 4).prefix]
+            targets = [x >> 4 for x in subcircuit_for_pair(r, c, 4).prefix]
             assert targets == sorted(set(targets))
 
 
@@ -118,7 +128,8 @@ def test_circuit_applies_v_k_first():
     # subcircuit leads the gate sequence.
     d = two_level_decompose(random_unitary(2, 2), conventional_order(2))
     circuit = construct_circuit(d)
-    first = build_subcircuit(d.factors[-1], 2).flatten()
+    last = d.factors[-1]
+    first = subcircuits_circuit(2, [subcircuit_for_pair(last.row, last.col, 2)], [last.comp]).gates
     assert circuit.gates[: len(first)] == first
 
 
@@ -156,7 +167,7 @@ def test_x_gate_self_inverse_symbolically():
     a = ControlledGate(n=3, target=2, base=0b010, op="X")
     b = ControlledGate(n=3, target=2, base=0b010, op="X")
     assert a == b and hash(a) == hash(b)
-    assert a.symbol == b.symbol == (2, 0b010)
+    assert (a.target, a.base) == (b.target, b.base) == (2, 0b010)
     assert a != ControlledGate(n=3, target=2, base=0b011, op="X")
 
 
@@ -178,7 +189,7 @@ def test_circuit_text_round_trip():
 
 def test_circuit_text_format():
     sub = subcircuit_for_pair(7, 0, 3)
-    text = write_circuit(Circuit.from_gates(3, sub.flatten()))
+    text = write_circuit(subcircuits_circuit(3, [sub]))
     lines = text.splitlines()
     assert lines[0] == "n=3 gates=5"
     assert lines[1] == "X t=0 c=00_"
@@ -240,8 +251,9 @@ def test_split_subcircuits_round_trip():
     circuit = construct_circuit(d)
     subs = split_subcircuits(circuit)
     assert len(subs) == len(d.factors)
-    flat = tuple(g for s in subs for g in s.flatten())
-    assert flat == circuit.gates
+    flat = subcircuits_circuit(3, subs, circuit.comps)
+    assert flat.code == circuit.code and flat.u_at == circuit.u_at
+    assert flat.gates == circuit.gates
 
 
 def test_split_subcircuits_rejects_cancelled():
@@ -263,8 +275,8 @@ def test_split_subcircuits_recovers_pairs():
 def test_construct_shares_x_gates():
     d = two_level_decompose(random_unitary(3, 4), poa_order(3))
     x_gates = [g for g in construct_circuit(d).gates if g.is_x]
-    by_symbol = {g.symbol: g for g in x_gates}
-    assert all(g is by_symbol[g.symbol] for g in x_gates)
+    by_symbol = {(g.target, g.base): g for g in x_gates}
+    assert all(g is by_symbol[g.target, g.base] for g in x_gates)
     assert len(by_symbol) <= 3 * 4  # n * 2^(n-1) distinct X gates at most
 
 
@@ -395,3 +407,74 @@ def test_circuit_text_past_one_block_of_components(monkeypatch):
     with pytest.raises(ValueError, match="not unitary") as info:
         read_circuit("\n".join(lines))
     assert str(info.value).endswith(repr(lines[4099]))
+
+
+_M = "0.0,0.0;1.0,0.0;1.0,0.0;0.0,0.0"
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        f"U t=0 c=0_ m={_M}",
+        f"U  t=0 c=0_ m={_M}",
+        f"U t=0  c=0_ m={_M}",
+        f"U t=0 c=0_  m={_M}",
+        f"U\tt=0\tc=0_ m={_M}",
+        f"U t=0 c=0_\tm={_M}",
+        f"U t=0 c=0_ m={_M}\t",
+        f"U t=0 c=0_ m={_M} ",
+        f"U c=0_ t=0 m={_M}",
+        f"U m={_M} t=0 c=0_",
+        f"U t=0 m={_M} c=0_",
+        f"U t=0 c=0_ m={_M} x",
+        f"U t=0 c=0_ m={_M} t=1",
+        f"U t=0 c=0_ m={_M} c=1_",
+        f"U t=0 c=0_ m={_M} m=2,0;0,0;0,0;2,0",
+        f"U t=0 c=0_ m= {_M}",
+        f"U t=0 c=0_ m={_M};",
+        "U t=0 c=0_ m=",
+        "U t=0 c=0_ m=x",
+        "U t=0 c=0_ m=x\t",
+        "U t=0 c=0_",
+        f"X t=0 c=0_ m={_M}",
+        f"V t=0 c=0_ m={_M}",
+        f"U t=0 c=0_ m=={_M}",
+        f"U t=0 c=0_ m={_M}=",
+    ],
+)
+@pytest.mark.parametrize("first", [True, False], ids=["head-seen-first", "line-first"])
+def test_read_circuit_matches_the_full_parse_reference(line, first):
+    # The reader parses a U line's head once and reuses it for lines made
+    # of that head, " m=" and one field without whitespace.  Any other line
+    # gets the full parse, so codes, components and error lines equal those
+    # of the reference reader, which parses every such line in full.
+    canonical = [f"U t=0 c=0_ m={_M}", "X t=0 c=1_", "U t=0 c=0_ m=1.0,0.0;0.0,0.0;0.0,0.0;1.0,0.0"]
+    body = canonical + [line] if first else [line] + canonical
+    text = f"n=2 gates={len(body)}\n" + "\n".join(body) + "\n"
+
+    def outcome(read):
+        try:
+            c = read(text)
+        except ValueError as exc:
+            return str(exc)
+        return c.n, c.code, c.u_at, c.comps.tolist()
+
+    assert outcome(read_circuit) == outcome(ref_read_circuit)
+
+
+def test_read_circuit_parses_each_u_line_head_once(monkeypatch):
+    calls = []
+    parse = synth._parse_fields
+
+    def counted(tokens):
+        calls.append(tokens[0])
+        return parse(tokens)
+
+    monkeypatch.setattr(synth, "_parse_fields", counted)
+    d = two_level_decompose(random_unitary(3, 8), poa_order(3))
+    circuit = construct_circuit(d)
+    text = write_circuit(circuit)
+    again = read_circuit(text)
+    assert again.code == circuit.code and np.array_equal(again.comps, circuit.comps)
+    heads = {ln.split(" m=")[0] for ln in text.splitlines()[1:]}
+    assert len(calls) == 1 + len(heads)  # the header, then each distinct X line and U head
