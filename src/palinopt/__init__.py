@@ -18,12 +18,11 @@ from .optimize import (
     poa_recurrence,
 )
 from .ordering import OrderArray, conventional_order, poa_order, validate_order
-from .palindrome import build_trie, dfs_order, mos_check, overlap, trie_gate_count
+from .palindrome import build_trie, dfs_order, mos_check, trie_gate_count
 from .sim import VerificationReport, circuit_to_matrix, verify
 from .synth import (
     Circuit,
     ControlledGate,
-    PalindromicSubcircuit,
     construct_circuit,
     gray_code,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "ControlledGate",
     "Decomposition",
     "OrderArray",
-    "PalindromicSubcircuit",
     "TwoLevelMatrix",
     "VerificationReport",
     "build_trie",
@@ -50,7 +48,6 @@ __all__ = [
     "gray_code",
     "is_unitary",
     "mos_check",
-    "overlap",
     "poa_order",
     "poa_recurrence",
     "random_unitary",

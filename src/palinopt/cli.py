@@ -118,7 +118,8 @@ def cmd_gray(args: argparse.Namespace) -> int:
 def cmd_trie(args: argparse.Namespace) -> int:
     if args.input:
         with _context("cannot read circuit"):
-            subs = synth.split_subcircuits(synth.read_circuit(Path(args.input).read_text()))
+            circuit = synth.read_circuit(Path(args.input).read_text())
+            subs = synth.split_subcircuits(circuit)
     elif args.n is not None and args.order and args.column is not None:
         if args.n > ENUMERATE_MAX_N:
             return _fail(f"trie --n builds orders only up to n={ENUMERATE_MAX_N}, got n={args.n}")
@@ -127,10 +128,11 @@ def cmd_trie(args: argparse.Namespace) -> int:
         if not 0 <= args.column < len(order.columns):
             return _fail(f"column {args.column} out of range")
         column = ((r, args.column) for r in order.columns[args.column])
-        subs = synth.split_subcircuits(optimize.structural_circuit(args.n, column))
+        circuit = optimize.structural_circuit(args.n, column)
+        subs = synth.split_subcircuits(circuit)
     else:
         return _fail("need --input, or --n with --order and --column")
-    trie = palindrome.build_trie(subs)
+    trie = palindrome.build_trie(circuit.n, subs)
     print(palindrome.dump_trie(trie), end="")
     leaves, interior = trie.counts()
     print(f"leaves={leaves} interior={interior} count={leaves + 2 * interior}")

@@ -36,7 +36,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    RECONSTRUCT_TOL,
     UNITARY_TOL,
     ZERO_TOL,
     TwoLevelMatrix,
@@ -76,10 +75,6 @@ class Decomposition:
             TwoLevelMatrix(row=r, col=c, comp=comp, dim=dim)
             for r, c, comp in zip(self.rows.tolist(), self.cols.tolist(), self.comps)
         )
-
-    @property
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(zip(self.rows.tolist(), self.cols.tolist()))
 
 
 def two_level_decompose(
@@ -157,10 +152,3 @@ def two_level_decompose(
         column_hook(m, dim - 2)
     return Decomposition(n=order.n, rows=rows, cols=cols, comps=comps)
 
-
-def progress_invariant_check(m: np.ndarray, c: int) -> bool:
-    """After processing columns 0..c the working matrix must agree with the
-    identity on those columns (and, by unitarity, rows).  Test hook."""
-    dim = m.shape[0]
-    eye = np.eye(dim, dtype=complex)
-    return bool(np.max(np.abs(m[:, : c + 1] - eye[:, : c + 1])) < RECONSTRUCT_TOL)

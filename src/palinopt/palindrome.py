@@ -10,30 +10,19 @@ and the trie shape gives the post-cancellation gate count directly: leaves
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .synth import PalindromicSubcircuit, position_text
-
-MiddleId = tuple[int, int]
-
-
-@dataclass(slots=True)
-class TrieNode:
-    # An X gate's child is keyed by its position code target << n | base,
-    # a leaf by a negative int unique within the trie.
-    children: dict[int, TrieNode] = field(default_factory=dict)
-    leaf_id: MiddleId | None = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.leaf_id is not None
+from .synth import position_text
 
 
 @dataclass
 class PalindromeTrie:
-    root: TrieNode
-    n: int  # qubit count of the subcircuits; 0 for an empty trie
+    # A node is a dict: an X gate's child node under its position code
+    # target << n | base, a leaf's pair (r, c) under a negative int unique
+    # within the trie.
+    root: dict
+    n: int  # qubit count of the subcircuits
     leaves: int
     interior: int  # nodes other than the root and the leaves
 
@@ -42,59 +31,63 @@ class PalindromeTrie:
         return self.leaves, self.interior
 
 
-def build_trie(subcircuits: Iterable[PalindromicSubcircuit]) -> PalindromeTrie:
-    """One leaf per subcircuit; shared X-run prefixes share paths.  Children
-    are keyed by the X gates' position codes."""
-    root = TrieNode()
-    n = interior = 0
-    pairs: set[MiddleId] = set()
-    for sub in subcircuits:
-        if sub.pair in pairs:
-            raise ValueError(f"duplicate subcircuit for pair {sub.pair}")
-        pairs.add(sub.pair)
-        n = sub.n
+def build_trie(
+    n: int, subcircuits: Iterable[tuple[Sequence[int], tuple[int, int]]]
+) -> PalindromeTrie:
+    """One leaf per ``(prefix, pair)`` subcircuit of n qubits; shared X-run
+    prefixes share paths.  Children are keyed by the X gates' position
+    codes."""
+    root: dict = {}
+    interior = 0
+    pairs: set[tuple[int, int]] = set()
+    for prefix, pair in subcircuits:
+        if pair in pairs:
+            raise ValueError(f"duplicate subcircuit for pair {pair}")
+        pairs.add(pair)
         node = root
-        for key in sub.prefix:
-            child = node.children.get(key)
+        for key in prefix:
+            child = node.get(key)
             if child is None:
-                child = node.children[key] = TrieNode()
+                child = node[key] = {}
                 interior += 1
             node = child
-        node.children[-len(pairs)] = TrieNode(leaf_id=sub.pair)
+        node[-len(pairs)] = pair
     return PalindromeTrie(root, n, len(pairs), interior)
 
 
 # The recursive walks are module-level functions: a nested function that
 # calls itself is a reference cycle, which would keep the trie alive until
 # the cyclic garbage collector runs.
-def _leaves(node: TrieNode, out: list[MiddleId]) -> list[MiddleId]:
-    if node.is_leaf:
-        out.append(node.leaf_id)
-    for child in node.children.values():
-        _leaves(child, out)
+def _leaves(node: dict, out: list) -> list:
+    for key, child in node.items():
+        if key < 0:
+            out.append(child)
+        else:
+            _leaves(child, out)
     return out
 
 
-def dfs_order(t: PalindromeTrie) -> list[MiddleId]:
-    """Leaf labels in depth-first order; children visited in insertion order."""
+def dfs_order(t: PalindromeTrie) -> list[tuple[int, int]]:
+    """Leaf pairs in depth-first order; children visited in insertion order."""
     return _leaves(t.root, [])
 
 
-def _run(node: TrieNode, pos: dict, runs: list) -> tuple[int, int, int]:
+def _run(node: dict, pos: dict, runs: list) -> tuple[int, int, int]:
     """(first, last, count) of the leaf positions under ``node``; appends
     each interior node's triple to ``runs``."""
-    if node.is_leaf:
-        i = pos[node.leaf_id]
-        return i, i, 1
     first, last, count = len(pos), -1, 0
-    for child in node.children.values():
-        lo, hi, k = _run(child, pos, runs)
+    for key, child in node.items():
+        if key < 0:
+            lo = hi = pos[child]
+            k = 1
+        else:
+            lo, hi, k = _run(child, pos, runs)
         first, last, count = min(first, lo), max(last, hi), count + k
     runs.append((first, last, count))
     return first, last, count
 
 
-def mos_check(t: PalindromeTrie, seq: Sequence[MiddleId]) -> bool:
+def mos_check(t: PalindromeTrie, seq: Sequence[tuple[int, int]]) -> bool:
     """True iff ``seq`` is a maximal overlap sequence for the trie.
 
     Characterization: the leaves under every trie node fill one contiguous
@@ -117,17 +110,10 @@ def trie_gate_count(t: PalindromeTrie) -> int:
     return leaves + 2 * interior
 
 
-def overlap(a: PalindromicSubcircuit, b: PalindromicSubcircuit) -> int:
-    """Length of the cancelling run between consecutive subcircuits: the
-    longest common prefix of their X-gate runs."""
-    runs = zip(a.prefix, b.prefix)
-    return next((k for k, (x, y) in enumerate(runs) if x != y), min(len(a.prefix), len(b.prefix)))
-
-
-def _dump(node: TrieNode, n: int, indent: str, lines: list[str], labels: dict) -> list[str]:
-    for key, child in node.children.items():
+def _dump(node: dict, n: int, indent: str, lines: list[str], labels: dict) -> list[str]:
+    for key, child in node.items():
         if key < 0:
-            lines.append(f"{indent}V{child.leaf_id} [leaf {child.leaf_id}]\n")
+            lines.append(f"{indent}V{child} [leaf {child}]\n")
             continue
         label = labels.get(key)
         if label is None:  # each distinct X gate's text is rendered once

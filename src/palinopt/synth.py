@@ -110,17 +110,6 @@ class ControlledGate:
         return f"ControlledGate(n={self.n}, target={self.target}, base={self.base}, op={op})"
 
 
-@dataclass(frozen=True)
-class PalindromicSubcircuit:
-    """The subcircuit of pair (r, c) as position codes: the X run ``prefix``
-    in application order, the component gate ``middle``, the X run mirrored."""
-
-    prefix: tuple[int, ...]
-    middle: int
-    pair: tuple[int, int]
-    n: int
-
-
 @dataclass(frozen=True, eq=False)
 class Circuit:
     """Gates as integer codes; see the module docstring.  The lists are
@@ -138,23 +127,6 @@ class Circuit:
 
     def __len__(self) -> int:
         return len(self.code)
-
-    @classmethod
-    def from_gates(cls, n: int, gates: Iterable[ControlledGate]) -> Circuit:
-        """The circuit of ``gates`` in application order."""
-        x_codes: dict[int, int] = {}
-        code, u_at, ops = [], [], []
-        for g in gates:
-            if g.n != n:
-                raise ValueError(f"gate for n={g.n} in a circuit for n={n}")
-            at = g.target << n | g.base
-            if g.is_x:
-                code.append(x_codes.setdefault(at, at))
-            else:
-                code.append(~len(u_at))
-                u_at.append(at)
-                ops.append(g.op)
-        return cls(n, code, u_at, np.array(ops, dtype=complex).reshape(-1, 2, 2))
 
     @functools.cached_property
     def gates(self) -> tuple[ControlledGate, ...]:
@@ -240,22 +212,38 @@ def construct_circuit(d: Decomposition, skip_identity: bool = False) -> Circuit:
     return gray_circuit(d.n, zip(rows.tolist(), cols.tolist()), comps)
 
 
-def split_subcircuits(c: Circuit) -> list[PalindromicSubcircuit]:
-    """Recover the palindromic subcircuits of an uncancelled circuit.
+def split_subcircuits(c: Circuit) -> list[tuple[tuple[int, ...], tuple[int, int]]]:
+    """Recover the palindromic subcircuits of an uncancelled circuit as
+    ``(prefix, pair)``: the X run's position codes and the pair (r, c).
 
-    Expects the exact construct_circuit layout (X run, component gate,
-    mirrored X run per subcircuit); cancelled circuits no longer have this
-    shape and are rejected.  Each subcircuit's pair (r, c) is read off its
-    codes: the middle gate moves its base to r, and the X run moves c to
-    that base.  The X run must be the Gray walk from c: each gate acts on
-    the running state, at a target above the last one and below the
-    middle's; one walk back from the middle's base checks it and finds c.
+    The inverse of :func:`gray_circuit`.  Subcircuit j's component gate is
+    ``u_at[j]``, and r is its base with the target bit set.  The first X
+    gate of the run flips the lowest bit in which c and r differ, so c is
+    that gate's base with the bit set where r has it clear; c is the
+    component gate's base when the run is empty.  The circuit rebuilt from
+    the pairs must equal the one given: cancelled circuits no longer have
+    this shape and are rejected with the first fault in gate order.
     """
     n, code, u_at = c.n, c.code, c.u_at
     mask = (1 << n) - 1
-    subs: list[PalindromicSubcircuit] = []
+    subs = []
     i = 0
-    while i < len(code):
+    for middle in u_at:
+        if i >= len(code):
+            break
+        r, x = middle & mask | 1 << (middle >> n), code[i]
+        pair = (r, middle & mask if x < 0 else x & mask | 1 << (x >> n) & ~r)
+        k = (r ^ pair[1]).bit_count() - 1  # X gates in the run
+        subs.append((tuple(code[i : i + k]), pair))
+        i += 2 * k + 1
+    rebuilt = gray_circuit(n, [pair for _, pair in subs])
+    if rebuilt.code == code and rebuilt.u_at == u_at[: len(subs)]:
+        return subs
+    # The first fault in gate order: each subcircuit must be an X run, its
+    # component gate and the run mirrored, and the run the Gray walk of the
+    # pair whose c is the component gate's base with the run's flips undone.
+    i = 0
+    while True:
         start = i
         while i < len(code) and code[i] >= 0:
             i += 1
@@ -264,18 +252,13 @@ def split_subcircuits(c: Circuit) -> list[PalindromicSubcircuit]:
         prefix, middle, end = code[start:i], u_at[~code[i]], 2 * i + 1 - start
         if code[end - 1 : i : -1] != prefix:
             raise ValueError("gate sequence is not palindromic; was this circuit cancelled?")
-        base, top = middle & mask, 1 << (middle >> n)
-        g, high, walk = base, top, True
-        for x in reversed(prefix):
-            bit = 1 << (x >> n)
-            walk = walk and bit < high and x & mask == g & ~bit
-            g, high = g ^ bit, bit
-        pair = (base | top, g)
-        if not walk:
+        flipped = middle & mask
+        for x in prefix:
+            flipped ^= 1 << (x >> n)
+        pair = (middle & mask | 1 << (middle >> n), flipped)
+        if gray_circuit(n, [pair]).code[: len(prefix)] != prefix:
             raise ValueError(f"X run is not the Gray walk of pair {pair}")
-        subs.append(PalindromicSubcircuit(tuple(prefix), middle, pair, n))
         i = end
-    return subs
 
 
 # Component matrices per block of the circuit file's writer and reader.

@@ -9,8 +9,10 @@ overlap test by recursive runs of leaf sets.  The library runs its stack
 cancellation, row-tracking simulator, subcircuit split and trie on integer
 gate codes; the same algorithms over gate objects are kept here as
 references, and so is the circuit reader without its U-line head cache.
-The small matrix helpers and per-column counts the library does not need
-live here as well.
+The small matrix helpers, per-column counts, subcircuit overlaps, the
+decomposition's progress check and the builders of circuits from gate
+objects and of factor pair lists, which the library does not need, live
+here as well.
 """
 
 from __future__ import annotations
@@ -20,15 +22,14 @@ from typing import Union
 
 import numpy as np
 
-from palinopt.linalg import ZERO_TOL, TwoLevelMatrix
+from palinopt.decompose import Decomposition
+from palinopt.linalg import RECONSTRUCT_TOL, ZERO_TOL, TwoLevelMatrix
 from palinopt.optimize import cancel_pass, count_structural, structural_circuit
 from palinopt.ordering import OrderArray
-from palinopt.palindrome import dfs_order, overlap
 from palinopt.synth import (
     _BLOCK,
     Circuit,
     ControlledGate,
-    PalindromicSubcircuit,
     _components,
     _parse_fields,
     _parse_position,
@@ -63,43 +64,67 @@ def expand_two_level(t: TwoLevelMatrix) -> np.ndarray:
     return m
 
 
-def subcircuit_for_pair(r: int, c: int, n: int) -> PalindromicSubcircuit:
-    """The palindromic subcircuit for ordering pair (r, c), cut out of the
-    library's circuit construction of that one pair."""
+def circuit_from_gates(n: int, gates) -> Circuit:
+    """The circuit of gate objects ``gates`` in application order."""
+    x_codes: dict[int, int] = {}
+    code, u_at, ops = [], [], []
+    for g in gates:
+        if g.n != n:
+            raise ValueError(f"gate for n={g.n} in a circuit for n={n}")
+        at = g.target << n | g.base
+        if g.is_x:
+            code.append(x_codes.setdefault(at, at))
+        else:
+            code.append(~len(u_at))
+            u_at.append(at)
+            ops.append(g.op)
+    return Circuit(n, code, u_at, np.array(ops, dtype=complex).reshape(-1, 2, 2))
+
+
+def factor_pairs(d: Decomposition) -> tuple[tuple[int, int], ...]:
+    """The (row, col) pair of every factor, in factor order."""
+    return tuple(zip(d.rows.tolist(), d.cols.tolist()))
+
+
+def progress_invariant_check(m: np.ndarray, c: int) -> bool:
+    """After processing columns 0..c the working matrix must agree with the
+    identity on those columns (and, by unitarity, rows)."""
+    dim = m.shape[0]
+    eye = np.eye(dim, dtype=complex)
+    return bool(np.max(np.abs(m[:, : c + 1] - eye[:, : c + 1])) < RECONSTRUCT_TOL)
+
+
+def subcircuit_for_pair(r: int, c: int, n: int) -> tuple[tuple[int, ...], tuple[int, int]]:
+    """The palindromic subcircuit ``(prefix, pair)`` for ordering pair
+    (r, c), its X run cut out of the library's circuit construction of that
+    one pair."""
     gray_code(c, r, n)  # checks the endpoints
     circuit = gray_circuit(n, [(r, c)])
-    k = len(circuit) // 2
-    return PalindromicSubcircuit(tuple(circuit.code[:k]), circuit.u_at[0], (r, c), n)
+    return tuple(circuit.code[: len(circuit) // 2]), (r, c)
 
 
-def subcircuits_circuit(n: int, subs, comps=None) -> Circuit:
-    """The circuit of ``subs`` in order: each X run, its component gate
-    (``comps[j]`` for subcircuit j, or the identity) and the X run
-    mirrored."""
+def subcircuits_circuit(n: int, subs, comps=None, middles=None) -> Circuit:
+    """The circuit of ``(prefix, pair)`` subcircuits in order: each X run,
+    its component gate and the X run mirrored.  Subcircuit j's component
+    gate is at position code ``middles[j]``, by default the one of its
+    pair's Gray walk, with component ``comps[j]``, by default the
+    identity."""
+    if middles is None:
+        middles = gray_circuit(n, [pair for _, pair in subs]).u_at
     code: list[int] = []
-    u_at: list[int] = []
-    for j, s in enumerate(subs):
-        code += [*s.prefix, ~j, *s.prefix[::-1]]
-        u_at.append(s.middle)
+    u_at = list(middles)
+    for j, (prefix, _) in enumerate(subs):
+        code += [*prefix, ~j, *prefix[::-1]]
     if comps is None:
         comps = np.broadcast_to(np.eye(2, dtype=complex), (len(u_at), 2, 2))
     return Circuit(n, code, u_at, np.asarray(comps, dtype=complex).reshape(-1, 2, 2))
 
 
-@dataclass(frozen=True)
-class RefSubcircuit:
-    """A palindromic subcircuit as gate objects."""
-
-    prefix: tuple[ControlledGate, ...]
-    middle: ControlledGate
-    pair: tuple[int, int]
-
-
-def ref_split_subcircuits(c: Circuit) -> list[RefSubcircuit]:
-    """Palindromic subcircuits of an uncancelled circuit, read off its gate
-    objects: the X run's flips give the pair, and each X gate is checked
-    against the running state of the walk from c."""
-    subs: list[RefSubcircuit] = []
+def ref_split_subcircuits(c: Circuit) -> list:
+    """Palindromic subcircuits ``(prefix, pair)`` of an uncancelled circuit,
+    the prefix as gate objects: the X run's flips give the pair, and each X
+    gate is checked against the running state of the walk from c."""
+    subs = []
     gates = c.gates
     i = 0
     while i < len(gates):
@@ -123,14 +148,22 @@ def ref_split_subcircuits(c: Circuit) -> list[RefSubcircuit]:
             if not low < bit < 1 << middle.target or x.base != g & ~bit:
                 raise ValueError(f"X run is not the Gray walk of pair {pair}")
             g, low = g ^ bit, bit
-        subs.append(RefSubcircuit(prefix=prefix, middle=middle, pair=pair))
+        subs.append((prefix, pair))
     return subs
 
 
-def ref_overlap(a: RefSubcircuit, b: RefSubcircuit) -> int:
-    """Common prefix length of two X runs, gates compared by (target, base)."""
+def overlap(a, b) -> int:
+    """Length of the cancelling run between consecutive ``(prefix, pair)``
+    subcircuits: the longest common prefix of their X runs."""
+    (pa, _), (pb, _) = a, b
+    return next((k for k, (x, y) in enumerate(zip(pa, pb)) if x != y), min(len(pa), len(pb)))
+
+
+def ref_overlap(a, b) -> int:
+    """Common prefix length of two gate-object X runs, gates compared by
+    (target, base)."""
     k = 0
-    for ga, gb in zip(a.prefix, b.prefix):
+    for ga, gb in zip(a[0], b[0]):
         if (ga.target, ga.base) != (gb.target, gb.base):
             break
         k += 1
@@ -156,12 +189,12 @@ def ref_trie(subs) -> tuple[tuple[int, int], str]:
     the gates' control patterns, and the counts come from walking the
     finished trie."""
     root: dict = {}
-    for k, s in enumerate(subs):
+    for k, (prefix, pair) in enumerate(subs):
         node = root
-        for g in s.prefix:
+        for g in prefix:
             label = f"X t={g.target} c={g.pattern()}"
             node = node.setdefault((g.target, g.base), (label, {}))[1]
-        node[k] = (f"V{s.pair} [leaf {s.pair}]", None)
+        node[k] = (f"V{pair} [leaf {pair}]", None)
     lines: list[str] = []
     counts = _ref_dump(root, 0, lines)
     return counts, "".join(lines)
@@ -248,7 +281,7 @@ def ref_cancel_pass(c: Circuit) -> Circuit:
                 stack.pop()
                 continue
         stack.append(g)
-    return Circuit.from_gates(c.n, stack)
+    return circuit_from_gates(c.n, stack)
 
 
 def ref_circuit_to_matrix(c: Circuit) -> np.ndarray:
@@ -307,15 +340,32 @@ def total_overlap(subs) -> int:
 
 
 def trie_leaves(t) -> list:
-    """Leaf ids of a palindrome trie in depth-first order."""
-    return dfs_order(t)
+    """Leaf pairs of a palindrome trie in depth-first order, children in
+    insertion order: an explicit stack of child iterators over the node
+    dicts, a leaf told by its negative key."""
+    leaves = []
+    stack = [iter(t.root.items())]
+    while stack:
+        for key, child in stack[-1]:
+            if key < 0:
+                leaves.append(child)
+            else:
+                stack.append(iter(child.items()))
+                break
+        else:
+            stack.pop()
+    return leaves
+
+
+def _is_leaf(node) -> bool:
+    return not isinstance(node, dict)  # a leaf is its pair
 
 
 def _leaf_set(node) -> frozenset:
-    if node.is_leaf:
-        return frozenset([node.leaf_id])
+    if _is_leaf(node):
+        return frozenset([node])
     acc: set = set()
-    for child in node.children.values():
+    for child in node.values():
         acc |= _leaf_set(child)
     return frozenset(acc)
 
@@ -330,10 +380,10 @@ def ref_mos_check(t, seq) -> bool:
         raise ValueError("sequence is not a permutation of the trie's leaves")
 
     def check(node, chunk) -> bool:
-        if node.is_leaf:
+        if _is_leaf(node):
             return True
         owner = {}
-        for child in node.children.values():
+        for child in node.values():
             for leaf in _leaf_set(child):
                 owner[leaf] = child
         runs = []

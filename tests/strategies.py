@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 from hypothesis import strategies as st
+from oracles import circuit_from_gates
 
 from palinopt.linalg import ZERO_TOL, random_unitary
 from palinopt.ordering import OrderArray
-from palinopt.synth import Circuit, ControlledGate
+from palinopt.synth import ControlledGate
 
 
 @st.composite
@@ -38,7 +39,7 @@ def random_circuits(draw, max_n: int = 5, max_gates: int = 40, x_share: float = 
         else:
             op = random_unitary(1, draw(st.integers(0, 2**32 - 1)))
         gates.append(ControlledGate(n=n, target=target, base=base, op=op))
-    return Circuit.from_gates(n, gates)
+    return circuit_from_gates(n, gates)
 
 
 # The sine of a 2x2 block's mixing angle: none, a value at least 1% away

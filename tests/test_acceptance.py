@@ -8,7 +8,13 @@ from itertools import permutations
 
 import numpy as np
 import pytest
-from oracles import intercolumn_cancellation, subcircuit_for_pair, subcircuits_circuit
+from oracles import (
+    factor_pairs,
+    intercolumn_cancellation,
+    overlap,
+    subcircuit_for_pair,
+    subcircuits_circuit,
+)
 
 from palinopt.cli import main
 from palinopt.decompose import two_level_decompose
@@ -22,7 +28,7 @@ from palinopt.optimize import (
     poa_recurrence,
 )
 from palinopt.ordering import conventional_order, poa_order
-from palinopt.palindrome import build_trie, dfs_order, mos_check, overlap, trie_gate_count
+from palinopt.palindrome import build_trie, dfs_order, mos_check, trie_gate_count
 from palinopt.sim import circuit_to_matrix
 from palinopt.synth import construct_circuit
 
@@ -89,7 +95,7 @@ def test_criterion_4_mos_brute_force(capsys):
     for col, rows in enumerate(order.columns):
         poa_count = len(cancel_pass(column_circuit_gates(n, rows, col)))
         subs = {r: subcircuit_for_pair(r, col, n) for r in rows}
-        trie = build_trie(subs.values())
+        trie = build_trie(n, subs.values())
         best = min(
             len(cancel_pass(column_circuit_gates(n, perm, col)))
             for perm in permutations(rows)
@@ -114,14 +120,14 @@ def test_criterion_5_trie_count_equality(capsys):
             order = make_order(n)
             for col, rows in enumerate(order.columns):
                 subs = {r: subcircuit_for_pair(r, col, n) for r in rows}
-                trie = build_trie(subs.values())
+                trie = build_trie(n, subs.values())
                 mos_rows = [r for (r, _) in dfs_order(trie)]
                 cancelled = len(cancel_pass(column_circuit_gates(n, mos_rows, col)))
                 ok &= cancelled == trie_gate_count(trie)
         # POA columns are already maximal overlap sequences in place
         order = poa_order(n)
         for col, rows in enumerate(order.columns):
-            trie = build_trie(subcircuit_for_pair(r, col, n) for r in rows)
+            trie = build_trie(n, (subcircuit_for_pair(r, col, n) for r in rows))
             cancelled = len(cancel_pass(column_circuit_gates(n, rows, col)))
             ok &= cancelled == trie_gate_count(trie)
     with capsys.disabled():
@@ -159,8 +165,8 @@ def test_criterion_7_cancellation_semantics(capsys):
 
 def test_criterion_8_worked_example_pair_sequences(capsys):
     u = random_unitary(3, 0)
-    poa_pairs = two_level_decompose(u, poa_order(3)).pairs
-    conv_pairs = two_level_decompose(u, conventional_order(3)).pairs
+    poa_pairs = factor_pairs(two_level_decompose(u, poa_order(3)))
+    conv_pairs = factor_pairs(two_level_decompose(u, conventional_order(3)))
     # spec/figure notation lists (column, row)
     ok = tuple((c, r) for (r, c) in poa_pairs[:7]) == (
         (0, 2), (0, 4), (0, 6), (0, 1), (0, 3), (0, 5), (0, 7)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import subcircuit_for_pair
+from oracles import circuit_from_gates, subcircuit_for_pair
 
 import palinopt
 from palinopt.cli import build_parser, main
@@ -13,7 +13,7 @@ from palinopt.linalg import random_unitary, write_matrix
 from palinopt.optimize import formula_poa
 from palinopt.ordering import conventional_order, poa_order, save_order
 from palinopt.palindrome import build_trie, dump_trie
-from palinopt.synth import Circuit, ControlledGate, read_circuit, write_circuit
+from palinopt.synth import ControlledGate, read_circuit, write_circuit
 
 
 def run(capsys, *argv):
@@ -440,7 +440,7 @@ def _x(n, target, base):
 
 def _palindrome(n, xs, target, base):
     """One subcircuit's gates: X run ``xs``, identity middle, mirrored run."""
-    return Circuit.from_gates(n, (*xs, ControlledGate(n, target, base, np.eye(2)), *xs[::-1]))
+    return circuit_from_gates(n, (*xs, ControlledGate(n, target, base, np.eye(2)), *xs[::-1]))
 
 
 @pytest.mark.parametrize(
@@ -483,7 +483,7 @@ def test_trie_column_matches_per_pair_subcircuits(capsys, spec, make_order):
     for col, rows in enumerate(make_order(n).columns):
         code, out, _ = run(capsys, "trie", "--n", str(n), "--order", spec, "--column", str(col))
         assert code == 0
-        expected = dump_trie(build_trie(subcircuit_for_pair(r, col, n) for r in rows))
+        expected = dump_trie(build_trie(n, (subcircuit_for_pair(r, col, n) for r in rows)))
         assert out.rsplit("leaves=", 1)[0] == expected
 
 

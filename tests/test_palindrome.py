@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    overlap,
     ref_mos_check,
     ref_overlap,
     ref_split_subcircuits,
@@ -32,12 +33,10 @@ from palinopt.palindrome import (
     dfs_order,
     dump_trie,
     mos_check,
-    overlap,
     trie_gate_count,
 )
 from palinopt.synth import (
     Circuit,
-    PalindromicSubcircuit,
     gray_circuit,
     read_circuit,
     split_subcircuits,
@@ -50,32 +49,31 @@ def _sym(target):
 
 
 A, B, C = _sym(0), _sym(1), _sym(2)
-
-
-def _mid(ident):
-    return 3 << 4  # the component gate on qubit 3 with base 0
+MID = 3 << 4  # the component gate on qubit 3 with base 0
 
 
 def sub(prefix, ident):
-    return PalindromicSubcircuit(prefix=tuple(prefix), middle=_mid(ident), pair=ident, n=4)
+    return tuple(prefix), ident
 
 
 def column_subcircuits(order, col, n):
     return [subcircuit_for_pair(r, col, n) for r in order.columns[col]]
 
 
-def cancelled_length(subs, n=4):
-    return len(cancel_pass(subcircuits_circuit(n, subs)))
+def cancelled_length(subs, n, middles=None):
+    return len(cancel_pass(subcircuits_circuit(n, subs, middles=middles)))
 
 
 def _shuffled_dfs(node, rnd):
     """Leaves in a depth-first order with each node's children shuffled:
     always a maximal overlap sequence."""
-    if node.is_leaf:
-        return [node.leaf_id]
-    children = list(node.children.values())
+    children = list(node.items())
     rnd.shuffle(children)
-    return [leaf for child in children for leaf in _shuffled_dfs(child, rnd)]
+    return [
+        leaf
+        for key, child in children
+        for leaf in ([child] if key < 0 else _shuffled_dfs(child, rnd))
+    ]
 
 
 S1 = sub([A, B, C], (1, -1))  # ABC A1 CBA
@@ -83,26 +81,27 @@ S2 = sub([A, B], (2, -1))  # AB A2 BA
 
 
 def test_trie_single_empty_prefix_leaf():
-    t = build_trie([sub([], (1, -1))])
+    t = build_trie(4, [sub([], (1, -1))])
     assert t.counts() == (1, 0)
     assert trie_gate_count(t) == 1
 
 
 def test_trie_abc_example_counts():
-    t = build_trie([S1, S2])
+    t = build_trie(4, [S1, S2])
     assert t.counts() == (2, 3)
     assert trie_gate_count(t) == 8  # the 8 symbols of ABCA1CA2BA
 
 
 def test_abc_example_overlap_and_cancellation():
     assert overlap(S1, S2) == 2  # AB
-    assert cancelled_length([S1, S2]) == 8
-    assert cancelled_length([S2, S1]) == 8
+    # The example's pairs are labels only; both component gates are MID.
+    assert cancelled_length([S1, S2], 4, [MID, MID]) == 8
+    assert cancelled_length([S2, S1], 4, [MID, MID]) == 8
 
 
 def test_poa_column0_n3_trie():
     subs = column_subcircuits(poa_order(3), 0, 3)
-    t = build_trie(subs)
+    t = build_trie(3, subs)
     assert t.counts() == (7, 3)
     assert trie_gate_count(t) == 13
 
@@ -112,12 +111,12 @@ def test_dfs_order_of_poa_column_is_row_order():
     # trie it induces.
     order = poa_order(3)
     subs = column_subcircuits(order, 0, 3)
-    t = build_trie(subs)
+    t = build_trie(3, subs)
     assert dfs_order(t) == [(r, 0) for r in order.columns[0]]
 
 
 def test_dfs_order_abc_example():
-    t = build_trie([S1, S2])
+    t = build_trie(4, [S1, S2])
     assert dfs_order(t) == [(1, -1), (2, -1)]
 
 
@@ -126,13 +125,13 @@ def test_mos_dfs_always_true():
     for n in (3, 4, 5):
         for make_order in (poa_order, conventional_order):
             for col in range((1 << n) - 1):
-                t = build_trie(column_subcircuits(make_order(n), col, n))
+                t = build_trie(n, column_subcircuits(make_order(n), col, n))
                 assert mos_check(t, dfs_order(t))
                 assert mos_check(t, _shuffled_dfs(t.root, rnd))
 
 
 def test_mos_siblings_permute_freely():
-    t = build_trie([S1, S2])
+    t = build_trie(4, [S1, S2])
     assert mos_check(t, [(1, -1), (2, -1)])
     assert mos_check(t, [(2, -1), (1, -1)])
 
@@ -141,12 +140,12 @@ def test_mos_rejects_conventional_row_order():
     # Leaves below the shared first-flip node are rows 3, 5, 7; they are
     # not contiguous in 1..7.
     subs = column_subcircuits(poa_order(3), 0, 3)
-    t = build_trie(subs)
+    t = build_trie(3, subs)
     assert not mos_check(t, [(r, 0) for r in range(1, 8)])
 
 
 def test_mos_rejects_non_permutation():
-    t = build_trie([S1, S2])
+    t = build_trie(4, [S1, S2])
     with pytest.raises(ValueError):
         mos_check(t, [(1, -1)])
     with pytest.raises(ValueError):
@@ -170,8 +169,8 @@ def test_overlap_shared_first_flip():
 def test_mos_order_cancels_to_trie_count():
     for col in range(7):
         subs = column_subcircuits(poa_order(3), col, 3)
-        t = build_trie(subs)
-        by_id = {s.pair: s for s in subs}
+        t = build_trie(3, subs)
+        by_id = {s[1]: s for s in subs}
         ordered = [by_id[i] for i in dfs_order(t)]
         assert cancelled_length(ordered, 3) == trie_gate_count(t)
 
@@ -180,20 +179,20 @@ def test_total_overlap_matches_cancellation():
     for col in (0, 1, 2):
         subs = column_subcircuits(poa_order(3), col, 3)
         raw = len(subcircuits_circuit(3, subs))
-        assert raw == sum(2 * len(s.prefix) + 1 for s in subs)
+        assert raw == sum(2 * len(prefix) + 1 for prefix, _ in subs)
         assert raw - 2 * total_overlap(subs) == cancelled_length(subs, 3)
 
 
 def test_duplicate_subcircuit_rejected():
     with pytest.raises(ValueError):
-        build_trie([S1, S1])
+        build_trie(4, [S1, S1])
 
 
 def test_trie_counts_insertion_order_invariant():
     subs = column_subcircuits(poa_order(3), 0, 3)
-    base = build_trie(subs).counts()
+    base = build_trie(3, subs).counts()
     for perm in ([6, 0, 3, 1, 5, 2, 4], [2, 1, 0, 6, 5, 4, 3]):
-        t = build_trie([subs[i] for i in perm])
+        t = build_trie(3, [subs[i] for i in perm])
         assert t.counts() == base
 
 
@@ -201,18 +200,18 @@ def test_brute_force_optimality_small():
     # Exhaustive over the 5 subcircuits of column 2, n=3: dfs order is
     # minimal and minimality coincides with mos membership.
     subs = column_subcircuits(poa_order(3), 2, 3)
-    t = build_trie(subs)
-    by_id = {s.pair: s for s in subs}
+    t = build_trie(3, subs)
+    by_id = {s[1]: s for s in subs}
     best = trie_gate_count(t)
     for perm in permutations(subs):
         count = cancelled_length(list(perm), 3)
         assert count >= best
         is_min = count == best
-        assert is_min == mos_check(t, [s.pair for s in perm])
+        assert is_min == mos_check(t, [pair for _, pair in perm])
 
 
 def test_dump_trie_shape():
-    text = dump_trie(build_trie([S1, S2]))
+    text = dump_trie(build_trie(4, [S1, S2]))
     lines = text.splitlines()
     assert len(lines) == 5  # A, B, C, leaf1, leaf2
     assert lines[0].startswith("X t=0")
@@ -222,7 +221,7 @@ def test_dump_trie_shape():
 
 
 def test_dump_empty_trie():
-    assert dump_trie(build_trie([])) == ""
+    assert dump_trie(build_trie(3, [])) == ""
 
 
 @pytest.mark.parametrize(
@@ -234,7 +233,7 @@ def test_walks_leave_the_trie_to_reference_counting(walk):
     enabled = gc.isenabled()
     gc.disable()
     try:
-        trie = build_trie(column_subcircuits(poa_order(4), 0, 4))
+        trie = build_trie(4, column_subcircuits(poa_order(4), 0, 4))
         ref = weakref.ref(trie)
         gc.collect()
         walk(trie)
@@ -249,16 +248,16 @@ def test_walks_leave_the_trie_to_reference_counting(walk):
 def test_conventional_column_trie_same_counts():
     # Column sets are identical for both orderings, so the tries agree.
     for col in range(7):
-        a = build_trie(column_subcircuits(poa_order(3), col, 3)).counts()
-        b = build_trie(column_subcircuits(conventional_order(3), col, 3)).counts()
+        a = build_trie(3, column_subcircuits(poa_order(3), col, 3)).counts()
+        b = build_trie(3, column_subcircuits(conventional_order(3), col, 3)).counts()
         assert a == b
 
 
 def test_trie_leaves_are_the_subcircuit_pairs():
     subs = column_subcircuits(poa_order(3), 0, 3)
-    leaves = trie_leaves(build_trie(subs))
-    assert sorted(leaves) == sorted(s.pair for s in subs)
-    assert len(leaves) == build_trie(subs).counts()[0]
+    leaves = trie_leaves(build_trie(3, subs))
+    assert sorted(leaves) == sorted(pair for _, pair in subs)
+    assert len(leaves) == build_trie(3, subs).counts()[0]
 
 
 @st.composite
@@ -269,7 +268,7 @@ def column_tries_and_sequences(draw):
     n = draw(st.integers(3, 5))
     make_order = draw(st.sampled_from([poa_order, conventional_order]))
     col = draw(st.integers(0, (1 << n) - 2))
-    trie = build_trie(column_subcircuits(make_order(n), col, n))
+    trie = build_trie(n, column_subcircuits(make_order(n), col, n))
     rnd = draw(st.randoms(use_true_random=False))
     kind = draw(st.sampled_from(["random", "dfs", "swapped"]))
     if kind == "random":
@@ -289,13 +288,13 @@ def test_mos_check_matches_recursive_reference(case):
 
 
 def test_mos_empty_trie_and_sequence():
-    t = build_trie([])
+    t = build_trie(3, [])
     assert mos_check(t, []) and ref_mos_check(t, [])
 
 
 def test_dump_trie_text():
     # Labels are rendered from the integer keys at dump time.
-    text = dump_trie(build_trie(column_subcircuits(poa_order(3), 0, 3)))
+    text = dump_trie(build_trie(3, column_subcircuits(poa_order(3), 0, 3)))
     assert text == (
         "V(2, 0) [leaf (2, 0)]\n"
         "V(4, 0) [leaf (4, 0)]\n"
@@ -311,13 +310,15 @@ def test_dump_trie_text():
 
 
 def test_trie_keys_are_ints():
-    t = build_trie(column_subcircuits(conventional_order(3), 0, 3))
+    t = build_trie(3, column_subcircuits(conventional_order(3), 0, 3))
     stack = [t.root]
     while stack:
         node = stack.pop()
-        for key, child in node.children.items():
-            assert type(key) is int and (key < 0) == child.is_leaf
-            stack.append(child)
+        for key, child in node.items():
+            # a leaf is its pair, an X gate's child a node dict
+            assert type(key) is int and (key < 0) == (type(child) is tuple)
+            if key >= 0:
+                stack.append(child)
 
 
 @st.composite
@@ -337,13 +338,14 @@ def test_split_and_trie_match_gate_object_reference(case):
     n, pairs = case
     circuit = read_circuit(write_circuit(gray_circuit(n, pairs)))
     subs, ref = split_subcircuits(circuit), ref_split_subcircuits(circuit)
-    assert [s.pair for s in subs] == [s.pair for s in ref] == pairs
-    assert [s.prefix for s in subs] == [tuple(g.target << n | g.base for g in s.prefix) for s in ref]
-    assert [s.middle for s in subs] == [s.middle.target << n | s.middle.base for s in ref]
+    assert [pair for _, pair in subs] == [pair for _, pair in ref] == pairs
+    assert [prefix for prefix, _ in subs] == [
+        tuple(g.target << n | g.base for g in prefix) for prefix, _ in ref
+    ]
     assert [overlap(a, b) for a, b in zip(subs, subs[1:])] == [
         ref_overlap(a, b) for a, b in zip(ref, ref[1:])
     ]
-    trie = build_trie(subs)
+    trie = build_trie(n, subs)
     counts, text = ref_trie(ref)
     assert trie.counts() == counts
     assert trie_gate_count(trie) == counts[0] + 2 * counts[1]
@@ -360,28 +362,38 @@ def _x_codes(n):
 @st.composite
 def palindrome_shaped_circuits(draw):
     """Circuits of X run, component gate, mirrored X run: each run a Gray
-    walk's or random X gates, then maybe one code replaced by a random X
-    gate and the tail cut off."""
+    walk's or random X gates.  Then maybe one change: a code replaced by a
+    random X gate, a random X gate inserted, an X gate deleted, or a
+    component gate moved to a random position; and maybe the tail cut
+    off."""
     n = draw(st.integers(1, 4))
     code, u_at = [], []
     for j in range(draw(st.integers(0, 4))):
         if draw(st.booleans()):
             c = draw(st.integers(0, (1 << n) - 2))
-            s = subcircuit_for_pair(draw(st.integers(c + 1, (1 << n) - 1)), c, n)
-            run, middle = list(s.prefix), s.middle
+            pair = (draw(st.integers(c + 1, (1 << n) - 1)), c)
+            run, middle = list(subcircuit_for_pair(*pair, n)[0]), gray_circuit(n, [pair]).u_at[0]
         else:
             run, middle = draw(st.lists(_x_codes(n), max_size=n + 1)), draw(_x_codes(n))
         code += [*run, ~j, *run[::-1]]
         u_at.append(middle)
-    if code and draw(st.booleans()):
+    change = draw(st.sampled_from(["none", "replace", "insert", "delete", "middle"]))
+    x_at = [i for i, g in enumerate(code) if g >= 0]
+    if change == "replace" and code:
         code[draw(st.integers(0, len(code) - 1))] = draw(_x_codes(n))
+    elif change == "insert":
+        code.insert(draw(st.integers(0, len(code))), draw(_x_codes(n)))
+    elif change == "delete" and x_at:
+        del code[draw(st.sampled_from(x_at))]
+    elif change == "middle" and u_at:
+        u_at[draw(st.integers(0, len(u_at) - 1))] = draw(_x_codes(n))
     code = code[: draw(st.integers(0, len(code)))] if draw(st.booleans()) else code
     return Circuit(n, code, u_at, np.broadcast_to(np.eye(2, dtype=complex), (len(u_at), 2, 2)))
 
 
 def _split_outcome(split, circuit, key):
     try:
-        return [(s.pair, key(s)) for s in split(circuit)]
+        return [(pair, key(prefix)) for prefix, pair in split(circuit)]
     except ValueError as exc:
         return str(exc)
 
@@ -393,23 +405,36 @@ def test_split_checks_match_gate_object_reference(circuit):
     # the others with the same message.
     n = circuit.n
 
-    def gate_codes(s):
-        return tuple(g.target << n | g.base for g in (*s.prefix, s.middle))
+    def gate_codes(prefix):
+        return tuple(g.target << n | g.base for g in prefix)
 
-    got = _split_outcome(split_subcircuits, circuit, lambda s: (*s.prefix, s.middle))
+    got = _split_outcome(split_subcircuits, circuit, tuple)
     assert got == _split_outcome(ref_split_subcircuits, circuit, gate_codes)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_trie_counts_are_recorded_while_building(n):
-    # counts() returns what build_trie recorded; a walk of the finished
-    # trie gives the same pair.
-    trie = build_trie(split_subcircuits(gray_circuit(n, poa_order(n).pairs())))
-    leaves = interior = 0
-    stack = list(trie.root.children.values())
-    while stack:
-        node = stack.pop()
-        leaves, interior = leaves + node.is_leaf, interior + (not node.is_leaf)
-        stack.extend(node.children.values())
-    assert trie.counts() == (trie.leaves, trie.interior) == (leaves, interior)
-    assert leaves == (1 << (n - 1)) * ((1 << n) - 1)
+    # For the whole circuit of either order: counts() returns what
+    # build_trie recorded, and a walk of the finished trie gives the same
+    # pair.  The dict trie's walks agree with the references, and its dump
+    # with the gate-object trie's.
+    rnd = random.Random(n)
+    for make_order in (poa_order, conventional_order):
+        pairs = list(make_order(n).pairs())
+        circuit = gray_circuit(n, pairs)
+        trie = build_trie(n, split_subcircuits(circuit))
+        leaves = interior = 0
+        stack = list(trie.root.items())
+        while stack:
+            key, child = stack.pop()
+            if key < 0:
+                leaves += 1
+            else:
+                interior += 1
+                stack.extend(child.items())
+        assert trie.counts() == (trie.leaves, trie.interior) == (leaves, interior)
+        assert leaves == (1 << (n - 1)) * ((1 << n) - 1)
+        assert dfs_order(trie) == trie_leaves(trie)
+        for seq in (dfs_order(trie), _shuffled_dfs(trie.root, rnd), pairs, pairs[::-1]):
+            assert mos_check(trie, seq) == ref_mos_check(trie, seq)
+        assert dump_trie(trie) == ref_trie(ref_split_subcircuits(circuit))[1]

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     cancel_pass_peephole,
+    circuit_from_gates,
     ref_construct,
     ref_read_circuit,
     ref_write,
@@ -70,10 +71,11 @@ def test_gray_code_rejects_equal_endpoints():
 
 def test_subcircuit_pair_7_0():
     v = TwoLevelMatrix(row=7, col=0, comp=X2, dim=8)
-    sub = subcircuit_for_pair(v.row, v.col, 3)
-    assert sub.prefix == (0 << 3 | 0b000, 1 << 3 | 0b001)
-    assert sub.middle == 2 << 3 | 0b011
-    gates = subcircuits_circuit(3, [sub], [v.comp]).gates
+    prefix, pair = subcircuit_for_pair(v.row, v.col, 3)
+    assert prefix == (0 << 3 | 0b000, 1 << 3 | 0b001) and pair == (7, 0)
+    circuit = subcircuits_circuit(3, [(prefix, pair)], [v.comp])
+    assert circuit.u_at == [2 << 3 | 0b011]
+    gates = circuit.gates
     assert len(gates) == 5
     assert [g.is_x for g in gates] == [True, True, False, True, True]
     assert (gates[0].target, gates[0].base) == (0, 0b000)
@@ -86,14 +88,16 @@ def test_subcircuit_pair_7_0():
 def test_subcircuit_adjacent_pair_has_empty_prefix():
     v = TwoLevelMatrix(row=1, col=0, comp=X2, dim=8)
     sub = subcircuit_for_pair(v.row, v.col, 3)
-    assert sub.prefix == ()
-    assert (sub.middle >> 3, sub.middle & 0b111) == (0, 0b000)
+    assert sub[0] == ()
+    [middle] = subcircuits_circuit(3, [sub]).u_at
+    assert (middle >> 3, middle & 0b111) == (0, 0b000)
 
 
 def test_subcircuit_pair_2_0():
     sub = subcircuit_for_pair(2, 0, 3)
-    assert sub.prefix == ()
-    assert (sub.middle >> 3, sub.middle & 0b111) == (1, 0b000)
+    assert sub[0] == ()
+    [middle] = subcircuits_circuit(3, [sub]).u_at
+    assert (middle >> 3, middle & 0b111) == (1, 0b000)
 
 
 def test_subcircuit_length_formula():
@@ -102,13 +106,13 @@ def test_subcircuit_length_formula():
         for r in range(c + 1, 8):
             m = len(gray_code(c, r, 3))
             sub = subcircuit_for_pair(r, c, 3)
-            assert len(subcircuits_circuit(3, [sub])) == 2 * len(sub.prefix) + 1 == 2 * m - 3
+            assert len(subcircuits_circuit(3, [sub])) == 2 * len(sub[0]) + 1 == 2 * m - 3
 
 
 def test_prefix_targets_strictly_increase():
     for c in range(16):
         for r in range(c + 1, 16):
-            targets = [x >> 4 for x in subcircuit_for_pair(r, c, 4).prefix]
+            targets = [x >> 4 for x in subcircuit_for_pair(r, c, 4)[0]]
             assert targets == sorted(set(targets))
 
 
@@ -269,7 +273,7 @@ def test_split_subcircuits_recovers_pairs():
     for order in (conventional_order(3), poa_order(3)):
         d = two_level_decompose(random_unitary(3, 3), order)
         subs = split_subcircuits(read_circuit(write_circuit(construct_circuit(d))))
-        assert [s.pair for s in subs] == [f.pair for f in reversed(d.factors)]
+        assert [pair for _, pair in subs] == [f.pair for f in reversed(d.factors)]
 
 
 def test_construct_shares_x_gates():
@@ -356,7 +360,7 @@ def test_circuit_rejects_mismatched_components():
         Circuit(2, [~0], [0], np.zeros((2, 2, 2), dtype=complex))
     gate = ControlledGate(n=3, target=0, base=0, op="X")
     with pytest.raises(ValueError, match="n=3"):
-        Circuit.from_gates(2, [gate])
+        circuit_from_gates(2, [gate])
 
 
 def test_gates_are_built_once_on_first_access():
@@ -387,7 +391,7 @@ def test_circuit_text_past_one_block_of_components(monkeypatch):
     for s in range(4100):
         target = s % 2
         gates.append(ControlledGate(n, target, (s >> 1 & 1) << (1 - target), random_unitary(1, s)))
-    circuit = Circuit.from_gates(n, gates)
+    circuit = circuit_from_gates(n, gates)
     text = write_circuit(circuit)
     blocks = []
     components = synth._components
