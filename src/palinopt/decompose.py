@@ -98,8 +98,7 @@ def two_level_decompose(
         raise ValueError(f"input fails the unitarity check (not unitary within {UNITARY_TOL})")
 
     m = u.copy()
-    rows = np.array([r for col in order.columns for r in col], dtype=np.intp)
-    cols = np.arange(dim - 1).repeat(np.arange(dim - 1, 0, -1))
+    rows, cols = order.pairs()
     # Column c's slice of ``index`` is c, then the rows it eliminates.
     index = np.array([i for c, col in enumerate(order.columns[:-1]) for i in (c, *col)])
     # Row j holds factor j's component [[a, b], [c, d]] as (a, b, c, d); an

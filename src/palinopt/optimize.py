@@ -30,14 +30,14 @@ def cancel_pass(c: Circuit) -> Circuit:
     return Circuit(c.n, stack, c.u_at, c.comps)
 
 
-def structural_circuit(n: int, pairs) -> Circuit:
-    """Circuit skeleton of (r, c) pairs, in order: real X runs, identity
-    middles."""
-    return gray_circuit(n, pairs)
+def structural_circuit(n: int, rows, cols) -> Circuit:
+    """Circuit skeleton of the pairs (rows[j], cols[j]), in order: real X
+    runs, identity middles."""
+    return gray_circuit(n, rows, cols)
 
 
 def count_structural(n: int, order: OrderArray, cancelled: bool) -> int:
-    circuit = structural_circuit(n, order.pairs())
+    circuit = structural_circuit(n, *order.pairs())
     if cancelled:
         circuit = cancel_pass(circuit)
     return len(circuit)

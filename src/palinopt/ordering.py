@@ -8,7 +8,10 @@ order and the palindromic order built by doubling the previous level.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -20,11 +23,12 @@ class OrderArray:
     def dim(self) -> int:
         return 1 << self.n
 
-    def pairs(self):
-        """All ordering pairs (r, c) in elimination order."""
-        for c, rows in enumerate(self.columns):
-            for r in rows:
-                yield (r, c)
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """All ordering pairs (r, c) in elimination order, as the arrays of
+        their rows and of their columns."""
+        sizes = np.fromiter(map(len, self.columns), np.intp, len(self.columns))
+        rows = np.fromiter(itertools.chain.from_iterable(self.columns), np.intp, sizes.sum())
+        return rows, np.arange(len(self.columns)).repeat(sizes)
 
 
 def conventional_order(n: int) -> OrderArray:

@@ -19,6 +19,15 @@ int object.  Construction, cancellation, the file text, splitting into
 subcircuits and simulation work on the codes; ``Circuit.gates`` builds
 :class:`ControlledGate` objects on first access, one per distinct X gate.
 
+:func:`gray_circuit` takes the pairs as two integer arrays.  From
+``_WALK_PAIRS`` pairs on it builds the codes with array operations, one
+row per bit position, per block of ``_PAIR_BLOCK`` pairs, which bounds
+the temporaries; the int64 codes become ints by indexing an object array
+of every position code, so the circuit shares one int per distinct X
+code.  Fewer pairs are walked one gate at a time.  :func:`split_subcircuits`
+inverts the builder on arrays and checks the pairs it reads by rebuilding
+them.
+
 Qubit 0 is the least significant bit of a basis-state index; the control
 pattern strings render qubit n-1 leftmost.
 """
@@ -27,7 +36,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterator, Optional, Union
 
 import numpy as np
 
@@ -165,19 +174,96 @@ def gray_code(c: int, r: int, n: int) -> tuple[int, ...]:
     return tuple(codes)
 
 
-def gray_circuit(
-    n: int, pairs: Iterable[tuple[int, int]], comps: Optional[np.ndarray] = None
-) -> Circuit:
-    """Concatenate the palindromic subcircuits of (r, c) pairs, in the given
-    order.  Pair j's component gate is U gate j, with component ``comps[j]``,
-    or the identity for every pair if ``comps`` is None.
+# Pairs per block of the array builder.  Its temporaries then stay below
+# 128 kB up to n=8, glibc's first threshold for serving a block by mmap.
+_PAIR_BLOCK = 2048
+# Fewer pairs than this are walked one gate at a time: the array builder's
+# fixed cost, some thirty numpy calls, is more than such a walk takes.
+_WALK_PAIRS = 256
+# Largest n whose position codes n << n fit the builder's int64 arrays.
+ARRAY_MAX_N = 57
 
-    Each subcircuit walks the Gray code from c to r as ints.
+
+def _gray_blocks(n: int, rows: np.ndarray, cols: np.ndarray) -> Iterator[tuple]:
+    """Per block of ``_PAIR_BLOCK`` pairs: the slices of the block's pairs
+    and gates, and its ``code`` and ``u_at`` as int64 arrays, U gate j as
+    ``~j`` counting from the first pair.
+
+    With diff = r ^ c, pair j's X run has one gate per set bit b of diff
+    below its highest bit h, in rising b.  That gate acts on the state
+    c ^ (diff & (2^b - 1)), the lower bits already flipped, so its code is
+    b << n | (c ^ (diff & (2^b - 1))) & ~2^b; it follows the run's earlier
+    gates and precedes their mirror.  The component gate flips bit h at
+    base r & ~2^h.  Every bit b < n - 1 is handled at once as rows of
+    ``(n - 1, pairs)`` arrays.
     """
+    b = np.arange(n - 1)[:, None]
+    bits = 1 << b
+    twice, below, clear, shifted = bits << 1, bits - 1, ~bits, b << n
+    done = 0
+    for first in range(0, len(rows), _PAIR_BLOCK):
+        r, c = rows[first : first + _PAIR_BLOCK], cols[first : first + _PAIR_BLOCK]
+        diff = r ^ c
+        above = diff >= twice  # a higher bit than b differs
+        flips = (diff & bits).astype(bool)
+        flips &= above  # the run flips bit b
+        k = flips.sum(axis=0)  # X gates in each run
+        size = 2 * k + 1
+        start = size.cumsum()
+        start -= size
+        mid = start + k  # each component gate's position
+        code = np.empty(mid[-1] + k[-1] + 1, dtype=np.int64)
+        code[mid] = np.arange(~first, ~first - len(r), -1)
+        at = flips.cumsum(axis=0)
+        at += start - 1  # bit b's X gate, in the run before the middle
+        x = diff & below
+        x ^= c
+        x &= clear
+        x |= shifted
+        xs = x[flips]
+        code[at[flips]] = xs
+        np.subtract(2 * mid, at, out=at)  # its mirror
+        code[at[flips]] = xs
+        top = above.sum(axis=0)  # h
+        pairs, gates = slice(first, first + len(r)), slice(done, done + len(code))
+        yield pairs, gates, code, top << n | r & ~(1 << top)
+        done = gates.stop
+
+
+def gray_circuit(n: int, rows, cols, comps: Optional[np.ndarray] = None) -> Circuit:
+    """Concatenate the palindromic subcircuits of the pairs (``rows[j]``,
+    ``cols[j]``), in order.  Pair j's component gate is U gate j, with
+    component ``comps[j]``, or the identity for every pair if ``comps`` is
+    None.  A pair of equal states, or of a state outside [0, 2^n), is a
+    ``ValueError``.
+
+    Fewer than ``_WALK_PAIRS`` pairs are walked one gate at a time; more
+    are built with array operations.  Either way each distinct X code is
+    one shared int.
+    """
+    rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+    if rows.ndim != 1 or cols.shape != rows.shape:
+        raise ValueError(f"need rows and cols of one length, got shapes {rows.shape}, {cols.shape}")
+    build = _gray_walk if len(rows) < _WALK_PAIRS else _gray_arrays
+    code, u_at = build(n, rows, cols)
+    if comps is None:
+        comps = np.broadcast_to(np.eye(2, dtype=complex), (len(u_at), 2, 2))
+    return Circuit(n, code, u_at, comps)
+
+
+def _pair_error(n: int, r: int, c: int) -> ValueError:
+    return ValueError(f"pair ({r}, {c}) is not two distinct states of {n} qubits")
+
+
+def _gray_walk(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[list[int], list[int]]:
+    """``code`` and ``u_at`` of the pairs' subcircuits, walking the Gray
+    code from c in Python."""
     x_codes: dict[int, int] = {}
     code: list[int] = []
     u_at: list[int] = []
-    for j, (r, c) in enumerate(pairs):
+    for j, (r, c) in enumerate(zip(rows.tolist(), cols.tolist())):
+        if r == c or (r | c) >> n:
+            raise _pair_error(n, r, c)
         run = []
         g, diff = c, c ^ r
         while diff & (diff - 1):  # more than the last flip to go
@@ -191,9 +277,29 @@ def gray_circuit(
         code.append(~j)
         run.reverse()
         code += run
-    if comps is None:
-        comps = np.broadcast_to(np.eye(2, dtype=complex), (len(u_at), 2, 2))
-    return Circuit(n, code, u_at, comps)
+    return code, u_at
+
+
+def _gray_arrays(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[list[int], list[int]]:
+    """``code`` and ``u_at`` of the pairs' subcircuits from
+    :func:`_gray_blocks`.  The int64 codes become ints by indexing one
+    object array that holds every position code and then -m .. -1, so
+    that U gate j's code ~j, as an index, counts back from its end to ~j.
+    """
+    bad = np.flatnonzero((rows == cols) | ((rows | cols) >> n != 0))
+    if len(bad):
+        raise _pair_error(n, rows[bad[0]], cols[bad[0]])
+    table = np.concatenate((np.arange(n << n), np.arange(-len(rows), 0))).astype(object)
+    # Subcircuit j has 2 popcount(r ^ c) - 1 gates.  The lists are made at
+    # their full length and filled in place: grown block by block, they
+    # would be moved past each block's temporaries and fragment the heap.
+    diff = rows ^ cols
+    code: list[int] = [0] * (2 * sum(np.count_nonzero(diff & 1 << b) for b in range(n)) - len(rows))
+    u_at: list[int] = [0] * len(rows)
+    for pairs, gates, block_code, block_u in _gray_blocks(n, rows, cols):
+        code[gates] = table[block_code].tolist()
+        u_at[pairs] = table[block_u].tolist()
+    return code, u_at
 
 
 def construct_circuit(d: Decomposition, skip_identity: bool = False) -> Circuit:
@@ -209,55 +315,79 @@ def construct_circuit(d: Decomposition, skip_identity: bool = False) -> Circuit:
     if skip_identity:
         keep = np.abs(comps - np.eye(2)).max(axis=(1, 2)) >= UNITARY_TOL
         rows, cols, comps = rows[keep], cols[keep], comps[keep]
-    return gray_circuit(d.n, zip(rows.tolist(), cols.tolist()), comps)
+    return gray_circuit(d.n, rows, cols, comps)
 
 
 def split_subcircuits(c: Circuit) -> list[tuple[tuple[int, ...], tuple[int, int]]]:
     """Recover the palindromic subcircuits of an uncancelled circuit as
     ``(prefix, pair)``: the X run's position codes and the pair (r, c).
 
-    The inverse of :func:`gray_circuit`.  Subcircuit j's component gate is
-    ``u_at[j]``, and r is its base with the target bit set.  The first X
-    gate of the run flips the lowest bit in which c and r differ, so c is
-    that gate's base with the bit set where r has it clear; c is the
-    component gate's base when the run is empty.  The circuit rebuilt from
-    the pairs must equal the one given: cancelled circuits no longer have
-    this shape and are rejected with the first fault in gate order.
+    The inverse of :func:`gray_circuit`, on arrays.  The component gates
+    are the negative codes, at p_0 < p_1 < ...; subcircuit j is k_j X
+    gates, its component gate and their mirror, so k_0 = p_0 and k_j =
+    p_j - p_{j-1} - 1 - k_{j-1}.  Subcircuit j's component gate acts at
+    ``u_at[~code[p_j]]``, and r is that base with the target bit set.  The
+    run's first X gate flips the lowest bit in which c and r differ, so c
+    is that gate's base with the bit set where r has it clear; for an empty
+    run the component gate takes its place (r has its bit set), which
+    gives c as its base.  The circuit rebuilt from the pairs must equal the
+    one given, its component gates numbered in gate order: cancelled
+    circuits no longer have this shape and are rejected with the first
+    fault in gate order.
     """
-    n, code, u_at = c.n, c.code, c.u_at
+    n, code = c.n, c.code
+    if n > ARRAY_MAX_N:
+        raise ValueError(f"n={n} is past the split's limit of n={ARRAY_MAX_N}")
     mask = (1 << n) - 1
+    codes = np.array(code, dtype=np.int64)
+    at = np.flatnonzero(codes < 0)  # p_j
+    # k_j = g_j - k_{j-1} with the gaps g_j = p_j - p_{j-1} - 1 (p_{-1} =
+    # -1), so (-1)^j k_j is the running sum of (-1)^i g_i.
+    sign = 1 - 2 * (np.arange(len(at)) & 1)
+    k = np.cumsum((np.diff(at, prepend=-1) - 1) * sign) * sign
+    if not len(at) or (k < 0).any() or at[-1] + k[-1] + 1 != len(code):
+        if not code:
+            return []
+        raise _first_fault(c)
+    middle = np.array(c.u_at, dtype=np.int64)[~codes[at]]
+    rows = middle & mask | 1 << (middle >> n)
+    first = np.where(k > 0, codes[at - k], middle)
+    cols = first & mask | 1 << (first >> n) & ~rows
+    codes[at] = ~np.arange(len(at))
+    for pairs, gates, block_code, block_u in _gray_blocks(n, rows, cols):
+        if not (np.array_equal(block_code, codes[gates]) and np.array_equal(block_u, middle[pairs])):
+            raise _first_fault(c)
     subs = []
     i = 0
-    for middle in u_at:
-        if i >= len(code):
-            break
-        r, x = middle & mask | 1 << (middle >> n), code[i]
-        pair = (r, middle & mask if x < 0 else x & mask | 1 << (x >> n) & ~r)
-        k = (r ^ pair[1]).bit_count() - 1  # X gates in the run
-        subs.append((tuple(code[i : i + k]), pair))
-        i += 2 * k + 1
-    rebuilt = gray_circuit(n, [pair for _, pair in subs])
-    if rebuilt.code == code and rebuilt.u_at == u_at[: len(subs)]:
-        return subs
-    # The first fault in gate order: each subcircuit must be an X run, its
-    # component gate and the run mirrored, and the run the Gray walk of the
-    # pair whose c is the component gate's base with the run's flips undone.
+    for size, pair in zip(k.tolist(), zip(rows.tolist(), cols.tolist())):
+        subs.append((tuple(code[i : i + size]), pair))
+        i += 2 * size + 1
+    return subs
+
+
+def _first_fault(c: Circuit) -> ValueError:
+    """The first fault in gate order of a circuit the split rejects: each
+    subcircuit must be an X run, its component gate and the run mirrored,
+    and the run the Gray walk of the pair whose c is the component gate's
+    base with the run's flips undone."""
+    n, code, u_at = c.n, c.code, c.u_at
+    mask = (1 << n) - 1
     i = 0
     while True:
         start = i
         while i < len(code) and code[i] >= 0:
             i += 1
         if i == len(code):
-            raise ValueError("trailing X gates with no component gate")
+            return ValueError("trailing X gates with no component gate")
         prefix, middle, end = code[start:i], u_at[~code[i]], 2 * i + 1 - start
         if code[end - 1 : i : -1] != prefix:
-            raise ValueError("gate sequence is not palindromic; was this circuit cancelled?")
-        flipped = middle & mask
+            return ValueError("gate sequence is not palindromic; was this circuit cancelled?")
+        r, flipped = middle & mask | 1 << (middle >> n), middle & mask
         for x in prefix:
             flipped ^= 1 << (x >> n)
-        pair = (middle & mask | 1 << (middle >> n), flipped)
-        if gray_circuit(n, [pair]).code[: len(prefix)] != prefix:
-            raise ValueError(f"X run is not the Gray walk of pair {pair}")
+        walk = next(_gray_blocks(n, np.array([r]), np.array([flipped])))[2]
+        if walk[: len(prefix)].tolist() != prefix:
+            return ValueError(f"X run is not the Gray walk of pair {(r, flipped)}")
         i = end
 
 

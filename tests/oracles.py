@@ -9,6 +9,8 @@ overlap test by recursive runs of leaf sets.  The library runs its stack
 cancellation, row-tracking simulator, subcircuit split and trie on integer
 gate codes; the same algorithms over gate objects are kept here as
 references, and so is the circuit reader without its U-line head cache.
+Circuits of (r, c) pairs are also built from the pairs' Gray codes, state
+by state, as a reference for the library's builders.
 The small matrix helpers, per-column counts, subcircuit overlaps, the
 decomposition's progress check and the builders of circuits from gate
 objects and of factor pair lists, which the library does not need, live
@@ -94,12 +96,42 @@ def progress_invariant_check(m: np.ndarray, c: int) -> bool:
     return bool(np.max(np.abs(m[:, : c + 1] - eye[:, : c + 1])) < RECONSTRUCT_TOL)
 
 
+def pair_columns(pairs) -> tuple[list[int], list[int]]:
+    """The rows and the columns of (r, c) pairs, as the library's builders
+    take them."""
+    rows: list[int] = []
+    cols: list[int] = []
+    for r, c in pairs:
+        rows.append(r)
+        cols.append(c)
+    return rows, cols
+
+
+def ref_gray_circuit(n: int, pairs, comps=None) -> Circuit:
+    """The circuit of (r, c) pairs from their Gray codes: each step from a
+    state g to the next flips one bit b, by the gate at position b << n |
+    g & ~2^b.  A pair's last step is its component gate, the steps before
+    it the X run, mirrored after it.  Each distinct X code is one shared
+    int."""
+    x_codes: dict[int, int] = {}
+    code: list[int] = []
+    u_at: list[int] = []
+    for j, (r, c) in enumerate(pairs):
+        states = gray_code(c, r, n)
+        steps = [((g ^ h).bit_length() - 1) << n | (g & ~(g ^ h)) for g, h in zip(states, states[1:])]
+        run = [x_codes.setdefault(x, x) for x in steps[:-1]]
+        u_at.append(steps[-1])
+        code += [*run, ~j, *run[::-1]]
+    if comps is None:
+        comps = np.broadcast_to(np.eye(2, dtype=complex), (len(u_at), 2, 2))
+    return Circuit(n, code, u_at, comps)
+
+
 def subcircuit_for_pair(r: int, c: int, n: int) -> tuple[tuple[int, ...], tuple[int, int]]:
     """The palindromic subcircuit ``(prefix, pair)`` for ordering pair
     (r, c), its X run cut out of the library's circuit construction of that
     one pair."""
-    gray_code(c, r, n)  # checks the endpoints
-    circuit = gray_circuit(n, [(r, c)])
+    circuit = gray_circuit(n, [r], [c])
     return tuple(circuit.code[: len(circuit) // 2]), (r, c)
 
 
@@ -110,7 +142,7 @@ def subcircuits_circuit(n: int, subs, comps=None, middles=None) -> Circuit:
     pair's Gray walk, with component ``comps[j]``, by default the
     identity."""
     if middles is None:
-        middles = gray_circuit(n, [pair for _, pair in subs]).u_at
+        middles = gray_circuit(n, *pair_columns(pair for _, pair in subs)).u_at
     code: list[int] = []
     u_at = list(middles)
     for j, (prefix, _) in enumerate(subs):
@@ -328,7 +360,7 @@ def intercolumn_cancellation(n: int, order: OrderArray) -> int:
     """Gates cancelled at column boundaries: the per-column cancelled counts
     sum to more than the whole-circuit cancelled count by exactly this."""
     per_column = sum(
-        len(cancel_pass(structural_circuit(n, ((r, c) for r in rows))))
+        len(cancel_pass(structural_circuit(n, rows, [c] * len(rows))))
         for c, rows in enumerate(order.columns)
     )
     return per_column - count_structural(n, order, cancelled=True)

@@ -13,7 +13,7 @@ from palinopt.linalg import random_unitary, write_matrix
 from palinopt.optimize import formula_poa
 from palinopt.ordering import conventional_order, poa_order, save_order
 from palinopt.palindrome import build_trie, dump_trie
-from palinopt.synth import ControlledGate, read_circuit, write_circuit
+from palinopt.synth import ARRAY_MAX_N, ControlledGate, read_circuit, write_circuit
 
 
 def run(capsys, *argv):
@@ -473,6 +473,16 @@ def test_trie_of_an_empty_circuit(tmp_path, capsys):
     assert code == 0
     assert out == "leaves=0 interior=0 count=0\n"
     assert err == ""
+
+
+def test_trie_past_the_split_limit_exits_1_in_one_line(tmp_path, capsys):
+    n = ARRAY_MAX_N + 1
+    path = tmp_path / "wide.circ"
+    path.write_text(f"n={n} gates=0\n")
+    code, out, err = run(capsys, "trie", "--input", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: cannot read circuit: n={n} is past the split's limit of n={ARRAY_MAX_N}\n"
 
 
 @pytest.mark.parametrize("spec, make_order", [("poa", poa_order), ("conventional", conventional_order)])

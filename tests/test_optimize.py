@@ -150,7 +150,7 @@ def test_column_counts_match_measured_columns(n):
     order = poa_order(n)
     counts = column_counts(n)
     for c, rows in enumerate(order.columns):
-        measured = len(cancel_pass(structural_circuit(n, ((r, c) for r in rows))))
+        measured = len(cancel_pass(structural_circuit(n, rows, [c] * len(rows))))
         assert measured == counts[c]
 
 
@@ -158,9 +158,9 @@ def test_column_counts_match_measured_columns(n):
 def test_structural_circuit_is_its_columns_concatenated(make_order):
     order = make_order(4)
     columns = [
-        structural_circuit(4, ((r, c) for r in rows)) for c, rows in enumerate(order.columns)
+        structural_circuit(4, rows, [c] * len(rows)) for c, rows in enumerate(order.columns)
     ]
-    whole = structural_circuit(4, order.pairs())
+    whole = structural_circuit(4, *order.pairs())
     assert whole.gates == tuple(g for col in columns for g in col.gates)
 
 

@@ -2,6 +2,7 @@ import gc
 import tracemalloc
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from strategies import valid_orders
@@ -208,3 +209,12 @@ def test_poa_order_leaves_no_memory_behind():
     finally:
         tracemalloc.stop()
     assert held < 1_000_000
+
+
+@pytest.mark.parametrize("order", [conventional_order(1), conventional_order(3), poa_order(4), OrderArray(2)])
+def test_pairs_are_the_arrays_of_rows_and_columns(order):
+    rows, cols = order.pairs()
+    assert rows.dtype == cols.dtype == np.intp
+    assert list(zip(rows.tolist(), cols.tolist())) == [
+        (r, c) for c, column in enumerate(order.columns) for r in column
+    ]

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     overlap,
+    pair_columns,
     ref_mos_check,
     ref_overlap,
     ref_split_subcircuits,
@@ -336,7 +337,7 @@ def test_split_and_trie_match_gate_object_reference(case):
     # The split and the trie run on position codes; the references read the
     # same circuit file through gate objects and render labels from them.
     n, pairs = case
-    circuit = read_circuit(write_circuit(gray_circuit(n, pairs)))
+    circuit = read_circuit(write_circuit(gray_circuit(n, *pair_columns(pairs))))
     subs, ref = split_subcircuits(circuit), ref_split_subcircuits(circuit)
     assert [pair for _, pair in subs] == [pair for _, pair in ref] == pairs
     assert [prefix for prefix, _ in subs] == [
@@ -372,7 +373,8 @@ def palindrome_shaped_circuits(draw):
         if draw(st.booleans()):
             c = draw(st.integers(0, (1 << n) - 2))
             pair = (draw(st.integers(c + 1, (1 << n) - 1)), c)
-            run, middle = list(subcircuit_for_pair(*pair, n)[0]), gray_circuit(n, [pair]).u_at[0]
+            run = list(subcircuit_for_pair(*pair, n)[0])
+            middle = gray_circuit(n, [pair[0]], [pair[1]]).u_at[0]
         else:
             run, middle = draw(st.lists(_x_codes(n), max_size=n + 1)), draw(_x_codes(n))
         code += [*run, ~j, *run[::-1]]
@@ -420,8 +422,9 @@ def test_trie_counts_are_recorded_while_building(n):
     # with the gate-object trie's.
     rnd = random.Random(n)
     for make_order in (poa_order, conventional_order):
-        pairs = list(make_order(n).pairs())
-        circuit = gray_circuit(n, pairs)
+        rows, cols = make_order(n).pairs()
+        pairs = list(zip(rows.tolist(), cols.tolist()))
+        circuit = gray_circuit(n, rows, cols)
         trie = build_trie(n, split_subcircuits(circuit))
         leaves = interior = 0
         stack = list(trie.root.items())

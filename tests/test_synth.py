@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +7,11 @@ from hypothesis import strategies as st
 from oracles import (
     cancel_pass_peephole,
     circuit_from_gates,
+    pair_columns,
     ref_construct,
+    ref_gray_circuit,
     ref_read_circuit,
+    ref_split_subcircuits,
     ref_write,
     subcircuit_for_pair,
     subcircuits_circuit,
@@ -23,6 +28,7 @@ from palinopt.synth import (
     ControlledGate,
     construct_circuit,
     gray_code,
+    gray_circuit,
     read_circuit,
     split_subcircuits,
     write_circuit,
@@ -482,3 +488,118 @@ def test_read_circuit_parses_each_u_line_head_once(monkeypatch):
     assert again.code == circuit.code and np.array_equal(again.comps, circuit.comps)
     heads = {ln.split(" m=")[0] for ln in text.splitlines()[1:]}
     assert len(calls) == 1 + len(heads)  # the header, then each distinct X line and U head
+
+
+@st.composite
+def pair_lists(draw, max_n=8, falling=False):
+    """n = 1..max_n and a list of (r, c) pairs of distinct states, r > c
+    or r < c (only r > c if ``falling``)."""
+    n = draw(st.integers(1, max_n))
+    state = st.integers(0, (1 << n) - 1)
+    pair = st.tuples(state, state).filter(lambda p: p[0] > p[1] if falling else p[0] != p[1])
+    return n, draw(st.lists(pair, max_size=draw(st.sampled_from([0, 1, 40]))))
+
+
+# Pairs per block of the array builder: one pair, a few, and the default.
+BLOCKS = st.sampled_from([1, 2, 3, synth._PAIR_BLOCK])
+# Fewest pairs built with arrays: always, by the default, never.
+ARRAYS_FROM = [0, synth._WALK_PAIRS, 1 << 62]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=pair_lists(), block=BLOCKS, arrays_from=st.sampled_from(ARRAYS_FROM))
+def test_gray_circuit_matches_the_gray_code_reference(case, block, arrays_from):
+    # The walk and the array builder, in blocks of any size, give the
+    # codes and positions of the pairs' Gray codes, and each distinct X
+    # code is one shared int.
+    n, pairs = case
+    with mock.patch.multiple(synth, _PAIR_BLOCK=block, _WALK_PAIRS=arrays_from):
+        circuit = gray_circuit(n, *pair_columns(pairs))
+    reference = ref_gray_circuit(n, pairs)
+    assert circuit.code == reference.code and circuit.u_at == reference.u_at
+    assert circuit.comps.shape == (len(pairs), 2, 2)
+    first = {}
+    for g in circuit.code:
+        if g >= 0:
+            assert first.setdefault(g, g) is g
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=pair_lists(max_n=6, falling=True), block=BLOCKS)
+def test_split_inverts_gray_circuit_in_blocks(case, block):
+    # Pairs with empty runs anywhere, the first and last included, and
+    # circuits of many blocks of pairs split back into their pairs and runs.
+    n, pairs = case
+    with mock.patch.object(synth, "_PAIR_BLOCK", block):
+        subs = split_subcircuits(gray_circuit(n, *pair_columns(pairs)))
+    runs = [ref_gray_circuit(n, [pair]).code for pair in pairs]
+    assert subs == [(tuple(run[: len(run) // 2]), pair) for run, pair in zip(runs, pairs)]
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        [(1, 0), (7, 0), (6, 1), (2, 0)],  # empty first and last runs
+        [(7, 0), (1, 0), (6, 1)],  # an empty run between two others
+        [(1, 0)],
+        [(7, 0)],
+    ],
+)
+def test_split_recovers_runs_of_any_length(pairs):
+    circuit = gray_circuit(3, *pair_columns(pairs))
+    subs = split_subcircuits(circuit)
+    assert [pair for _, pair in subs] == pairs
+    assert [len(prefix) for prefix, _ in subs] == [(r ^ c).bit_count() - 1 for r, c in pairs]
+    assert subs == [(tuple(g.target << 3 | g.base for g in p), q) for p, q in ref_split_subcircuits(circuit)]
+
+
+def test_split_of_a_circuit_longer_than_one_block():
+    # The n=7 palindromic order has 8,128 pairs, several blocks.
+    rows, cols = poa_order(7).pairs()
+    assert len(rows) > synth._PAIR_BLOCK
+    pairs = list(zip(rows.tolist(), cols.tolist()))
+    circuit = gray_circuit(7, rows, cols)
+    reference = ref_gray_circuit(7, pairs)
+    assert circuit.code == reference.code and circuit.u_at == reference.u_at
+    subs = split_subcircuits(read_circuit(write_circuit(circuit)))
+    assert [pair for _, pair in subs] == pairs
+    assert subcircuits_circuit(7, subs).code == circuit.code
+
+
+@pytest.mark.parametrize(
+    "n, u_at, pairs",
+    [(1, [0, 0], [(1, 0), (1, 0)]), (2, [1 << 2 | 0b00, 0b00], [(1, 0), (2, 0)])],
+)
+def test_split_reads_component_gates_through_their_codes(n, u_at, pairs):
+    # U gates coded ~1 then ~0: each is read through its code, as the
+    # gate-object reference reads it, so U gate 1 leads.
+    circuit = Circuit(n, [~1, ~0], u_at, np.broadcast_to(np.eye(2, dtype=complex), (2, 2, 2)))
+    subs = split_subcircuits(circuit)
+    assert subs == [(tuple(p), q) for p, q in ref_split_subcircuits(circuit)]
+    assert subs == [((), pair) for pair in pairs]
+
+
+@pytest.mark.parametrize(
+    "rows, cols",
+    [([1], [1]), ([0, 3, 2], [1, 3, 0]), ([4], [0]), ([0], [4]), ([-1], [0]), ([1], [-2])],
+)
+@pytest.mark.parametrize("arrays_from", ARRAYS_FROM)
+def test_gray_circuit_rejects_pairs_that_are_not_two_states(monkeypatch, rows, cols, arrays_from):
+    monkeypatch.setattr(synth, "_WALK_PAIRS", arrays_from)
+    r, c = next((r, c) for r, c in zip(rows, cols) if r == c or (r | c) >> 2)
+    with pytest.raises(ValueError, match=rf"^pair \({r}, {c}\) is not two distinct states of 2 qubits$"):
+        gray_circuit(2, rows, cols)
+
+
+def test_gray_circuit_needs_rows_and_cols_of_one_length():
+    with pytest.raises(ValueError, match="one length"):
+        gray_circuit(2, [1, 2], [0])
+    with pytest.raises(ValueError, match="one length"):
+        gray_circuit(2, [[1]], [[0]])
+    assert len(gray_circuit(2, [], [])) == 0
+
+
+def test_split_refuses_positions_past_int64():
+    n = synth.ARRAY_MAX_N + 1
+    with pytest.raises(ValueError, match=f"n={n}"):
+        split_subcircuits(read_circuit(f"n={n} gates=0\n"))
