@@ -127,9 +127,8 @@ def cmd_trie(args: argparse.Namespace) -> int:
             order = _resolve_order(args.order, args.n)
         if not 0 <= args.column < len(order.columns):
             return _fail(f"column {args.column} out of range")
-        rows, cols = order.pairs()
-        column = cols == args.column
-        circuit = optimize.structural_circuit(args.n, rows[column], cols[column])
+        rows = order.columns[args.column]
+        circuit = optimize.structural_circuit(args.n, rows, [args.column] * len(rows))
         subs = synth.split_subcircuits(circuit)
     else:
         return _fail("need --input, or --n with --order and --column")

@@ -19,14 +19,15 @@ int object.  Construction, cancellation, the file text, splitting into
 subcircuits and simulation work on the codes; ``Circuit.gates`` builds
 :class:`ControlledGate` objects on first access, one per distinct X gate.
 
-:func:`gray_circuit` takes the pairs as two integer arrays.  From
-``_WALK_PAIRS`` pairs on it builds the codes with array operations, one
-row per bit position, per block of ``_PAIR_BLOCK`` pairs, which bounds
-the temporaries; the int64 codes become ints by indexing an object array
-of every position code, so the circuit shares one int per distinct X
-code.  Fewer pairs are walked one gate at a time.  :func:`split_subcircuits`
-inverts the builder on arrays and checks the pairs it reads by rebuilding
-them.
+:func:`gray_circuit` takes the pairs as two integer arrays and builds the
+codes with array operations, one row per bit position, per block of
+``_PAIR_BLOCK`` pairs, which bounds the temporaries.  The int64 codes
+become ints by indexing an object array of every position code, so the
+circuit shares one int per distinct X code; a circuit of fewer gates
+than there are position codes shares them through a dict instead.  Past
+n=57, where position codes leave int64, the arrays hold Python ints.
+:func:`split_subcircuits` inverts the builder on arrays and checks the
+pairs it reads by rebuilding them.
 
 Qubit 0 is the least significant bit of a basis-state index; the control
 pattern strings render qubit n-1 leftmost.
@@ -177,17 +178,22 @@ def gray_code(c: int, r: int, n: int) -> tuple[int, ...]:
 # Pairs per block of the array builder.  Its temporaries then stay below
 # 128 kB up to n=8, glibc's first threshold for serving a block by mmap.
 _PAIR_BLOCK = 2048
-# Fewer pairs than this are walked one gate at a time: the array builder's
-# fixed cost, some thirty numpy calls, is more than such a walk takes.
-_WALK_PAIRS = 256
-# Largest n whose position codes n << n fit the builder's int64 arrays.
+# Largest n whose position codes n << n fit int64.  Past it the builder
+# and the split hold Python ints in object arrays.
 ARRAY_MAX_N = 57
+
+
+def _code_arrays(n: int, *values) -> list[np.ndarray]:
+    """``values`` as arrays of the builder's codes: int64, or Python ints
+    past ``ARRAY_MAX_N``."""
+    dtype = np.int64 if n <= ARRAY_MAX_N else object
+    return [np.asarray(v, dtype=dtype) for v in values]
 
 
 def _gray_blocks(n: int, rows: np.ndarray, cols: np.ndarray) -> Iterator[tuple]:
     """Per block of ``_PAIR_BLOCK`` pairs: the slices of the block's pairs
-    and gates, and its ``code`` and ``u_at`` as int64 arrays, U gate j as
-    ``~j`` counting from the first pair.
+    and gates, and its ``code`` and ``u_at`` as arrays of the pairs' dtype,
+    U gate j as ``~j`` counting from the first pair.
 
     With diff = r ^ c, pair j's X run has one gate per set bit b of diff
     below its highest bit h, in rising b.  That gate acts on the state
@@ -197,7 +203,8 @@ def _gray_blocks(n: int, rows: np.ndarray, cols: np.ndarray) -> Iterator[tuple]:
     base r & ~2^h.  Every bit b < n - 1 is handled at once as rows of
     ``(n - 1, pairs)`` arrays.
     """
-    b = np.arange(n - 1)[:, None]
+    dtype = rows.dtype
+    b = np.arange(n - 1, dtype=dtype)[:, None]
     bits = 1 << b
     twice, below, clear, shifted = bits << 1, bits - 1, ~bits, b << n
     done = 0
@@ -212,7 +219,7 @@ def _gray_blocks(n: int, rows: np.ndarray, cols: np.ndarray) -> Iterator[tuple]:
         start = size.cumsum()
         start -= size
         mid = start + k  # each component gate's position
-        code = np.empty(mid[-1] + k[-1] + 1, dtype=np.int64)
+        code = np.empty(mid[-1] + k[-1] + 1, dtype=dtype)
         code[mid] = np.arange(~first, ~first - len(r), -1)
         at = flips.cumsum(axis=0)
         at += start - 1  # bit b's X gate, in the run before the middle
@@ -224,7 +231,7 @@ def _gray_blocks(n: int, rows: np.ndarray, cols: np.ndarray) -> Iterator[tuple]:
         code[at[flips]] = xs
         np.subtract(2 * mid, at, out=at)  # its mirror
         code[at[flips]] = xs
-        top = above.sum(axis=0)  # h
+        top = above.sum(axis=0).astype(dtype)  # h
         pairs, gates = slice(first, first + len(r)), slice(done, done + len(code))
         yield pairs, gates, code, top << n | r & ~(1 << top)
         done = gates.stop
@@ -237,69 +244,44 @@ def gray_circuit(n: int, rows, cols, comps: Optional[np.ndarray] = None) -> Circ
     None.  A pair of equal states, or of a state outside [0, 2^n), is a
     ``ValueError``.
 
-    Fewer than ``_WALK_PAIRS`` pairs are walked one gate at a time; more
-    are built with array operations.  Either way each distinct X code is
-    one shared int.
+    The codes are built by :func:`_gray_blocks`.  They become ints by
+    indexing one object array that holds every position code and then
+    -m .. -1, so that U gate j's code ~j, as an index, counts back from its
+    end to ~j; each distinct X code is then one shared int.  A circuit of
+    fewer gates than there are position codes shares them through a dict
+    of the codes built instead, so the table never outgrows the circuit.
     """
-    rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+    rows, cols = _code_arrays(n, rows, cols)
     if rows.ndim != 1 or cols.shape != rows.shape:
         raise ValueError(f"need rows and cols of one length, got shapes {rows.shape}, {cols.shape}")
-    build = _gray_walk if len(rows) < _WALK_PAIRS else _gray_arrays
-    code, u_at = build(n, rows, cols)
-    if comps is None:
-        comps = np.broadcast_to(np.eye(2, dtype=complex), (len(u_at), 2, 2))
-    return Circuit(n, code, u_at, comps)
-
-
-def _pair_error(n: int, r: int, c: int) -> ValueError:
-    return ValueError(f"pair ({r}, {c}) is not two distinct states of {n} qubits")
-
-
-def _gray_walk(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[list[int], list[int]]:
-    """``code`` and ``u_at`` of the pairs' subcircuits, walking the Gray
-    code from c in Python."""
-    x_codes: dict[int, int] = {}
-    code: list[int] = []
-    u_at: list[int] = []
-    for j, (r, c) in enumerate(zip(rows.tolist(), cols.tolist())):
-        if r == c or (r | c) >> n:
-            raise _pair_error(n, r, c)
-        run = []
-        g, diff = c, c ^ r
-        while diff & (diff - 1):  # more than the last flip to go
-            low = diff & -diff
-            x = (low.bit_length() - 1) << n | g & ~low
-            run.append(x_codes.setdefault(x, x))
-            g ^= low
-            diff ^= low
-        u_at.append((diff.bit_length() - 1) << n | g & ~diff)
-        code += run
-        code.append(~j)
-        run.reverse()
-        code += run
-    return code, u_at
-
-
-def _gray_arrays(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[list[int], list[int]]:
-    """``code`` and ``u_at`` of the pairs' subcircuits from
-    :func:`_gray_blocks`.  The int64 codes become ints by indexing one
-    object array that holds every position code and then -m .. -1, so
-    that U gate j's code ~j, as an index, counts back from its end to ~j.
-    """
     bad = np.flatnonzero((rows == cols) | ((rows | cols) >> n != 0))
     if len(bad):
-        raise _pair_error(n, rows[bad[0]], cols[bad[0]])
-    table = np.concatenate((np.arange(n << n), np.arange(-len(rows), 0))).astype(object)
+        r, c = rows[bad[0]], cols[bad[0]]
+        raise ValueError(f"pair ({r}, {c}) is not two distinct states of {n} qubits")
     # Subcircuit j has 2 popcount(r ^ c) - 1 gates.  The lists are made at
     # their full length and filled in place: grown block by block, they
     # would be moved past each block's temporaries and fragment the heap.
     diff = rows ^ cols
     code: list[int] = [0] * (2 * sum(np.count_nonzero(diff & 1 << b) for b in range(n)) - len(rows))
     u_at: list[int] = [0] * len(rows)
+    if n << n <= len(code):
+        table = np.concatenate((np.arange(n << n), np.arange(-len(rows), 0))).astype(object)
+
+        def shared(a: np.ndarray) -> list[int]:
+            return table[a].tolist()
+
+    else:
+        x_codes: dict[int, int] = {}
+
+        def shared(a: np.ndarray) -> list[int]:
+            return [x_codes.setdefault(g, g) for g in a.tolist()]
+
     for pairs, gates, block_code, block_u in _gray_blocks(n, rows, cols):
-        code[gates] = table[block_code].tolist()
-        u_at[pairs] = table[block_u].tolist()
-    return code, u_at
+        code[gates] = shared(block_code)
+        u_at[pairs] = shared(block_u)
+    if comps is None:
+        comps = np.broadcast_to(np.eye(2, dtype=complex), (len(u_at), 2, 2))
+    return Circuit(n, code, u_at, comps)
 
 
 def construct_circuit(d: Decomposition, skip_identity: bool = False) -> Circuit:
@@ -336,10 +318,8 @@ def split_subcircuits(c: Circuit) -> list[tuple[tuple[int, ...], tuple[int, int]
     fault in gate order.
     """
     n, code = c.n, c.code
-    if n > ARRAY_MAX_N:
-        raise ValueError(f"n={n} is past the split's limit of n={ARRAY_MAX_N}")
     mask = (1 << n) - 1
-    codes = np.array(code, dtype=np.int64)
+    codes, u_at = _code_arrays(n, code, c.u_at)
     at = np.flatnonzero(codes < 0)  # p_j
     # k_j = g_j - k_{j-1} with the gaps g_j = p_j - p_{j-1} - 1 (p_{-1} =
     # -1), so (-1)^j k_j is the running sum of (-1)^i g_i.
@@ -349,7 +329,7 @@ def split_subcircuits(c: Circuit) -> list[tuple[tuple[int, ...], tuple[int, int]
         if not code:
             return []
         raise _first_fault(c)
-    middle = np.array(c.u_at, dtype=np.int64)[~codes[at]]
+    middle = u_at[~codes[at].astype(np.intp)]
     rows = middle & mask | 1 << (middle >> n)
     first = np.where(k > 0, codes[at - k], middle)
     cols = first & mask | 1 << (first >> n) & ~rows
@@ -385,7 +365,7 @@ def _first_fault(c: Circuit) -> ValueError:
         r, flipped = middle & mask | 1 << (middle >> n), middle & mask
         for x in prefix:
             flipped ^= 1 << (x >> n)
-        walk = next(_gray_blocks(n, np.array([r]), np.array([flipped])))[2]
+        walk = next(_gray_blocks(n, *_code_arrays(n, [r], [flipped])))[2]
         if walk[: len(prefix)].tolist() != prefix:
             return ValueError(f"X run is not the Gray walk of pair {(r, flipped)}")
         i = end

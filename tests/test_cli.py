@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import circuit_from_gates, subcircuit_for_pair
+from oracles import circuit_from_gates, ref_gray_circuit, subcircuit_for_pair
 
 import palinopt
 from palinopt.cli import build_parser, main
@@ -475,14 +475,19 @@ def test_trie_of_an_empty_circuit(tmp_path, capsys):
     assert err == ""
 
 
-def test_trie_past_the_split_limit_exits_1_in_one_line(tmp_path, capsys):
+def test_trie_past_int64_positions(tmp_path, capsys):
+    # Position codes past int64: an empty circuit gives the empty trie, and
+    # a circuit of two pairs the trie of their subcircuits.
     n = ARRAY_MAX_N + 1
     path = tmp_path / "wide.circ"
     path.write_text(f"n={n} gates=0\n")
-    code, out, err = run(capsys, "trie", "--input", str(path))
-    assert code == 1
-    assert out == ""
-    assert err == f"error: cannot read circuit: n={n} is past the split's limit of n={ARRAY_MAX_N}\n"
+    assert run(capsys, "trie", "--input", str(path)) == (0, "leaves=0 interior=0 count=0\n", "")
+    pairs = [((1 << n) - 1, 0), ((1 << n) - 2, 0)]
+    path.write_text(write_circuit(ref_gray_circuit(n, pairs)))
+    trie = build_trie(n, [subcircuit_for_pair(r, c, n) for r, c in pairs])
+    leaves, interior = trie.counts()
+    expected = f"{dump_trie(trie)}leaves={leaves} interior={interior} count={leaves + 2 * interior}\n"
+    assert run(capsys, "trie", "--input", str(path)) == (0, expected, "")
 
 
 @pytest.mark.parametrize("spec, make_order", [("poa", poa_order), ("conventional", conventional_order)])

@@ -491,10 +491,10 @@ def test_read_circuit_parses_each_u_line_head_once(monkeypatch):
 
 
 @st.composite
-def pair_lists(draw, max_n=8, falling=False):
-    """n = 1..max_n and a list of (r, c) pairs of distinct states, r > c
-    or r < c (only r > c if ``falling``)."""
-    n = draw(st.integers(1, max_n))
+def pair_lists(draw, min_n=1, max_n=8, falling=False):
+    """n = min_n..max_n and a list of (r, c) pairs of distinct states,
+    r > c or r < c (only r > c if ``falling``)."""
+    n = draw(st.integers(min_n, max_n))
     state = st.integers(0, (1 << n) - 1)
     pair = st.tuples(state, state).filter(lambda p: p[0] > p[1] if falling else p[0] != p[1])
     return n, draw(st.lists(pair, max_size=draw(st.sampled_from([0, 1, 40]))))
@@ -502,18 +502,19 @@ def pair_lists(draw, max_n=8, falling=False):
 
 # Pairs per block of the array builder: one pair, a few, and the default.
 BLOCKS = st.sampled_from([1, 2, 3, synth._PAIR_BLOCK])
-# Fewest pairs built with arrays: always, by the default, never.
-ARRAYS_FROM = [0, synth._WALK_PAIRS, 1 << 62]
+# Widths where a circuit of up to 40 pairs has fewer gates than there are
+# position codes, up to and past int64 (n > 57).
+WIDE = pair_lists(min_n=9, max_n=70)
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=pair_lists(), block=BLOCKS, arrays_from=st.sampled_from(ARRAYS_FROM))
-def test_gray_circuit_matches_the_gray_code_reference(case, block, arrays_from):
-    # The walk and the array builder, in blocks of any size, give the
+@given(case=st.one_of(pair_lists(), WIDE), block=BLOCKS)
+def test_gray_circuit_matches_the_gray_code_reference(case, block):
+    # The array builder, in blocks of any size and at any width, gives the
     # codes and positions of the pairs' Gray codes, and each distinct X
     # code is one shared int.
     n, pairs = case
-    with mock.patch.multiple(synth, _PAIR_BLOCK=block, _WALK_PAIRS=arrays_from):
+    with mock.patch.object(synth, "_PAIR_BLOCK", block):
         circuit = gray_circuit(n, *pair_columns(pairs))
     reference = ref_gray_circuit(n, pairs)
     assert circuit.code == reference.code and circuit.u_at == reference.u_at
@@ -525,10 +526,11 @@ def test_gray_circuit_matches_the_gray_code_reference(case, block, arrays_from):
 
 
 @settings(max_examples=200, deadline=None)
-@given(case=pair_lists(max_n=6, falling=True), block=BLOCKS)
+@given(case=st.one_of(pair_lists(max_n=6, falling=True), pair_lists(55, 70, falling=True)), block=BLOCKS)
 def test_split_inverts_gray_circuit_in_blocks(case, block):
     # Pairs with empty runs anywhere, the first and last included, and
-    # circuits of many blocks of pairs split back into their pairs and runs.
+    # circuits of many blocks of pairs split back into their pairs and runs,
+    # also where position codes leave int64.
     n, pairs = case
     with mock.patch.object(synth, "_PAIR_BLOCK", block):
         subs = split_subcircuits(gray_circuit(n, *pair_columns(pairs)))
@@ -583,12 +585,12 @@ def test_split_reads_component_gates_through_their_codes(n, u_at, pairs):
     "rows, cols",
     [([1], [1]), ([0, 3, 2], [1, 3, 0]), ([4], [0]), ([0], [4]), ([-1], [0]), ([1], [-2])],
 )
-@pytest.mark.parametrize("arrays_from", ARRAYS_FROM)
-def test_gray_circuit_rejects_pairs_that_are_not_two_states(monkeypatch, rows, cols, arrays_from):
-    monkeypatch.setattr(synth, "_WALK_PAIRS", arrays_from)
-    r, c = next((r, c) for r, c in zip(rows, cols) if r == c or (r | c) >> 2)
-    with pytest.raises(ValueError, match=rf"^pair \({r}, {c}\) is not two distinct states of 2 qubits$"):
-        gray_circuit(2, rows, cols)
+@pytest.mark.parametrize("n", [2, 60])
+def test_gray_circuit_rejects_pairs_that_are_not_two_states(n, rows, cols):
+    rows, cols = [r << n - 2 for r in rows], [c << n - 2 for c in cols]
+    r, c = next((r, c) for r, c in zip(rows, cols) if r == c or (r | c) >> n)
+    with pytest.raises(ValueError, match=rf"^pair \({r}, {c}\) is not two distinct states of {n} qubits$"):
+        gray_circuit(n, rows, cols)
 
 
 def test_gray_circuit_needs_rows_and_cols_of_one_length():
@@ -599,7 +601,11 @@ def test_gray_circuit_needs_rows_and_cols_of_one_length():
     assert len(gray_circuit(2, [], [])) == 0
 
 
-def test_split_refuses_positions_past_int64():
-    n = synth.ARRAY_MAX_N + 1
-    with pytest.raises(ValueError, match=f"n={n}"):
-        split_subcircuits(read_circuit(f"n={n} gates=0\n"))
+@pytest.mark.parametrize("n", [synth.ARRAY_MAX_N + 1, 64])
+def test_split_past_int64_matches_the_gate_object_reference(n):
+    assert split_subcircuits(read_circuit(f"n={n} gates=0\n")) == []
+    pairs = [((1 << n) - 1, 0), (1 << n - 1, 1), (3, 2)]
+    circuit = read_circuit(write_circuit(gray_circuit(n, *pair_columns(pairs))))
+    subs = split_subcircuits(circuit)
+    assert [pair for _, pair in subs] == pairs
+    assert subs == [(tuple(g.target << n | g.base for g in p), q) for p, q in ref_split_subcircuits(circuit)]
