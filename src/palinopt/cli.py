@@ -17,9 +17,12 @@ from . import linalg, optimize, ordering, palindrome, sim, synth
 from .decompose import two_level_decompose
 
 
-# Largest n that `count --mode enumerate|both`, `order` and `trie --n` build
-# circuits or orders for: the conventional circuit at n=10 holds ~4.7M gates.
+# Largest n that `order` and `trie --n` build orders or circuits for: the
+# conventional circuit at n=10 holds ~4.7M gates.
 ENUMERATE_MAX_N = 10
+# Largest n that `count --mode enumerate|both` counts from the orders' pairs,
+# building no circuit: the n=11 orders hold ~4.2M pairs.
+COUNT_MAX_N = 11
 # Largest n of a `count --mode formula` table: its rows hold counts of up to
 # ~0.6 n digits, ~1 MB of text for the range 2..1024.
 FORMULA_MAX_N = 1024
@@ -89,10 +92,8 @@ def cmd_count(args: argparse.Namespace) -> int:
         return _fail("need --n or --range")
     if lo < 2 or hi < lo:
         return _fail(f"range [{lo}, {hi}] must satisfy 2 <= a <= b")
-    if args.mode != "formula" and hi > ENUMERATE_MAX_N:
-        return _fail(
-            f"--mode {args.mode} enumerates circuits only up to n={ENUMERATE_MAX_N}, got n={hi}"
-        )
+    if args.mode != "formula" and hi > COUNT_MAX_N:
+        return _fail(f"--mode {args.mode} enumerates orders only up to n={COUNT_MAX_N}, got n={hi}")
     if hi > FORMULA_MAX_N:
         return _fail(f"count computes counts only up to n={FORMULA_MAX_N}, got n={hi}")
     for row in optimize.table_rows(lo, hi, mode=args.mode):  # AssertionError: exit 2

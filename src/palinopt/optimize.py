@@ -2,14 +2,15 @@
 
 Adjacent identical controlled-X gates square to the identity and are
 deleted.  Gate counts for the conventional and palindromic orderings admit
-closed forms, which the structural counters here reproduce by building the
-circuit skeleton from Gray codes alone (no matrix values involved).
+closed forms, which the structural counters here reproduce from the
+orderings' pairs alone, by :func:`~palinopt.synth.gray_counts`: no circuit
+is built and no matrix value is involved.
 """
 
 from __future__ import annotations
 
 from .ordering import OrderArray, conventional_order, poa_order
-from .synth import Circuit, gray_circuit
+from .synth import Circuit, gray_circuit, gray_counts
 
 
 def cancel_pass(c: Circuit) -> Circuit:
@@ -37,10 +38,10 @@ def structural_circuit(n: int, rows, cols) -> Circuit:
 
 
 def count_structural(n: int, order: OrderArray, cancelled: bool) -> int:
-    circuit = structural_circuit(n, *order.pairs())
-    if cancelled:
-        circuit = cancel_pass(circuit)
-    return len(circuit)
+    """Gates of the order's structural circuit, after cancellation if
+    ``cancelled``."""
+    gates, after_cancel = gray_counts(n, *order.pairs())
+    return after_cancel if cancelled else gates
 
 
 def formula_conventional(n: int) -> int:
@@ -84,20 +85,16 @@ def poa_recurrence(n: int) -> int:
 def table_rows(lo: int, hi: int, mode: str = "formula") -> list[tuple[int, int, int, int]]:
     """(n, palindromic, conventional, no-canceling) rows.
 
-    mode "formula" uses the closed forms, "enumerate" builds and cancels
-    the structural circuits, "both" does both and raises on disagreement.
+    mode "formula" uses the closed forms, "enumerate" counts the
+    structural circuits, cancelled and not, from one pass over each
+    order's pairs, "both" does both and raises on disagreement.
     """
     rows = []
     for n in range(lo, hi + 1):
         formula = (formula_poa(n), formula_conventional_cancel(n), formula_conventional(n))
         if mode in ("enumerate", "both"):
-            conv = conventional_order(n)
-            poa = poa_order(n)
-            enum = (
-                count_structural(n, poa, cancelled=True),
-                count_structural(n, conv, cancelled=True),
-                count_structural(n, conv, cancelled=False),
-            )
+            conventional, conventional_cancel = gray_counts(n, *conventional_order(n).pairs())
+            enum = (gray_counts(n, *poa_order(n).pairs())[1], conventional_cancel, conventional)
             if mode == "both" and enum != formula:
                 raise AssertionError(f"n={n}: formula {formula} != enumeration {enum}")
             row = enum

@@ -26,7 +26,9 @@ become ints by indexing an object array of every position code, so the
 circuit shares one int per distinct X code; a circuit of fewer gates
 than there are position codes shares them through a dict instead.  Past
 n=57, where position codes leave int64, the arrays hold Python ints.
-:func:`split_subcircuits` inverts the builder on arrays and checks the
+:func:`gray_counts` counts that circuit's gates, and what the X-pair
+cancellation leaves of it, from the same per-bit rows without building
+it.  :func:`split_subcircuits` inverts the builder on arrays and checks the
 pairs it reads by rebuilding them.
 
 Qubit 0 is the least significant bit of a basis-state index; the control
@@ -190,30 +192,77 @@ def _code_arrays(n: int, *values) -> list[np.ndarray]:
     return [np.asarray(v, dtype=dtype) for v in values]
 
 
+def _pair_arrays(n: int, rows, cols) -> list[np.ndarray]:
+    """The pairs as code arrays; arrays of different lengths, or a pair of
+    equal states or of a state outside [0, 2^n), are a ``ValueError``."""
+    rows, cols = _code_arrays(n, rows, cols)
+    if rows.ndim != 1 or cols.shape != rows.shape:
+        raise ValueError(f"need rows and cols of one length, got shapes {rows.shape}, {cols.shape}")
+    bad = np.flatnonzero((rows == cols) | ((rows | cols) >> n != 0))
+    if len(bad):
+        r, c = rows[bad[0]], cols[bad[0]]
+        raise ValueError(f"pair ({r}, {c}) is not two distinct states of {n} qubits")
+    return [rows, cols]
+
+
+def _gate_total(rows: np.ndarray, cols: np.ndarray) -> int:
+    """Gates of the pairs' subcircuits, 2 popcount(r ^ c) - 1 each."""
+    diff = rows ^ cols
+    if hasattr(np, "bitwise_count"):  # numpy >= 2.0
+        ones = int(np.bitwise_count(diff).sum())
+    else:
+        ones = sum(map(int.bit_count, diff.tolist()))
+    return 2 * ones - len(diff)
+
+
+@functools.lru_cache(maxsize=64)
+def _bit_rows(n: int, dtype: np.dtype) -> tuple[np.ndarray, ...]:
+    """Read-only ``(n - 1, 1)`` columns over the bits b < n - 1: 2^b,
+    2^(b+1), 2^b - 1, ~2^b and b << n."""
+    b = np.arange(n - 1, dtype=dtype)[:, None]
+    bits = 1 << b
+    rows = (bits, bits << 1, bits - 1, ~bits, b << n)
+    for a in rows:
+        a.flags.writeable = False
+    return rows
+
+
+def _gray_rows(n: int, r: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The Gray walks of the pairs (r, c) as ``(n - 1, pairs)`` arrays, one
+    row per bit b < n - 1: ``above``, a higher bit than b differs; ``flips``,
+    the X run flips bit b; and ``x``, the code of that X gate.
+
+    With diff = r ^ c, a pair's X run has one gate per set bit b of diff
+    below its highest bit h, in rising b.  That gate acts on the state
+    c ^ (diff & (2^b - 1)), the lower bits already flipped, so its code is
+    b << n | (c ^ (diff & (2^b - 1))) & ~2^b.
+    """
+    bits, twice, below, clear, shifted = _bit_rows(n, r.dtype)
+    diff = r ^ c
+    above = diff >= twice
+    flips = (diff & bits).astype(bool)
+    flips &= above
+    x = diff & below
+    x ^= c
+    x &= clear
+    x |= shifted
+    return above, flips, x
+
+
 def _gray_blocks(n: int, rows: np.ndarray, cols: np.ndarray) -> Iterator[tuple]:
     """Per block of ``_PAIR_BLOCK`` pairs: the slices of the block's pairs
     and gates, and its ``code`` and ``u_at`` as arrays of the pairs' dtype,
     U gate j as ``~j`` counting from the first pair.
 
-    With diff = r ^ c, pair j's X run has one gate per set bit b of diff
-    below its highest bit h, in rising b.  That gate acts on the state
-    c ^ (diff & (2^b - 1)), the lower bits already flipped, so its code is
-    b << n | (c ^ (diff & (2^b - 1))) & ~2^b; it follows the run's earlier
-    gates and precedes their mirror.  The component gate flips bit h at
-    base r & ~2^h.  Every bit b < n - 1 is handled at once as rows of
-    ``(n - 1, pairs)`` arrays.
+    Pair j's X gates (:func:`_gray_rows`) follow the run's earlier gates
+    and precede their mirror.  The component gate flips the highest bit h
+    in which r and c differ, at base r & ~2^h.
     """
     dtype = rows.dtype
-    b = np.arange(n - 1, dtype=dtype)[:, None]
-    bits = 1 << b
-    twice, below, clear, shifted = bits << 1, bits - 1, ~bits, b << n
     done = 0
     for first in range(0, len(rows), _PAIR_BLOCK):
         r, c = rows[first : first + _PAIR_BLOCK], cols[first : first + _PAIR_BLOCK]
-        diff = r ^ c
-        above = diff >= twice  # a higher bit than b differs
-        flips = (diff & bits).astype(bool)
-        flips &= above  # the run flips bit b
+        above, flips, x = _gray_rows(n, r, c)
         k = flips.sum(axis=0)  # X gates in each run
         size = 2 * k + 1
         start = size.cumsum()
@@ -223,10 +272,6 @@ def _gray_blocks(n: int, rows: np.ndarray, cols: np.ndarray) -> Iterator[tuple]:
         code[mid] = np.arange(~first, ~first - len(r), -1)
         at = flips.cumsum(axis=0)
         at += start - 1  # bit b's X gate, in the run before the middle
-        x = diff & below
-        x ^= c
-        x &= clear
-        x |= shifted
         xs = x[flips]
         code[at[flips]] = xs
         np.subtract(2 * mid, at, out=at)  # its mirror
@@ -235,6 +280,34 @@ def _gray_blocks(n: int, rows: np.ndarray, cols: np.ndarray) -> Iterator[tuple]:
         pairs, gates = slice(first, first + len(r)), slice(done, done + len(code))
         yield pairs, gates, code, top << n | r & ~(1 << top)
         done = gates.stop
+
+
+def gray_counts(n: int, rows, cols) -> tuple[int, int]:
+    """Gate counts of :func:`gray_circuit` of the pairs, before and after
+    :func:`~palinopt.optimize.cancel_pass`, without building the circuit.
+
+    Subcircuit j is the X run A_j, its component gate and A_j mirrored, so
+    at the boundary to subcircuit j + 1 the scan cancels the longest common
+    prefix of A_j and A_{j+1}, and no further: every component gate is
+    distinct.  Both runs are in rising bit order, so that prefix is the
+    run of bits b, from 0, where both runs flip b with one code or neither
+    flips it; its length counts the bits of that run that A_j flips.  Each
+    block of ``_PAIR_BLOCK`` boundaries reads one pair past its end, the
+    first pair of the next block.  Invalid pairs are a ``ValueError``, as
+    for :func:`gray_circuit`.
+    """
+    rows, cols = _pair_arrays(n, rows, cols)
+    gates = _gate_total(rows, cols)
+    overlap = 0
+    for first in range(0, len(rows) - 1, _PAIR_BLOCK):
+        stop = first + _PAIR_BLOCK + 1
+        _, flips, x = _gray_rows(n, rows[first:stop], cols[first:stop])
+        key = np.where(flips, x, -1)  # the X gate at bit b, or none
+        same = key[:, :-1] == key[:, 1:]
+        np.logical_and.accumulate(same, axis=0, out=same)
+        same &= flips[:, :-1]
+        overlap += int(np.count_nonzero(same))
+    return gates, gates - 2 * overlap
 
 
 def gray_circuit(n: int, rows, cols, comps: Optional[np.ndarray] = None) -> Circuit:
@@ -251,18 +324,11 @@ def gray_circuit(n: int, rows, cols, comps: Optional[np.ndarray] = None) -> Circ
     fewer gates than there are position codes shares them through a dict
     of the codes built instead, so the table never outgrows the circuit.
     """
-    rows, cols = _code_arrays(n, rows, cols)
-    if rows.ndim != 1 or cols.shape != rows.shape:
-        raise ValueError(f"need rows and cols of one length, got shapes {rows.shape}, {cols.shape}")
-    bad = np.flatnonzero((rows == cols) | ((rows | cols) >> n != 0))
-    if len(bad):
-        r, c = rows[bad[0]], cols[bad[0]]
-        raise ValueError(f"pair ({r}, {c}) is not two distinct states of {n} qubits")
-    # Subcircuit j has 2 popcount(r ^ c) - 1 gates.  The lists are made at
-    # their full length and filled in place: grown block by block, they
-    # would be moved past each block's temporaries and fragment the heap.
-    diff = rows ^ cols
-    code: list[int] = [0] * (2 * sum(np.count_nonzero(diff & 1 << b) for b in range(n)) - len(rows))
+    rows, cols = _pair_arrays(n, rows, cols)
+    # The lists are made at their full length and filled in place: grown
+    # block by block, they would be moved past each block's temporaries and
+    # fragment the heap.
+    code: list[int] = [0] * _gate_total(rows, cols)
     u_at: list[int] = [0] * len(rows)
     if n << n <= len(code):
         table = np.concatenate((np.arange(n << n), np.arange(-len(rows), 0))).astype(object)

@@ -54,23 +54,34 @@ def test_count_formula_n4(capsys):
     assert out.strip() == "4\t246\t378\t392"
 
 
+def test_count_builds_no_circuit_and_cancels_nothing(capsys, monkeypatch):
+    def no_circuit(*args, **kwargs):
+        raise AssertionError("count built a circuit")
+
+    monkeypatch.setattr("palinopt.synth.Circuit.__post_init__", no_circuit)
+    monkeypatch.setattr("palinopt.optimize.cancel_pass", no_circuit)
+    code, out, err = run(capsys, "count", "--range", "2..6", "--mode", "both")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "6\t4558\t10210\t10272"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
-        ("--range", "2..11", "--mode", "both"),
+        ("--range", "2..12", "--mode", "both"),
         ("--range", "9..12", "--mode", "enumerate"),
-        ("--n", "11", "--mode", "enumerate"),
+        ("--n", "12", "--mode", "enumerate"),
     ],
 )
 def test_count_enumeration_size_guard(capsys, monkeypatch, argv):
     def no_enumeration(*args):
         raise AssertionError("enumerated past the size guard")
 
-    monkeypatch.setattr("palinopt.optimize.structural_circuit", no_enumeration)
+    monkeypatch.setattr("palinopt.optimize.gray_counts", no_enumeration)
     code, out, err = run(capsys, "count", *argv)
     assert code == 1
     assert out == ""
-    assert err.startswith("error: ") and "n=10" in err
+    assert err.startswith("error: ") and "n=11" in err
     assert len(err.strip().splitlines()) == 1
 
 

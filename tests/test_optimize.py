@@ -118,7 +118,7 @@ def test_recurrence_matches_closed_form(n):
     assert poa_recurrence(n) == formula_poa(n)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", range(2, 11))
 def test_count_structural_matches_formulas(n):
     conv = conventional_order(n)
     poa = poa_order(n)

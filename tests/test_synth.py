@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     cancel_pass_peephole,
@@ -27,8 +27,9 @@ from palinopt.synth import (
     Circuit,
     ControlledGate,
     construct_circuit,
-    gray_code,
     gray_circuit,
+    gray_code,
+    gray_counts,
     read_circuit,
     split_subcircuits,
     write_circuit,
@@ -586,19 +587,22 @@ def test_split_reads_component_gates_through_their_codes(n, u_at, pairs):
     [([1], [1]), ([0, 3, 2], [1, 3, 0]), ([4], [0]), ([0], [4]), ([-1], [0]), ([1], [-2])],
 )
 @pytest.mark.parametrize("n", [2, 60])
-def test_gray_circuit_rejects_pairs_that_are_not_two_states(n, rows, cols):
+@pytest.mark.parametrize("build", [gray_circuit, gray_counts])
+def test_gray_circuit_rejects_pairs_that_are_not_two_states(build, n, rows, cols):
     rows, cols = [r << n - 2 for r in rows], [c << n - 2 for c in cols]
     r, c = next((r, c) for r, c in zip(rows, cols) if r == c or (r | c) >> n)
     with pytest.raises(ValueError, match=rf"^pair \({r}, {c}\) is not two distinct states of {n} qubits$"):
-        gray_circuit(n, rows, cols)
+        build(n, rows, cols)
 
 
-def test_gray_circuit_needs_rows_and_cols_of_one_length():
+@pytest.mark.parametrize("build", [gray_circuit, gray_counts])
+def test_gray_circuit_needs_rows_and_cols_of_one_length(build):
     with pytest.raises(ValueError, match="one length"):
-        gray_circuit(2, [1, 2], [0])
+        build(2, [1, 2], [0])
     with pytest.raises(ValueError, match="one length"):
-        gray_circuit(2, [[1]], [[0]])
+        build(2, [[1]], [[0]])
     assert len(gray_circuit(2, [], [])) == 0
+    assert gray_counts(2, [], []) == (0, 0)
 
 
 @pytest.mark.parametrize("n", [synth.ARRAY_MAX_N + 1, 64])
@@ -609,3 +613,50 @@ def test_split_past_int64_matches_the_gate_object_reference(n):
     subs = split_subcircuits(circuit)
     assert [pair for _, pair in subs] == pairs
     assert subs == [(tuple(g.target << n | g.base for g in p), q) for p, q in ref_split_subcircuits(circuit)]
+
+
+@st.composite
+def column_stretches(draw):
+    """n = 1..8 and pairs in stretches that share a column c, rows c ^ d
+    for drawn masks d of every popcount: 1 is an empty X run (the pair
+    differs in its top bit only), n the longest.  Rows of one column often
+    agree in their low bits, so neighbouring runs often share a prefix."""
+    n = draw(st.integers(1, 8))
+    mask = st.sets(st.integers(0, n - 1), min_size=1).map(lambda bits: sum(1 << b for b in bits))
+    stretch = st.tuples(st.integers(0, (1 << n) - 1), st.lists(mask, min_size=1, max_size=12))
+    stretches = draw(st.lists(stretch, min_size=1, max_size=8))
+    return n, [(c ^ d, c) for c, masks in stretches for d in masks]
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=column_stretches(), block=st.sampled_from([1, 2, 3, synth._PAIR_BLOCK]))
+@example(case=(3, [(7, 0), (7, 1)]), block=1)
+def test_gray_counts_are_the_built_circuit_before_and_after_cancellation(case, block):
+    # The pairs repeat until they fill more than two blocks, so that some
+    # boundaries, and the overlaps across them, fall between blocks.  In the
+    # example the runs share the X gate of bit 1 but not that of bit 0, so
+    # nothing cancels.
+    n, pairs = case
+    pairs *= (2 * block + 1) // len(pairs) + 1
+    rows, cols = pair_columns(pairs)
+    circuit = gray_circuit(n, rows, cols)
+    with mock.patch.object(synth, "_PAIR_BLOCK", block):
+        assert gray_counts(n, rows, cols) == (len(circuit), len(cancel_pass(circuit)))
+
+
+@pytest.mark.parametrize("n", [synth.ARRAY_MAX_N + 1, 64])
+def test_gray_counts_past_int64(n):
+    pairs = [((1 << n) - 1, 0), (3, 0), (7, 0), (1 << n - 1 | 3, 2)]
+    circuit = gray_circuit(n, *pair_columns(pairs))
+    assert gray_counts(n, *pair_columns(pairs)) == (len(circuit), len(cancel_pass(circuit)))
+    assert len(cancel_pass(circuit)) < len(circuit)
+
+
+def test_gate_total_without_bitwise_count(monkeypatch):
+    # numpy < 2.0 has no bitwise_count; the count falls back to ints.
+    rows, cols = poa_order(5).pairs()
+    total = synth._gate_total(rows, cols)
+    monkeypatch.delattr(np, "bitwise_count", raising=False)
+    assert synth._gate_total(rows, cols) == total == len(gray_circuit(5, rows, cols))
+    wide = synth._code_arrays(64, [(1 << 64) - 1], [0])
+    assert synth._gate_total(*wide) == 2 * 64 - 1
