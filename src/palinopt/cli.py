@@ -129,7 +129,7 @@ def cmd_trie(args: argparse.Namespace) -> int:
         if not 0 <= args.column < len(order.columns):
             return _fail(f"column {args.column} out of range")
         rows = order.columns[args.column]
-        circuit = optimize.structural_circuit(args.n, rows, [args.column] * len(rows))
+        circuit = synth.gray_circuit(args.n, rows, [args.column] * len(rows))
         subs = synth.split_subcircuits(circuit)
     else:
         return _fail("need --input, or --n with --order and --column")

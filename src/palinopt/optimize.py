@@ -3,14 +3,14 @@
 Adjacent identical controlled-X gates square to the identity and are
 deleted.  Gate counts for the conventional and palindromic orderings admit
 closed forms, which the structural counters here reproduce from the
-orderings' pairs alone, by :func:`~palinopt.synth.gray_counts`: no circuit
-is built and no matrix value is involved.
+orderings' pairs alone, held as :class:`~palinopt.synth.GrayPairs`: no
+circuit is built and no matrix value is involved.
 """
 
 from __future__ import annotations
 
 from .ordering import OrderArray, conventional_order, poa_order
-from .synth import Circuit, gray_circuit, gray_counts
+from .synth import Circuit, GrayPairs
 
 
 def cancel_pass(c: Circuit) -> Circuit:
@@ -31,17 +31,17 @@ def cancel_pass(c: Circuit) -> Circuit:
     return Circuit(c.n, stack, c.u_at, c.comps)
 
 
-def structural_circuit(n: int, rows, cols) -> Circuit:
+def structural_circuit(n: int, rows, cols) -> GrayPairs:
     """Circuit skeleton of the pairs (rows[j], cols[j]), in order: real X
-    runs, identity middles."""
-    return gray_circuit(n, rows, cols)
+    runs, identity middles, held as the pairs and counted from them."""
+    return GrayPairs(n, rows, cols)
 
 
 def count_structural(n: int, order: OrderArray, cancelled: bool) -> int:
     """Gates of the order's structural circuit, after cancellation if
     ``cancelled``."""
-    gates, after_cancel = gray_counts(n, *order.pairs())
-    return after_cancel if cancelled else gates
+    circuit = structural_circuit(n, *order.pairs())
+    return circuit.cancelled_len() if cancelled else len(circuit)
 
 
 def formula_conventional(n: int) -> int:
@@ -86,15 +86,20 @@ def table_rows(lo: int, hi: int, mode: str = "formula") -> list[tuple[int, int, 
     """(n, palindromic, conventional, no-canceling) rows.
 
     mode "formula" uses the closed forms, "enumerate" counts the
-    structural circuits, cancelled and not, from one pass over each
-    order's pairs, "both" does both and raises on disagreement.
+    structural circuits, cancelled and not, from the orders' pairs, "both"
+    does both and raises on disagreement.
     """
     rows = []
     for n in range(lo, hi + 1):
         formula = (formula_poa(n), formula_conventional_cancel(n), formula_conventional(n))
         if mode in ("enumerate", "both"):
-            conventional, conventional_cancel = gray_counts(n, *conventional_order(n).pairs())
-            enum = (gray_counts(n, *poa_order(n).pairs())[1], conventional_cancel, conventional)
+            poa = count_structural(n, poa_order(n), cancelled=True)
+            conv = conventional_order(n)  # built once the poa order is freed
+            enum = (
+                poa,
+                count_structural(n, conv, cancelled=True),
+                count_structural(n, conv, cancelled=False),
+            )
             if mode == "both" and enum != formula:
                 raise AssertionError(f"n={n}: formula {formula} != enumeration {enum}")
             row = enum

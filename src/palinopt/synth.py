@@ -26,9 +26,10 @@ become ints by indexing an object array of every position code, so the
 circuit shares one int per distinct X code; a circuit of fewer gates
 than there are position codes shares them through a dict instead.  Past
 n=57, where position codes leave int64, the arrays hold Python ints.
-:func:`gray_counts` counts that circuit's gates, and what the X-pair
-cancellation leaves of it, from the same per-bit rows without building
-it.  :func:`split_subcircuits` inverts the builder on arrays and checks the
+A :class:`GrayPairs` holds that circuit as its pairs and counts its
+gates, and what the X-pair cancellation leaves of them, from the same
+per-bit rows without building it.
+:func:`split_subcircuits` inverts the builder on arrays and checks the
 pairs it reads by rebuilding them.
 
 Qubit 0 is the least significant bit of a basis-state index; the control
@@ -205,26 +206,10 @@ def _pair_arrays(n: int, rows, cols) -> list[np.ndarray]:
     return [rows, cols]
 
 
-def _gate_total(rows: np.ndarray, cols: np.ndarray) -> int:
+def _gate_total(n: int, rows: np.ndarray, cols: np.ndarray) -> int:
     """Gates of the pairs' subcircuits, 2 popcount(r ^ c) - 1 each."""
     diff = rows ^ cols
-    if hasattr(np, "bitwise_count"):  # numpy >= 2.0
-        ones = int(np.bitwise_count(diff).sum())
-    else:
-        ones = sum(map(int.bit_count, diff.tolist()))
-    return 2 * ones - len(diff)
-
-
-@functools.lru_cache(maxsize=64)
-def _bit_rows(n: int, dtype: np.dtype) -> tuple[np.ndarray, ...]:
-    """Read-only ``(n - 1, 1)`` columns over the bits b < n - 1: 2^b,
-    2^(b+1), 2^b - 1, ~2^b and b << n."""
-    b = np.arange(n - 1, dtype=dtype)[:, None]
-    bits = 1 << b
-    rows = (bits, bits << 1, bits - 1, ~bits, b << n)
-    for a in rows:
-        a.flags.writeable = False
-    return rows
+    return 2 * sum(np.count_nonzero(diff & 1 << b) for b in range(n)) - len(diff)
 
 
 def _gray_rows(n: int, r: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -237,15 +222,16 @@ def _gray_rows(n: int, r: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, ...]:
     c ^ (diff & (2^b - 1)), the lower bits already flipped, so its code is
     b << n | (c ^ (diff & (2^b - 1))) & ~2^b.
     """
-    bits, twice, below, clear, shifted = _bit_rows(n, r.dtype)
+    b = np.arange(n - 1, dtype=r.dtype)[:, None]
+    bits = 1 << b
     diff = r ^ c
-    above = diff >= twice
+    above = diff >= bits << 1
     flips = (diff & bits).astype(bool)
     flips &= above
-    x = diff & below
+    x = diff & bits - 1
     x ^= c
-    x &= clear
-    x |= shifted
+    x &= ~bits
+    x |= b << n
     return above, flips, x
 
 
@@ -282,32 +268,48 @@ def _gray_blocks(n: int, rows: np.ndarray, cols: np.ndarray) -> Iterator[tuple]:
         done = gates.stop
 
 
-def gray_counts(n: int, rows, cols) -> tuple[int, int]:
-    """Gate counts of :func:`gray_circuit` of the pairs, before and after
-    :func:`~palinopt.optimize.cancel_pass`, without building the circuit.
-
-    Subcircuit j is the X run A_j, its component gate and A_j mirrored, so
-    at the boundary to subcircuit j + 1 the scan cancels the longest common
-    prefix of A_j and A_{j+1}, and no further: every component gate is
-    distinct.  Both runs are in rising bit order, so that prefix is the
-    run of bits b, from 0, where both runs flip b with one code or neither
-    flips it; its length counts the bits of that run that A_j flips.  Each
-    block of ``_PAIR_BLOCK`` boundaries reads one pair past its end, the
-    first pair of the next block.  Invalid pairs are a ``ValueError``, as
-    for :func:`gray_circuit`.
+class GrayPairs:
+    """The circuit :func:`gray_circuit` builds of the pairs (``rows[j]``,
+    ``cols[j]``), identity components, held as the pairs: ``len`` is its
+    gate count and :meth:`cancelled_len` the count
+    :func:`~palinopt.optimize.cancel_pass` leaves of it, both counted
+    without building it.  Invalid pairs are a ``ValueError``, as for
+    :func:`gray_circuit`.
     """
-    rows, cols = _pair_arrays(n, rows, cols)
-    gates = _gate_total(rows, cols)
-    overlap = 0
-    for first in range(0, len(rows) - 1, _PAIR_BLOCK):
-        stop = first + _PAIR_BLOCK + 1
-        _, flips, x = _gray_rows(n, rows[first:stop], cols[first:stop])
-        key = np.where(flips, x, -1)  # the X gate at bit b, or none
-        same = key[:, :-1] == key[:, 1:]
-        np.logical_and.accumulate(same, axis=0, out=same)
-        same &= flips[:, :-1]
-        overlap += int(np.count_nonzero(same))
-    return gates, gates - 2 * overlap
+
+    __slots__ = ("n", "rows", "cols")
+
+    def __init__(self, n: int, rows, cols) -> None:
+        self.n = n
+        self.rows, self.cols = _pair_arrays(n, rows, cols)
+
+    def __len__(self) -> int:
+        return _gate_total(self.n, self.rows, self.cols)
+
+    def cancelled_len(self) -> int:
+        """The gate count after cancellation.
+
+        Subcircuit j is the X run A_j, its component gate and A_j
+        mirrored, so at the boundary to subcircuit j + 1 the scan cancels
+        the longest common prefix of A_j and A_{j+1}, and no further: every
+        component gate is distinct.  Both runs are in rising bit order, so
+        that prefix is the run of bits b, from 0, where both runs flip b
+        with one code or neither flips it; its length counts the bits of
+        that run that A_j flips.  Each block of ``_PAIR_BLOCK`` boundaries
+        reads one pair past its end, the first pair of the next block.
+        """
+        n, rows, cols = self.n, self.rows, self.cols
+        overlap = 0
+        for first in range(0, len(rows) - 1, _PAIR_BLOCK):
+            stop = first + _PAIR_BLOCK + 1
+            _, flips, x = _gray_rows(n, rows[first:stop], cols[first:stop])
+            key = np.where(flips, x, -1)  # the X gate at bit b, or none
+            same = key[:, :-1] == key[:, 1:]
+            for b in range(1, n - 1):  # a row loop: numpy's accumulate along axis 0 is slower
+                same[b] &= same[b - 1]
+            same &= flips[:, :-1]
+            overlap += int(np.count_nonzero(same))
+        return len(self) - 2 * overlap
 
 
 def gray_circuit(n: int, rows, cols, comps: Optional[np.ndarray] = None) -> Circuit:
@@ -328,7 +330,7 @@ def gray_circuit(n: int, rows, cols, comps: Optional[np.ndarray] = None) -> Circ
     # The lists are made at their full length and filled in place: grown
     # block by block, they would be moved past each block's temporaries and
     # fragment the heap.
-    code: list[int] = [0] * _gate_total(rows, cols)
+    code: list[int] = [0] * _gate_total(n, rows, cols)
     u_at: list[int] = [0] * len(rows)
     if n << n <= len(code):
         table = np.concatenate((np.arange(n << n), np.arange(-len(rows), 0))).astype(object)

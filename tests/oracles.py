@@ -26,7 +26,7 @@ import numpy as np
 
 from palinopt.decompose import Decomposition
 from palinopt.linalg import RECONSTRUCT_TOL, ZERO_TOL, TwoLevelMatrix
-from palinopt.optimize import cancel_pass, count_structural, structural_circuit
+from palinopt.optimize import cancel_pass, count_structural
 from palinopt.ordering import OrderArray
 from palinopt.synth import (
     _BLOCK,
@@ -360,7 +360,7 @@ def intercolumn_cancellation(n: int, order: OrderArray) -> int:
     """Gates cancelled at column boundaries: the per-column cancelled counts
     sum to more than the whole-circuit cancelled count by exactly this."""
     per_column = sum(
-        len(cancel_pass(structural_circuit(n, rows, [c] * len(rows))))
+        len(cancel_pass(gray_circuit(n, rows, [c] * len(rows))))
         for c, rows in enumerate(order.columns)
     )
     return per_column - count_structural(n, order, cancelled=True)

@@ -77,7 +77,7 @@ def test_count_enumeration_size_guard(capsys, monkeypatch, argv):
     def no_enumeration(*args):
         raise AssertionError("enumerated past the size guard")
 
-    monkeypatch.setattr("palinopt.optimize.gray_counts", no_enumeration)
+    monkeypatch.setattr("palinopt.optimize.structural_circuit", no_enumeration)
     code, out, err = run(capsys, "count", *argv)
     assert code == 1
     assert out == ""

@@ -26,7 +26,7 @@ from palinopt.optimize import (
 )
 from palinopt.ordering import conventional_order, poa_order
 from palinopt.sim import circuit_to_matrix
-from palinopt.synth import ControlledGate, construct_circuit
+from palinopt.synth import ControlledGate, construct_circuit, gray_circuit
 
 TABLE = {
     2: (8, 8, 10),
@@ -150,18 +150,18 @@ def test_column_counts_match_measured_columns(n):
     order = poa_order(n)
     counts = column_counts(n)
     for c, rows in enumerate(order.columns):
-        measured = len(cancel_pass(structural_circuit(n, rows, [c] * len(rows))))
+        measured = len(cancel_pass(gray_circuit(n, rows, [c] * len(rows))))
         assert measured == counts[c]
 
 
 @pytest.mark.parametrize("make_order", [conventional_order, poa_order])
 def test_structural_circuit_is_its_columns_concatenated(make_order):
     order = make_order(4)
-    columns = [
-        structural_circuit(4, rows, [c] * len(rows)) for c, rows in enumerate(order.columns)
-    ]
-    whole = structural_circuit(4, *order.pairs())
+    columns = [gray_circuit(4, rows, [c] * len(rows)) for c, rows in enumerate(order.columns)]
+    whole = gray_circuit(4, *order.pairs())
     assert whole.gates == tuple(g for col in columns for g in col.gates)
+    held = structural_circuit(4, *order.pairs())
+    assert (len(held), held.cancelled_len()) == (len(whole), len(cancel_pass(whole)))
 
 
 @pytest.mark.parametrize("n", range(2, 7))

@@ -26,10 +26,10 @@ from palinopt.ordering import conventional_order, poa_order
 from palinopt.synth import (
     Circuit,
     ControlledGate,
+    GrayPairs,
     construct_circuit,
     gray_circuit,
     gray_code,
-    gray_counts,
     read_circuit,
     split_subcircuits,
     write_circuit,
@@ -587,7 +587,7 @@ def test_split_reads_component_gates_through_their_codes(n, u_at, pairs):
     [([1], [1]), ([0, 3, 2], [1, 3, 0]), ([4], [0]), ([0], [4]), ([-1], [0]), ([1], [-2])],
 )
 @pytest.mark.parametrize("n", [2, 60])
-@pytest.mark.parametrize("build", [gray_circuit, gray_counts])
+@pytest.mark.parametrize("build", [gray_circuit, GrayPairs])
 def test_gray_circuit_rejects_pairs_that_are_not_two_states(build, n, rows, cols):
     rows, cols = [r << n - 2 for r in rows], [c << n - 2 for c in cols]
     r, c = next((r, c) for r, c in zip(rows, cols) if r == c or (r | c) >> n)
@@ -595,14 +595,14 @@ def test_gray_circuit_rejects_pairs_that_are_not_two_states(build, n, rows, cols
         build(n, rows, cols)
 
 
-@pytest.mark.parametrize("build", [gray_circuit, gray_counts])
+@pytest.mark.parametrize("build", [gray_circuit, GrayPairs])
 def test_gray_circuit_needs_rows_and_cols_of_one_length(build):
     with pytest.raises(ValueError, match="one length"):
         build(2, [1, 2], [0])
     with pytest.raises(ValueError, match="one length"):
         build(2, [[1]], [[0]])
     assert len(gray_circuit(2, [], [])) == 0
-    assert gray_counts(2, [], []) == (0, 0)
+    assert len(GrayPairs(2, [], [])) == GrayPairs(2, [], []).cancelled_len() == 0
 
 
 @pytest.mark.parametrize("n", [synth.ARRAY_MAX_N + 1, 64])
@@ -631,7 +631,7 @@ def column_stretches(draw):
 @settings(max_examples=200, deadline=None)
 @given(case=column_stretches(), block=st.sampled_from([1, 2, 3, synth._PAIR_BLOCK]))
 @example(case=(3, [(7, 0), (7, 1)]), block=1)
-def test_gray_counts_are_the_built_circuit_before_and_after_cancellation(case, block):
+def test_gray_pairs_count_the_built_circuit_before_and_after_cancellation(case, block):
     # The pairs repeat until they fill more than two blocks, so that some
     # boundaries, and the overlaps across them, fall between blocks.  In the
     # example the runs share the X gate of bit 1 but not that of bit 0, so
@@ -640,23 +640,15 @@ def test_gray_counts_are_the_built_circuit_before_and_after_cancellation(case, b
     pairs *= (2 * block + 1) // len(pairs) + 1
     rows, cols = pair_columns(pairs)
     circuit = gray_circuit(n, rows, cols)
+    held = GrayPairs(n, rows, cols)
     with mock.patch.object(synth, "_PAIR_BLOCK", block):
-        assert gray_counts(n, rows, cols) == (len(circuit), len(cancel_pass(circuit)))
+        assert (len(held), held.cancelled_len()) == (len(circuit), len(cancel_pass(circuit)))
 
 
 @pytest.mark.parametrize("n", [synth.ARRAY_MAX_N + 1, 64])
-def test_gray_counts_past_int64(n):
+def test_gray_pairs_count_past_int64(n):
     pairs = [((1 << n) - 1, 0), (3, 0), (7, 0), (1 << n - 1 | 3, 2)]
     circuit = gray_circuit(n, *pair_columns(pairs))
-    assert gray_counts(n, *pair_columns(pairs)) == (len(circuit), len(cancel_pass(circuit)))
+    held = GrayPairs(n, *pair_columns(pairs))
+    assert (len(held), held.cancelled_len()) == (len(circuit), len(cancel_pass(circuit)))
     assert len(cancel_pass(circuit)) < len(circuit)
-
-
-def test_gate_total_without_bitwise_count(monkeypatch):
-    # numpy < 2.0 has no bitwise_count; the count falls back to ints.
-    rows, cols = poa_order(5).pairs()
-    total = synth._gate_total(rows, cols)
-    monkeypatch.delattr(np, "bitwise_count", raising=False)
-    assert synth._gate_total(rows, cols) == total == len(gray_circuit(5, rows, cols))
-    wide = synth._code_arrays(64, [(1 << 64) - 1], [0])
-    assert synth._gate_total(*wide) == 2 * 64 - 1
