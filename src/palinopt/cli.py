@@ -73,8 +73,8 @@ def cmd_compile(args: argparse.Namespace) -> int:
     print(f"wrote {len(circuit)} gates to {args.output}")
 
     if args.verify:
-        with _context("cannot read circuit back"):
-            reread = synth.read_circuit(Path(args.output).read_text())
+        with _context("cannot read circuit back"), open(args.output) as f:
+            reread = synth.read_circuit(f)
         report = sim.verify(u, reread)
         print(report)
         return 0 if report.passed else 2
@@ -119,7 +119,8 @@ def cmd_gray(args: argparse.Namespace) -> int:
 def cmd_trie(args: argparse.Namespace) -> int:
     if args.input:
         with _context("cannot read circuit"):
-            circuit = synth.read_circuit(Path(args.input).read_text())
+            with open(args.input) as f:
+                circuit = synth.read_circuit(f)
             subs = synth.split_subcircuits(circuit)
     elif args.n is not None and args.order and args.column is not None:
         if args.n > ENUMERATE_MAX_N:

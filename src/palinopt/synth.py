@@ -30,7 +30,9 @@ A :class:`GrayPairs` holds that circuit as its pairs and counts its
 gates, and what the X-pair cancellation leaves of them, from the same
 per-bit rows without building it.
 :func:`split_subcircuits` inverts the builder on arrays and checks the
-pairs it reads by rebuilding them.
+pairs it reads by rebuilding them.  :func:`read_circuit` reads a circuit
+file from an open text file in chunks of ``_CHUNK`` characters, so it never
+holds the whole text or a list of all its lines.
 
 Qubit 0 is the least significant bit of a basis-state index; the control
 pattern strings render qubit n-1 leftmost.
@@ -40,7 +42,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional, TextIO, Union
 
 import numpy as np
 
@@ -522,25 +524,39 @@ def _components(fields: list[str], lines: list[str]) -> np.ndarray:
     return comps
 
 
-def read_circuit(text: str) -> Circuit:
-    """Parse a circuit file.  Each distinct ``(t, c)`` position, X line and
-    U-line head (the text before `` m=``, reused only for a line whose rest is
-    one field without whitespace) is parsed once.  The ``m=`` fields are
-    checked and converted by :func:`_components` per block of U lines, which
-    bounds the number strings alive at once."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("n="):
+def _parse_header(line: str) -> tuple[int, int]:
+    """``n`` and the gate count of the header, the file's first non-blank line."""
+    if not line.startswith("n="):
         raise ValueError("circuit file must start with 'n=<int> gates=<int>'")
-    head = _parse_fields(lines[0].split())
+    head = _parse_fields(line.split())
     try:
         n = int(head["n"])
         count = int(head["gates"])
     except (KeyError, ValueError) as exc:
-        raise ValueError(f"bad header: {lines[0]!r}") from exc
+        raise ValueError(f"bad header: {line!r}") from exc
     if n < 1:
-        raise ValueError(f"bad header: {lines[0]!r}")
-    if len(lines) - 1 != count:
-        raise ValueError(f"header says {count} gates, file has {len(lines) - 1}")
+        raise ValueError(f"bad header: {line!r}")
+    return n, count
+
+
+# Characters per read of the circuit file's reader.
+_CHUNK = 1 << 16
+
+
+def read_circuit(f: TextIO) -> Circuit:
+    """Parse a circuit file from the open text file ``f``, read with
+    ``f.read(_CHUNK)``, never whole.
+
+    Each chunk is split with ``str.splitlines`` and the piece after its last
+    line break carried into the next, so the lines are those of the whole
+    text split at once; blank and whitespace-only lines are dropped.  Each
+    distinct ``(t, c)`` position, X line and U-line head (the text before
+    `` m=``, reused only for a line whose rest is one field without
+    whitespace) is parsed once.  The ``m=`` fields are checked and converted
+    by :func:`_components` per block of U lines, which bounds the number
+    strings alive at once.  The header's gate count is checked at the end of
+    the file, so a fault in a line is reported before a wrong count."""
+    n = count = None
     positions: dict[tuple[str, str], int] = {}
     x_codes: dict[str, int] = {}  # code of each distinct X line
     u_heads: dict[str, int] = {}  # position code of each distinct U-line head
@@ -549,40 +565,64 @@ def read_circuit(text: str) -> Circuit:
     blocks: list[np.ndarray] = []  # components, one array per block of U lines
     fields: list[str] = []  # m= of each U line of the current block
     u_lines: list[str] = []
-    for line in lines[1:]:
-        g = x_codes.get(line)
-        if g is None:
-            head, _, m = line.partition(" m=")
-            one_field = m.split() == [m]
-            g = u_heads.get(head) if one_field else None
+    tail: list[str] = []  # the pieces read so far of a line not yet ended
+    while True:
+        chunk = f.read(_CHUNK)
+        if chunk:
+            lines = chunk.splitlines()
+            # the chunk may end inside its last line: carry that line on
+            last = lines.pop() if lines[-1] and chunk.endswith(lines[-1]) else ""
+            if not lines:  # no line break in the chunk
+                tail.append(last)
+                continue
+            lines[0] = "".join(tail) + lines[0]
+            tail = [last]
+        else:
+            lines = ["".join(tail)]
+        lines = [ln for ln in lines if ln.strip()]
+        if n is None and lines:
+            n, count = _parse_header(lines[0])
+            del lines[0]
+        for line in lines:
+            g = x_codes.get(line)
             if g is None:
-                kind, *tokens = line.split()
-                if kind not in ("X", "U"):
-                    raise ValueError(f"unknown gate line {line!r}")
-                f = _parse_fields(tokens)
-                for key in ("t", "c", "m") if kind == "U" else ("t", "c"):
-                    if key not in f:
-                        raise ValueError(f"missing field {key}=: {line!r}")
-                at = (f["t"], f["c"])
-                g = positions.get(at)
+                head, _, m = line.partition(" m=")
+                one_field = m.split() == [m]
+                g = u_heads.get(head) if one_field else None
                 if g is None:
-                    g = positions[at] = _parse_position(*at, n, line)
-                if kind == "X":
-                    x_codes[line] = g
-                    code.append(g)
-                    continue
-                if one_field:  # t= and c= are in the head
-                    u_heads[head] = g
-                m = f["m"]
-            if m.count(";") != 3:
-                raise ValueError(f"component matrix needs 4 entries: {line!r}")
-            u_at.append(g)
-            fields.append(m)
-            u_lines.append(line)
-            if len(fields) == _BLOCK:
-                blocks.append(_components(fields, u_lines))
-                fields, u_lines = [], []
-            g = ~(len(u_at) - 1)
-        code.append(g)
+                    kind, *tokens = line.split()
+                    if kind not in ("X", "U"):
+                        raise ValueError(f"unknown gate line {line!r}")
+                    parsed = _parse_fields(tokens)
+                    for key in ("t", "c", "m") if kind == "U" else ("t", "c"):
+                        if key not in parsed:
+                            raise ValueError(f"missing field {key}=: {line!r}")
+                    at = (parsed["t"], parsed["c"])
+                    g = positions.get(at)
+                    if g is None:
+                        g = positions[at] = _parse_position(*at, n, line)
+                    if kind == "X":
+                        x_codes[line] = g
+                        code.append(g)
+                        continue
+                    if one_field:  # t= and c= are in the head
+                        u_heads[head] = g
+                    m = parsed["m"]
+                if m.count(";") != 3:
+                    raise ValueError(f"component matrix needs 4 entries: {line!r}")
+                u_at.append(g)
+                fields.append(m)
+                u_lines.append(line)
+                if len(fields) == _BLOCK:
+                    blocks.append(_components(fields, u_lines))
+                    fields, u_lines = [], []
+                g = ~(len(u_at) - 1)
+            code.append(g)
+        if not chunk:
+            break
+    if n is None:
+        raise ValueError("circuit file must start with 'n=<int> gates=<int>'")
     blocks.append(_components(fields, u_lines))
+    if len(code) != count:
+        raise ValueError(f"header says {count} gates, file has {len(code)}")
     return Circuit(n, code, u_at, np.concatenate(blocks))

@@ -1,3 +1,4 @@
+import io
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import pytest
 from oracles import circuit_from_gates, ref_gray_circuit, subcircuit_for_pair
 
 import palinopt
+from palinopt import synth
 from palinopt.cli import build_parser, main
 from palinopt.linalg import random_unitary, write_matrix
 from palinopt.optimize import formula_poa
@@ -177,7 +179,7 @@ def test_compile_identity_poa_cancel(tmp_path, capsys):
         "--output", str(out_path), "--cancel",
     )
     assert code == 0
-    circuit = read_circuit(out_path.read_text())
+    circuit = read_circuit(io.StringIO(out_path.read_text()))
     assert len(circuit.gates) == 50
 
 
@@ -200,7 +202,7 @@ def test_compile_round_trips_bit_exactly(tmp_path, capsys):
     text = out_path.read_text()
     from palinopt.synth import write_circuit
 
-    assert write_circuit(read_circuit(text)) == text
+    assert write_circuit(read_circuit(io.StringIO(text))) == text
 
 
 def test_compile_with_order_file(tmp_path, capsys):
@@ -247,8 +249,6 @@ def test_compile_into_missing_directory(tmp_path, capsys):
 
 
 def test_compile_verify_unreadable_circuit(tmp_path, capsys, monkeypatch):
-    from palinopt import synth
-
     monkeypatch.setattr(synth, "write_circuit", lambda c: "n=2 gates=1\nX c=0_\n")
     inp = write_unitary(tmp_path, 2)
     code, _, err = run(
@@ -268,7 +268,7 @@ def test_compile_skip_identity(tmp_path, capsys):
         "--skip-identity",
     )
     assert code == 0
-    assert len(read_circuit(out_path.read_text()).gates) == 0
+    assert len(read_circuit(io.StringIO(out_path.read_text())).gates) == 0
 
 
 def test_trie_poa_column(capsys):
@@ -330,6 +330,70 @@ def test_trie_bad_circuit_file_exits_1(tmp_path, capsys, body):
     assert code == 1
     assert err.startswith("error: cannot read circuit: ")
     assert len(err.strip().splitlines()) == 1
+
+
+def run_on_circuit_file(tmp_path, capsys, monkeypatch, command, edit=None):
+    """Run ``trie --input`` or ``compile --verify`` on the uncancelled poa
+    circuit of an n=5 unitary, about 105 kB of text, its file's bytes
+    passed through ``edit`` first: for ``compile`` as it writes them."""
+    inp = write_unitary(tmp_path, 5, seed=4)
+    circ = tmp_path / "c.circ"
+    if command == "trie":
+        assert main(["compile", "--input", str(inp), "--output", str(circ)]) == 0
+        capsys.readouterr()
+        if edit:
+            circ.write_bytes(edit(circ.read_bytes()))
+        return run(capsys, "trie", "--input", str(circ))
+    if edit:
+        monkeypatch.setattr(Path, "write_text", lambda self, text: self.write_bytes(edit(text.encode())))
+    return run(capsys, "compile", "--input", str(inp), "--output", str(circ), "--verify")
+
+
+def _truncate(data: bytes) -> bytes:
+    """The header and the first 1,000 gate lines."""
+    return b"".join(data.splitlines(keepends=True)[:1001])
+
+
+READ_ERROR = {"trie": "error: cannot read circuit: ", "compile": "error: cannot read circuit back: "}
+
+
+@pytest.mark.parametrize("command", ["trie", "compile"])
+def test_circuit_file_with_crlf_breaks_reads_the_same(tmp_path, capsys, monkeypatch, command):
+    expected = run_on_circuit_file(tmp_path, capsys, monkeypatch, command)
+    assert expected[0] == 0
+    crlf = run_on_circuit_file(tmp_path, capsys, monkeypatch, command, lambda b: b.replace(b"\n", b"\r\n"))
+    assert crlf == expected
+
+
+@pytest.mark.parametrize("command", ["trie", "compile"])
+def test_circuit_file_not_utf8_past_the_first_chunk_exits_1(tmp_path, capsys, monkeypatch, command):
+    def bad_byte(data):
+        assert len(data) > synth._CHUNK + 100
+        return data[: synth._CHUNK + 100] + b"\xff" + data[synth._CHUNK + 100 :]
+
+    code, _, err = run_on_circuit_file(tmp_path, capsys, monkeypatch, command, bad_byte)
+    assert code == 1
+    assert err.startswith(READ_ERROR[command] + "'utf-8' codec can't decode byte 0xff")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["trie", "compile"])
+def test_truncated_circuit_file_exits_1(tmp_path, capsys, monkeypatch, command):
+    code, _, err = run_on_circuit_file(tmp_path, capsys, monkeypatch, command, _truncate)
+    assert (code, err) == (1, READ_ERROR[command] + "header says 2064 gates, file has 1000\n")
+
+
+@pytest.mark.parametrize("command", ["trie", "compile"])
+def test_bad_line_wins_over_a_wrong_gate_count(tmp_path, capsys, monkeypatch, command):
+    # The gate count is checked once the whole file is read, so a bad line
+    # in a file that also has too few lines is the one reported.
+    def truncate_and_break(data):
+        return _truncate(data).replace(b"X t=0", b"X t=7", 1)
+
+    code, _, err = run_on_circuit_file(tmp_path, capsys, monkeypatch, command, truncate_and_break)
+    assert code == 1
+    assert err.startswith(READ_ERROR[command] + "target 7 out of range for n=5: 'X t=7 c=")
+    assert len(err.splitlines()) == 1
 
 
 def test_trie_rejects_repeated_subcircuit(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -148,7 +150,7 @@ def test_matches_dense_oracle_on_adversarial_unitaries(data, order):
     assert factor_pairs(d) == tuple(f.pair for f in dense)
     for f, comp in zip(dense, d.comps):
         assert np.max(np.abs(f.comp - comp)) < 1e-12
-    circuit = read_circuit(write_circuit(cancel_pass(construct_circuit(d))))
+    circuit = read_circuit(io.StringIO(write_circuit(cancel_pass(construct_circuit(d)))))
     assert verify(u, circuit).passed  # Frobenius distance < 1e-9
 
 

@@ -6,6 +6,7 @@ position codes target << n | base at n=4.
 """
 
 import gc
+import io
 import random
 import weakref
 from itertools import permutations
@@ -337,7 +338,7 @@ def test_split_and_trie_match_gate_object_reference(case):
     # The split and the trie run on position codes; the references read the
     # same circuit file through gate objects and render labels from them.
     n, pairs = case
-    circuit = read_circuit(write_circuit(gray_circuit(n, *pair_columns(pairs))))
+    circuit = read_circuit(io.StringIO(write_circuit(gray_circuit(n, *pair_columns(pairs)))))
     subs, ref = split_subcircuits(circuit), ref_split_subcircuits(circuit)
     assert [pair for _, pair in subs] == [pair for _, pair in ref] == pairs
     assert [prefix for prefix, _ in subs] == [

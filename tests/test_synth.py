@@ -1,3 +1,4 @@
+import io
 from unittest import mock
 
 import numpy as np
@@ -186,7 +187,7 @@ def test_circuit_text_round_trip():
     d = two_level_decompose(random_unitary(3, 6), conventional_order(3))
     circuit = construct_circuit(d)
     text = write_circuit(circuit)
-    again = read_circuit(text)
+    again = read_circuit(io.StringIO(text))
     assert again.n == circuit.n
     assert len(again) == len(circuit)
     for g1, g2 in zip(circuit.gates, again.gates):
@@ -209,24 +210,24 @@ def test_circuit_text_format():
 
 def test_read_circuit_rejects_garbage():
     with pytest.raises(ValueError):
-        read_circuit("bogus\n")
+        read_circuit(io.StringIO("bogus\n"))
     with pytest.raises(ValueError):
-        read_circuit("n=2 gates=1\n")
+        read_circuit(io.StringIO("n=2 gates=1\n"))
     with pytest.raises(ValueError):
-        read_circuit("n=2 gates=1\nX t=0 c=00\n")  # no target slot
+        read_circuit(io.StringIO("n=2 gates=1\nX t=0 c=00\n"))  # no target slot
 
 
 @pytest.mark.parametrize("line", ["X c=0_", "X t=0", "U t=0 c=0_", "U c=0_ m=1,0;0,0;0,0;1,0"])
 def test_read_circuit_missing_field_is_value_error(line):
     with pytest.raises(ValueError, match="missing field"):
-        read_circuit(f"n=2 gates=1\n{line}\n")
+        read_circuit(io.StringIO(f"n=2 gates=1\n{line}\n"))
 
 
 def test_read_circuit_rejects_target_out_of_range():
     # Pattern without a '_' slot and t beyond n: the controls cover qubits
     # 0 and 1, so only the target range check stops it.
     with pytest.raises(ValueError, match="target"):
-        read_circuit("n=2 gates=1\nX t=5 c=01\n")
+        read_circuit(io.StringIO("n=2 gates=1\nX t=5 c=01\n"))
 
 
 @pytest.mark.parametrize(
@@ -249,12 +250,12 @@ def test_read_circuit_rejects_target_out_of_range():
 )
 def test_read_circuit_rejects_bad_component(m, match):
     with pytest.raises(ValueError, match=match):
-        read_circuit(f"n=2 gates=1\nU t=0 c=0_ m={m}\n")
+        read_circuit(io.StringIO(f"n=2 gates=1\nU t=0 c=0_ m={m}\n"))
 
 
 def test_read_circuit_rejects_bad_header_n():
     with pytest.raises(ValueError, match="header"):
-        read_circuit("n=0 gates=0\n")
+        read_circuit(io.StringIO("n=0 gates=0\n"))
 
 
 def test_split_subcircuits_round_trip():
@@ -279,7 +280,7 @@ def test_split_subcircuits_rejects_cancelled():
 def test_split_subcircuits_recovers_pairs():
     for order in (conventional_order(3), poa_order(3)):
         d = two_level_decompose(random_unitary(3, 3), order)
-        subs = split_subcircuits(read_circuit(write_circuit(construct_circuit(d))))
+        subs = split_subcircuits(read_circuit(io.StringIO(write_circuit(construct_circuit(d)))))
         assert [pair for _, pair in subs] == [f.pair for f in reversed(d.factors)]
 
 
@@ -305,7 +306,7 @@ def test_circuit_text_matches_controls_tuple_reference(order, seed):
 @settings(max_examples=60, deadline=None)
 @given(circuit=random_circuits(max_n=5, max_gates=30))
 def test_read_write_round_trip_gate_for_gate(circuit):
-    again = read_circuit(write_circuit(circuit))
+    again = read_circuit(io.StringIO(write_circuit(circuit)))
     assert again.n == circuit.n
     assert again.gates == circuit.gates
     assert all(g.op.dtype == complex for g in again.gates if not g.is_x)
@@ -328,7 +329,7 @@ def test_read_circuit_names_the_first_bad_component_line(m, match):
     bad = f"U t=1 c=_1 m={m}"
     body = [f"U t=0 c=0_ m={good}", "X t=0 c=1_", bad, f"U t=1 c=_0 m={m}"]
     with pytest.raises(ValueError, match=match) as info:
-        read_circuit("n=2 gates=4\n" + "\n".join(body) + "\n")
+        read_circuit(io.StringIO("n=2 gates=4\n" + "\n".join(body) + "\n"))
     assert str(info.value).endswith(repr(bad))
 
 
@@ -355,7 +356,8 @@ def test_circuit_codes_match_its_gates():
 def test_circuit_shares_each_distinct_x_code():
     # At n=6 most position codes are past CPython's cached small ints.
     d = two_level_decompose(random_unitary(6, 4), conventional_order(6))
-    for circuit in (construct_circuit(d), read_circuit(write_circuit(construct_circuit(d)))):
+    reread = read_circuit(io.StringIO(write_circuit(construct_circuit(d))))
+    for circuit in (construct_circuit(d), reread):
         first = {}
         for g in circuit.code:
             if g >= 0:
@@ -408,7 +410,7 @@ def test_circuit_text_past_one_block_of_components(monkeypatch):
         return components(fields, lines)
 
     monkeypatch.setattr(synth, "_components", recorded)
-    again = read_circuit(text)
+    again = read_circuit(io.StringIO(text))
     assert blocks == [1024, 1024, 1024, 1024, 4]
     assert np.array_equal(again.comps, circuit.comps)
     assert again.code == circuit.code and again.u_at == circuit.u_at
@@ -416,11 +418,24 @@ def test_circuit_text_past_one_block_of_components(monkeypatch):
     lines = text.splitlines()
     lines[4099] = lines[4099].split(" m=")[0] + " m=2,0;0,0;0,0;2,0"  # U gate 4098
     with pytest.raises(ValueError, match="not unitary") as info:
-        read_circuit("\n".join(lines))
+        read_circuit(io.StringIO("\n".join(lines)))
     assert str(info.value).endswith(repr(lines[4099]))
 
 
 _M = "0.0,0.0;1.0,0.0;1.0,0.0;0.0,0.0"
+
+
+def read_text(text):
+    return read_circuit(io.StringIO(text))
+
+
+def read_outcome(read, text):
+    """What ``read(text)`` gives: the circuit's fields, or the error."""
+    try:
+        c = read(text)
+    except ValueError as exc:
+        return str(exc)
+    return c.n, c.code, c.u_at, c.comps.tolist()
 
 
 @pytest.mark.parametrize(
@@ -462,15 +477,7 @@ def test_read_circuit_matches_the_full_parse_reference(line, first):
     canonical = [f"U t=0 c=0_ m={_M}", "X t=0 c=1_", "U t=0 c=0_ m=1.0,0.0;0.0,0.0;0.0,0.0;1.0,0.0"]
     body = canonical + [line] if first else [line] + canonical
     text = f"n=2 gates={len(body)}\n" + "\n".join(body) + "\n"
-
-    def outcome(read):
-        try:
-            c = read(text)
-        except ValueError as exc:
-            return str(exc)
-        return c.n, c.code, c.u_at, c.comps.tolist()
-
-    assert outcome(read_circuit) == outcome(ref_read_circuit)
+    assert read_outcome(read_text, text) == read_outcome(ref_read_circuit, text)
 
 
 def test_read_circuit_parses_each_u_line_head_once(monkeypatch):
@@ -485,7 +492,7 @@ def test_read_circuit_parses_each_u_line_head_once(monkeypatch):
     d = two_level_decompose(random_unitary(3, 8), poa_order(3))
     circuit = construct_circuit(d)
     text = write_circuit(circuit)
-    again = read_circuit(text)
+    again = read_circuit(io.StringIO(text))
     assert again.code == circuit.code and np.array_equal(again.comps, circuit.comps)
     heads = {ln.split(" m=")[0] for ln in text.splitlines()[1:]}
     assert len(calls) == 1 + len(heads)  # the header, then each distinct X line and U head
@@ -564,7 +571,7 @@ def test_split_of_a_circuit_longer_than_one_block():
     circuit = gray_circuit(7, rows, cols)
     reference = ref_gray_circuit(7, pairs)
     assert circuit.code == reference.code and circuit.u_at == reference.u_at
-    subs = split_subcircuits(read_circuit(write_circuit(circuit)))
+    subs = split_subcircuits(read_circuit(io.StringIO(write_circuit(circuit))))
     assert [pair for _, pair in subs] == pairs
     assert subcircuits_circuit(7, subs).code == circuit.code
 
@@ -607,9 +614,9 @@ def test_gray_circuit_needs_rows_and_cols_of_one_length(build):
 
 @pytest.mark.parametrize("n", [synth.ARRAY_MAX_N + 1, 64])
 def test_split_past_int64_matches_the_gate_object_reference(n):
-    assert split_subcircuits(read_circuit(f"n={n} gates=0\n")) == []
+    assert split_subcircuits(read_circuit(io.StringIO(f"n={n} gates=0\n"))) == []
     pairs = [((1 << n) - 1, 0), (1 << n - 1, 1), (3, 2)]
-    circuit = read_circuit(write_circuit(gray_circuit(n, *pair_columns(pairs))))
+    circuit = read_circuit(io.StringIO(write_circuit(gray_circuit(n, *pair_columns(pairs)))))
     subs = split_subcircuits(circuit)
     assert [pair for _, pair in subs] == pairs
     assert subs == [(tuple(g.target << n | g.base for g in p), q) for p, q in ref_split_subcircuits(circuit)]
@@ -652,3 +659,82 @@ def test_gray_pairs_count_past_int64(n):
     held = GrayPairs(n, *pair_columns(pairs))
     assert (len(held), held.cancelled_len()) == (len(circuit), len(cancel_pass(circuit)))
     assert len(cancel_pass(circuit)) < len(circuit)
+
+
+# Line breaks of str.splitlines: LF, CRLF and CR, then vertical tab, form
+# feed, file separator, next line and line separator.
+_BREAKS = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"])
+# A single fault in a gate line: the kinds of line it can hit, and the edit.
+_FAULTS = {
+    "target": ("XU", lambda ln: ln.replace("t=", "t=9", 1)),
+    "pattern": ("XU", lambda ln: ln.replace("c=", "c=2", 1)),
+    "missing": ("XU", lambda ln: ln.replace(" c=", " d=", 1)),
+    "number": ("U", lambda ln: ln.replace("m=", "m=x", 1)),
+    "unitary": ("U", lambda ln: ln.partition(" m=")[0] + " m=2.0,0.0;0.0,0.0;0.0,0.0;2.0,0.0"),
+}
+
+
+@st.composite
+def circuit_texts(draw):
+    """The text of a written circuit, n = 1..5: line breaks drawn in a
+    repeating mix, blank and whitespace-only lines anywhere, a final break
+    or none, and at most one fault, in a gate line or in the header's gate
+    count, one too high or too low."""
+    n, pairs = draw(pair_lists(max_n=5))
+    seed = draw(st.integers(0, 2**32))
+    comps = np.array([random_unitary(1, seed + j) for j in range(len(pairs))], dtype=complex)
+    lines = write_circuit(gray_circuit(n, *pair_columns(pairs), comps.reshape(-1, 2, 2))).splitlines()
+    fault = draw(st.sampled_from([None, "count", *_FAULTS]))
+    if fault == "count":
+        lines[0] = f"n={n} gates={len(lines) - 1 + draw(st.sampled_from([-1, 1]))}"
+    elif fault is not None:
+        kinds, edit = _FAULTS[fault]
+        gates = [i for i, ln in enumerate(lines[1:], 1) if ln[0] in kinds]
+        if gates:
+            i = draw(st.sampled_from(gates))
+            lines[i] = edit(lines[i])
+    blanks = st.tuples(st.integers(0, len(lines)), st.sampled_from(["", " ", "\t", " \t "]))
+    for i, blank in sorted(draw(st.lists(blanks, max_size=4)), reverse=True):
+        lines.insert(i, blank)
+    breaks = draw(st.lists(_BREAKS, min_size=1, max_size=4))
+    text = "".join(ln + breaks[i % len(breaks)] for i, ln in enumerate(lines))
+    if not draw(st.booleans()):
+        text = text[: -len(breaks[(len(lines) - 1) % len(breaks)])]
+    return text
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=circuit_texts())
+@example(text="n=1 gates=1\r\nX t=0 c=_")
+def test_read_circuit_in_any_chunks_reads_the_whole_text(text):
+    # Chunks of 1, 2, 3 and 7 characters split \r\n, and every line, at
+    # every place; a written circuit of up to 40 pairs fits one default chunk.
+    expected = read_outcome(ref_read_circuit, text)
+    for chunk in (1, 2, 3, 7, synth._CHUNK):
+        with mock.patch.object(synth, "_CHUNK", chunk):
+            assert read_outcome(read_text, text) == expected
+
+
+class _Reads:
+    """A text file with ``read(size)`` alone, recording each size."""
+
+    def __init__(self, text: str) -> None:
+        self._file = io.StringIO(text)
+        self.sizes: list[int] = []
+
+    def read(self, size: int) -> str:
+        self.sizes.append(size)
+        return self._file.read(size)
+
+
+def test_read_circuit_reads_the_file_in_chunks_only():
+    d = two_level_decompose(random_unitary(6, 3), conventional_order(6))
+    circuit = construct_circuit(d)
+    text = write_circuit(circuit)
+    assert len(text) > 3 * synth._CHUNK
+    f = _Reads(text)
+    again = read_circuit(f)
+    assert again.code == circuit.code and again.u_at == circuit.u_at
+    assert np.array_equal(again.comps, circuit.comps)
+    assert all(0 < size <= synth._CHUNK for size in f.sizes)
+    assert len(f.sizes) == -(-len(text) // synth._CHUNK) + 1  # the last read finds the end
