@@ -20,8 +20,10 @@ subcircuits and simulation work on the codes; ``Circuit.gates`` builds
 :class:`ControlledGate` objects on first access, one per distinct X gate.
 
 :func:`gray_circuit` takes the pairs as two integer arrays and builds the
-codes with array operations, one row per bit position, per block of
-``_PAIR_BLOCK`` pairs, which bounds the temporaries.  The int64 codes
+codes with array operations per block of ``_PAIR_BLOCK`` pairs, which
+bounds the temporaries: a block is one grid with a column per pair, its
+rows the X run by rising bit, the U gate and the run reversed, A U A^R,
+read column by column under a mask of the gates present.  The int64 codes
 become ints by indexing an object array of every position code, so the
 circuit shares one int per distinct X code; a circuit of fewer gates
 than there are position codes shares them through a dict instead.  Past
@@ -180,8 +182,9 @@ def gray_code(c: int, r: int, n: int) -> tuple[int, ...]:
     return tuple(codes)
 
 
-# Pairs per block of the array builder.  Its temporaries then stay below
-# 128 kB up to n=8, glibc's first threshold for serving a block by mmap.
+# Pairs per block of the array builder.  Its largest temporary, the grid,
+# is (2n - 1) x 2048 x 8 B = 240 kB at n=8, and a block's traced peak
+# (tracemalloc) is 621 kB at n=8 and 836 kB at n=11.
 _PAIR_BLOCK = 2048
 # Largest n whose position codes n << n fit int64.  Past it the builder
 # and the split hold Python ints in object arrays.
@@ -193,25 +196,6 @@ def _code_arrays(n: int, *values) -> list[np.ndarray]:
     past ``ARRAY_MAX_N``."""
     dtype = np.int64 if n <= ARRAY_MAX_N else object
     return [np.asarray(v, dtype=dtype) for v in values]
-
-
-def _pair_arrays(n: int, rows, cols) -> list[np.ndarray]:
-    """The pairs as code arrays; arrays of different lengths, or a pair of
-    equal states or of a state outside [0, 2^n), are a ``ValueError``."""
-    rows, cols = _code_arrays(n, rows, cols)
-    if rows.ndim != 1 or cols.shape != rows.shape:
-        raise ValueError(f"need rows and cols of one length, got shapes {rows.shape}, {cols.shape}")
-    bad = np.flatnonzero((rows == cols) | ((rows | cols) >> n != 0))
-    if len(bad):
-        r, c = rows[bad[0]], cols[bad[0]]
-        raise ValueError(f"pair ({r}, {c}) is not two distinct states of {n} qubits")
-    return [rows, cols]
-
-
-def _gate_total(n: int, rows: np.ndarray, cols: np.ndarray) -> int:
-    """Gates of the pairs' subcircuits, 2 popcount(r ^ c) - 1 each."""
-    diff = rows ^ cols
-    return 2 * sum(np.count_nonzero(diff & 1 << b) for b in range(n)) - len(diff)
 
 
 def _gray_rows(n: int, r: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -242,29 +226,22 @@ def _gray_blocks(n: int, rows: np.ndarray, cols: np.ndarray) -> Iterator[tuple]:
     and gates, and its ``code`` and ``u_at`` as arrays of the pairs' dtype,
     U gate j as ``~j`` counting from the first pair.
 
-    Pair j's X gates (:func:`_gray_rows`) follow the run's earlier gates
-    and precede their mirror.  The component gate flips the highest bit h
-    in which r and c differ, at base r & ~2^h.
+    The block is one ``(2n - 1, pairs)`` grid, a column per pair read
+    A U A^R: the X codes of :func:`_gray_rows` by rising bit, the U codes,
+    and the X codes reversed, under the mask ``flips``, all true, ``flips``
+    reversed; ``code`` is the masked grid read column by column.  The
+    component gate flips the highest bit h in which r and c differ, at
+    base r & ~2^h.
     """
-    dtype = rows.dtype
     done = 0
     for first in range(0, len(rows), _PAIR_BLOCK):
         r, c = rows[first : first + _PAIR_BLOCK], cols[first : first + _PAIR_BLOCK]
         above, flips, x = _gray_rows(n, r, c)
-        k = flips.sum(axis=0)  # X gates in each run
-        size = 2 * k + 1
-        start = size.cumsum()
-        start -= size
-        mid = start + k  # each component gate's position
-        code = np.empty(mid[-1] + k[-1] + 1, dtype=dtype)
-        code[mid] = np.arange(~first, ~first - len(r), -1)
-        at = flips.cumsum(axis=0)
-        at += start - 1  # bit b's X gate, in the run before the middle
-        xs = x[flips]
-        code[at[flips]] = xs
-        np.subtract(2 * mid, at, out=at)  # its mirror
-        code[at[flips]] = xs
-        top = above.sum(axis=0).astype(dtype)  # h
+        u = np.arange(~first, ~first - len(r), -1, dtype=rows.dtype)[None]
+        grid = np.concatenate((x, u, x[::-1]))
+        mask = np.concatenate((flips, np.ones(u.shape, bool), flips[::-1]))
+        code = grid.T[mask.T]
+        top = above.sum(axis=0).astype(rows.dtype)  # h
         pairs, gates = slice(first, first + len(r)), slice(done, done + len(code))
         yield pairs, gates, code, top << n | r & ~(1 << top)
         done = gates.stop
@@ -275,18 +252,26 @@ class GrayPairs:
     ``cols[j]``), identity components, held as the pairs: ``len`` is its
     gate count and :meth:`cancelled_len` the count
     :func:`~palinopt.optimize.cancel_pass` leaves of it, both counted
-    without building it.  Invalid pairs are a ``ValueError``, as for
-    :func:`gray_circuit`.
+    without building it.  Arrays of different lengths, or a pair of equal
+    states or of a state outside [0, 2^n), are a ``ValueError``.
     """
 
     __slots__ = ("n", "rows", "cols")
 
     def __init__(self, n: int, rows, cols) -> None:
-        self.n = n
-        self.rows, self.cols = _pair_arrays(n, rows, cols)
+        rows, cols = _code_arrays(n, rows, cols)
+        if rows.ndim != 1 or cols.shape != rows.shape:
+            raise ValueError(f"need rows and cols of one length, got shapes {rows.shape}, {cols.shape}")
+        bad = np.flatnonzero((rows == cols) | ((rows | cols) >> n != 0))
+        if len(bad):
+            r, c = rows[bad[0]], cols[bad[0]]
+            raise ValueError(f"pair ({r}, {c}) is not two distinct states of {n} qubits")
+        self.n, self.rows, self.cols = n, rows, cols
 
     def __len__(self) -> int:
-        return _gate_total(self.n, self.rows, self.cols)
+        """Gates of the pairs' subcircuits, 2 popcount(r ^ c) - 1 each."""
+        diff = self.rows ^ self.cols
+        return 2 * sum(np.count_nonzero(diff & 1 << b) for b in range(self.n)) - len(diff)
 
     def cancelled_len(self) -> int:
         """The gate count after cancellation.
@@ -328,14 +313,14 @@ def gray_circuit(n: int, rows, cols, comps: Optional[np.ndarray] = None) -> Circ
     fewer gates than there are position codes shares them through a dict
     of the codes built instead, so the table never outgrows the circuit.
     """
-    rows, cols = _pair_arrays(n, rows, cols)
+    held = GrayPairs(n, rows, cols)
     # The lists are made at their full length and filled in place: grown
     # block by block, they would be moved past each block's temporaries and
     # fragment the heap.
-    code: list[int] = [0] * _gate_total(n, rows, cols)
-    u_at: list[int] = [0] * len(rows)
+    code: list[int] = [0] * len(held)
+    u_at: list[int] = [0] * len(held.rows)
     if n << n <= len(code):
-        table = np.concatenate((np.arange(n << n), np.arange(-len(rows), 0))).astype(object)
+        table = np.concatenate((np.arange(n << n), np.arange(-len(u_at), 0))).astype(object)
 
         def shared(a: np.ndarray) -> list[int]:
             return table[a].tolist()
@@ -346,7 +331,7 @@ def gray_circuit(n: int, rows, cols, comps: Optional[np.ndarray] = None) -> Circ
         def shared(a: np.ndarray) -> list[int]:
             return [x_codes.setdefault(g, g) for g in a.tolist()]
 
-    for pairs, gates, block_code, block_u in _gray_blocks(n, rows, cols):
+    for pairs, gates, block_code, block_u in _gray_blocks(n, held.rows, held.cols):
         code[gates] = shared(block_code)
         u_at[pairs] = shared(block_u)
     if comps is None:
@@ -407,12 +392,8 @@ def split_subcircuits(c: Circuit) -> list[tuple[tuple[int, ...], tuple[int, int]
     for pairs, gates, block_code, block_u in _gray_blocks(n, rows, cols):
         if not (np.array_equal(block_code, codes[gates]) and np.array_equal(block_u, middle[pairs])):
             raise _first_fault(c)
-    subs = []
-    i = 0
-    for size, pair in zip(k.tolist(), zip(rows.tolist(), cols.tolist())):
-        subs.append((tuple(code[i : i + size]), pair))
-        i += 2 * size + 1
-    return subs
+    runs = zip(at.tolist(), k.tolist(), zip(rows.tolist(), cols.tolist()))
+    return [(tuple(code[p - size : p]), pair) for p, size, pair in runs]
 
 
 def _first_fault(c: Circuit) -> ValueError:
@@ -435,8 +416,8 @@ def _first_fault(c: Circuit) -> ValueError:
         r, flipped = middle & mask | 1 << (middle >> n), middle & mask
         for x in prefix:
             flipped ^= 1 << (x >> n)
-        walk = next(_gray_blocks(n, *_code_arrays(n, [r], [flipped])))[2]
-        if walk[: len(prefix)].tolist() != prefix:
+        _, flips, walk = _gray_rows(n, *_code_arrays(n, [r], [flipped]))
+        if walk[flips].tolist() != prefix:
             return ValueError(f"X run is not the Gray walk of pair {(r, flipped)}")
         i = end
 

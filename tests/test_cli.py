@@ -445,9 +445,9 @@ def test_help_exits_0(capsys, argv):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("order", "--n", "11"),
+        ("order", "--n", "12"),
         ("order", "--n", "30", "--mode", "conventional"),
-        ("trie", "--n", "11", "--order", "poa", "--column", "0"),
+        ("trie", "--n", "12", "--order", "poa", "--column", "0"),
         ("trie", "--n", "30", "--order", "conventional", "--column", "0"),
     ],
 )
@@ -460,12 +460,12 @@ def test_order_size_guard(capsys, monkeypatch, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""
-    assert err.startswith("error: ") and "n=10" in err
+    assert err.startswith("error: ") and "n=11" in err
     assert len(err.strip().splitlines()) == 1
 
 
 def test_trie_column_at_the_size_limit(capsys):
-    code, out, _ = run(capsys, "trie", "--n", "10", "--order", "poa", "--column", "1022")
+    code, out, _ = run(capsys, "trie", "--n", "11", "--order", "poa", "--column", "2046")
     assert code == 0
     assert out.splitlines()[-1] == "leaves=1 interior=0 count=1"
 
