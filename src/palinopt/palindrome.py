@@ -112,8 +112,9 @@ def trie_gate_count(t: PalindromeTrie) -> int:
 
 def _dump(node: dict, n: int, indent: str, lines: list[str], labels: dict) -> list[str]:
     for key, child in node.items():
-        if key < 0:
-            lines.append(f"{indent}V{child} [leaf {child}]\n")
+        if key < 0:  # the pair (r, c) as its repr, rendered from its two ints
+            pair = "(%d, %d)" % child
+            lines.append(f"{indent}V{pair} [leaf {pair}]\n")
             continue
         label = labels.get(key)
         if label is None:  # each distinct X gate's text is rendered once

@@ -169,6 +169,8 @@ def gray_code(c: int, r: int, n: int) -> tuple[int, ...]:
     Bit flips therefore occur in increasing significance 2^0, 2^1, ...; the
     sequence has at most n+1 codes.
     """
+    if n < 1:
+        raise ValueError(f"qubit count must be >= 1, got {n}")
     if c == r:
         raise ValueError("endpoints must differ")
     if not (0 <= c < (1 << n) and 0 <= r < (1 << n)):
@@ -392,8 +394,9 @@ def split_subcircuits(c: Circuit) -> list[tuple[tuple[int, ...], tuple[int, int]
     for pairs, gates, block_code, block_u in _gray_blocks(n, rows, cols):
         if not (np.array_equal(block_code, codes[gates]) and np.array_equal(block_u, middle[pairs])):
             raise _first_fault(c)
-    runs = zip(at.tolist(), k.tolist(), zip(rows.tolist(), cols.tolist()))
-    return [(tuple(code[p - size : p]), pair) for p, size, pair in runs]
+    runs = zip((at - k).tolist(), at.tolist(), zip(rows.tolist(), cols.tolist()))
+    code = tuple(code)  # so that each prefix is one slice, not a list made a tuple
+    return [(code[start:p], pair) for start, p, pair in runs]
 
 
 def _first_fault(c: Circuit) -> ValueError:
@@ -471,6 +474,11 @@ def _parse_position(t: str, pattern: str, n: int, line: str) -> int:
     return target << n | int(pattern[:slot] + "0" + pattern[slot + 1 :], 2)
 
 
+# Every byte but those of "," and ";", which are one byte in UTF-8, a byte
+# no other character's encoding holds.
+_NOT_SEPARATOR = bytes(b for b in range(256) if b not in b",;")
+
+
 def _components(fields: list[str], lines: list[str]) -> np.ndarray:
     """The ``(k, 2, 2)`` components of the ``m=`` fields of k U lines,
     each field holding four ``;``-separated entries.
@@ -482,9 +490,9 @@ def _components(fields: list[str], lines: list[str]) -> np.ndarray:
     if not fields:
         return np.empty((0, 2, 2), dtype=complex)
     joined = ";".join(fields)
-    entries = joined.split(";")
-    # as many commas as entries and one in every entry: exactly one in each
-    if joined.count(",") != len(entries) or not all("," in e for e in entries):
+    # exactly one comma in each entry: the separators alternate ",;" from a comma
+    seps = joined.encode("utf-8", "surrogatepass").translate(None, _NOT_SEPARATOR)
+    if seps != (b",;" * (4 * len(fields)))[:-1]:
         for m, line in zip(fields, lines):
             if any(e.count(",") != 1 for e in m.split(";")):
                 raise ValueError(f"component entries must be re,im pairs: {line!r}")
@@ -532,7 +540,7 @@ def read_circuit(f: TextIO) -> Circuit:
     line break carried into the next, so the lines are those of the whole
     text split at once; blank and whitespace-only lines are dropped.  Each
     distinct ``(t, c)`` position, X line and U-line head (the text before
-    `` m=``, reused only for a line whose rest is one field without
+    `` m=``, reused only for a line whose rest is one ASCII field without
     whitespace) is parsed once.  The ``m=`` fields are checked and converted
     by :func:`_components` per block of U lines, which bounds the number
     strings alive at once.  The header's gate count is checked at the end of
@@ -560,18 +568,22 @@ def read_circuit(f: TextIO) -> Circuit:
             tail = [last]
         else:
             lines = ["".join(tail)]
-        lines = [ln for ln in lines if ln.strip()]
-        if n is None and lines:
-            n, count = _parse_header(lines[0])
-            del lines[0]
         for line in lines:
             g = x_codes.get(line)
             if g is None:
                 head, _, m = line.partition(" m=")
-                one_field = m.split() == [m]
+                # Inside a line, the only ASCII whitespace is " ", "\t" and
+                # "\x1f": the others break lines.
+                one_field = m.isascii() and m and " " not in m and "\t" not in m and "\x1f" not in m
                 g = u_heads.get(head) if one_field else None
                 if g is None:
-                    kind, *tokens = line.split()
+                    words = line.split()
+                    if not words:  # a blank line
+                        continue
+                    if n is None:  # the first line that is not blank
+                        n, count = _parse_header(line)
+                        continue
+                    kind, *tokens = words
                     if kind not in ("X", "U"):
                         raise ValueError(f"unknown gate line {line!r}")
                     parsed = _parse_fields(tokens)
@@ -597,7 +609,7 @@ def read_circuit(f: TextIO) -> Circuit:
                 if len(fields) == _BLOCK:
                     blocks.append(_components(fields, u_lines))
                     fields, u_lines = [], []
-                g = ~(len(u_at) - 1)
+                g = -len(u_at)  # ~j of U gate j
             code.append(g)
         if not chunk:
             break

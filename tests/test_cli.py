@@ -164,6 +164,12 @@ def test_gray_at_the_size_limit(capsys):
     assert lines[0] == "0" * 1024 and lines[-1] == "1" * 1024
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_gray_rejects_qubit_counts_below_one(capsys, n):
+    code, out, err = run(capsys, "gray", "--n", str(n), "--from", "0", "--to", "1")
+    assert (code, out, err) == (1, "", f"error: qubit count must be >= 1, got {n}\n")
+
+
 def test_gray_bad_endpoints(capsys):
     code, _, err = run(capsys, "gray", "--n", "3", "--from", "2", "--to", "2")
     assert code == 1

@@ -38,6 +38,7 @@ from palinopt.palindrome import (
     trie_gate_count,
 )
 from palinopt.synth import (
+    ARRAY_MAX_N,
     Circuit,
     gray_circuit,
     read_circuit,
@@ -352,6 +353,23 @@ def test_split_and_trie_match_gate_object_reference(case):
     assert trie.counts() == counts
     assert trie_gate_count(trie) == counts[0] + 2 * counts[1]
     assert dump_trie(trie) == text
+
+
+@pytest.mark.parametrize("n", range(ARRAY_MAX_N + 1, 65))
+def test_dump_trie_past_int64_matches_gate_object_reference(n):
+    # Past ARRAY_MAX_N the split reads the pairs from object arrays, and
+    # the leaves render the largest ints: states up to 2^n - 1.
+    top = (1 << n) - 1
+    pairs = [(top, 0), (top, 1), (top - 2, 0), (1 << n - 1 | 3, 2), (3, 0), (top, 1 << n - 1)]
+    circuit = gray_circuit(n, *pair_columns(pairs))
+    subs = split_subcircuits(circuit)
+    assert [pair for _, pair in subs] == pairs
+    assert all(type(v) is int for _, pair in subs for v in pair)
+    trie = build_trie(n, subs)
+    counts, text = ref_trie(ref_split_subcircuits(circuit))
+    assert trie.counts() == counts and counts[1] > 0
+    assert dump_trie(trie) == text
+    assert f"V({top}, 0) [leaf ({top}, 0)]\n" in text
 
 
 def _x_codes(n):

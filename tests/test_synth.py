@@ -423,6 +423,20 @@ def test_circuit_text_past_one_block_of_components(monkeypatch):
 
 
 _M = "0.0,0.0;1.0,0.0;1.0,0.0;0.0,0.0"
+# A U line's places for whitespace, " " where the canonical line has it:
+# before and after each word, after m= and inside the m= field.
+_SLOTS = ("", " ", " ", " ", "", "", "")
+_U_LINE = "{}U{}t=0{}c=0_{}m={}0.0,0.0;{}1.0,0.0;1.0,0.0;0.0,0.0{}"
+# Whitespace other than " ": the ASCII "\t" and "\x1f", the only other ASCII
+# whitespace that can sit inside a line, and the non-ASCII "\xa0" and
+# "\u3000".
+_SPACES = ("\t", "\x1f", "\xa0", "\u3000")
+# The canonical U line with one of them added at one place.
+_SPACED = [
+    _U_LINE.format(*_SLOTS[:k], w + _SLOTS[k], *_SLOTS[k + 1 :])
+    for k in range(len(_SLOTS))
+    for w in _SPACES
+]
 
 
 def read_text(text):
@@ -466,6 +480,7 @@ def read_outcome(read, text):
         f"V t=0 c=0_ m={_M}",
         f"U t=0 c=0_ m=={_M}",
         f"U t=0 c=0_ m={_M}=",
+        *_SPACED,
     ],
 )
 @pytest.mark.parametrize("first", [True, False], ids=["head-seen-first", "line-first"])
@@ -478,6 +493,41 @@ def test_read_circuit_matches_the_full_parse_reference(line, first):
     body = canonical + [line] if first else [line] + canonical
     text = f"n=2 gates={len(body)}\n" + "\n".join(body) + "\n"
     assert read_outcome(read_text, text) == read_outcome(ref_read_circuit, text)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda ln: ln.replace(";", ";\xa0", 1),
+        lambda ln: ln.replace(";", ";\u3000", 1),
+        lambda ln: ln.replace(";", ";\x1f", 1),
+        lambda ln: ln + "\u3000",
+        lambda ln: ln + "\u3000t=1",
+        lambda ln: ln.replace(" m=", "\u3000m=", 1),
+        lambda ln: ln.replace(" c=", "\xa0c=", 1),
+        lambda ln: ln.replace(" m=", " m=\xe9", 1),
+    ],
+    ids=["nbsp-in-m", "ideographic-in-m", "unit-sep-in-m", "ideographic-after",
+         "ideographic-then-t", "ideographic-before-m", "nbsp-before-c", "accent-in-m"],
+)
+@pytest.mark.parametrize("chunk", [64, 4096])
+def test_read_circuit_with_a_later_chunk_past_ascii(edit, chunk):
+    # The first chunks are ASCII and cache the U-line heads; the last U
+    # line, in a later chunk, has the same head and one non-ASCII or tab-like
+    # character, so its head may be reused only if its m= field is one ASCII
+    # field without whitespace.
+    pairs = [(3, 0), (2, 1)] * 40
+    comps = np.array([random_unitary(1, j) for j in range(len(pairs))]).reshape(-1, 2, 2)
+    lines = write_circuit(gray_circuit(2, *pair_columns(pairs), comps)).splitlines()
+    last = max(i for i, ln in enumerate(lines) if ln.startswith("U"))
+    ascii_text = "\n".join(lines) + "\n"
+    assert ascii_text.index(lines[last]) > chunk
+    lines[last] = edit(lines[last])
+    text = "\n".join(lines) + "\n"
+    assert not text.isascii() or "\x1f" in text
+    with mock.patch.object(synth, "_CHUNK", chunk):
+        for t in (ascii_text, text):
+            assert read_outcome(read_text, t) == read_outcome(ref_read_circuit, t)
 
 
 def test_read_circuit_parses_each_u_line_head_once(monkeypatch):
