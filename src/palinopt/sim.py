@@ -21,16 +21,19 @@ def circuit_to_matrix(c: Circuit) -> np.ndarray:
     """Unitary computed by the circuit, gates applied in sequence order.
 
     ``row[i]`` names the row of ``m`` holding basis state i of the product
-    so far, so the product is ``m[row]``.  A U gate multiplies its two rows,
-    copied into ``pair``, by its component and writes them back.
+    so far, so the product is ``m[row]``.  A U gate's two stored rows a and
+    b are the only rows of the strided view ``m[a:b+1:b-a]`` (for a > b,
+    ``m[b:a+1:a-b]``, with the component's rows and columns reversed), and
+    one ``np.matmul`` into that view updates them in place; numpy copies an
+    operand that overlaps the output first.
     """
     n = c.n
     dim = 1 << n
     mask = dim - 1
     m = np.eye(dim, dtype=complex)
     row = list(range(dim))
-    pair, out = np.empty((2, 2, dim), dtype=complex)
     u_at, comps = c.u_at, c.comps
+    flipped = comps[:, ::-1, ::-1]
     for g in c.code:
         if g >= 0:
             i0 = g & mask
@@ -39,12 +42,13 @@ def circuit_to_matrix(c: Circuit) -> np.ndarray:
         else:
             at = u_at[~g]
             i0 = at & mask
-            r0, r1 = m[row[i0]], m[row[i0 | 1 << (at >> n)]]
-            pair[0] = r0
-            pair[1] = r1
-            np.matmul(comps[~g], pair, out=out)
-            r0[:] = out[0]
-            r1[:] = out[1]
+            a, b = row[i0], row[i0 | 1 << (at >> n)]
+            if a < b:
+                v = m[a : b + 1 : b - a]
+                np.matmul(comps[~g], v, out=v)
+            else:
+                v = m[b : a + 1 : a - b]
+                np.matmul(flipped[~g], v, out=v)
     return m[row]
 
 

@@ -375,6 +375,8 @@ def split_subcircuits(c: Circuit) -> list[tuple[tuple[int, ...], tuple[int, int]
     fault in gate order.
     """
     n, code = c.n, c.code
+    if not code:
+        return []
     mask = (1 << n) - 1
     codes, u_at = _code_arrays(n, code, c.u_at)
     at = np.flatnonzero(codes < 0)  # p_j
@@ -383,8 +385,6 @@ def split_subcircuits(c: Circuit) -> list[tuple[tuple[int, ...], tuple[int, int]
     sign = 1 - 2 * (np.arange(len(at)) & 1)
     k = np.cumsum((np.diff(at, prepend=-1) - 1) * sign) * sign
     if not len(at) or (k < 0).any() or at[-1] + k[-1] + 1 != len(code):
-        if not code:
-            return []
         raise _first_fault(c)
     middle = u_at[~codes[at].astype(np.intp)]
     rows = middle & mask | 1 << (middle >> n)
@@ -433,16 +433,31 @@ def write_circuit(c: Circuit) -> str:
     """Circuit file text.  Each distinct position's ``t=.. c=..`` text and
     each distinct X line is rendered once, and the floats of the component
     matrices (real and imaginary parts, row-major) by one ``repr`` of a list
-    per block of matrices, which bounds the float strings alive at once."""
+    per block of matrices, which bounds the float strings alive at once.
+    A component in Givens form, ``[[a, conj(c)], [c, -conj(a)]]`` bit for
+    bit with no NaN entry (each eliminating step of ``decompose``), has only
+    a and c formatted: b and d take those strings, copied or with the sign
+    flipped, which is exact for every float but NaN (``repr(-nan)`` is
+    ``'nan'``)."""
     n, code, u_at = c.n, c.code, c.u_at
-    floats = c.comps.reshape(-1).view(float).reshape(-1, 8)
+    bits = c.comps.reshape(-1).view(np.int64).reshape(-1, 8)
+    floats = bits.view(float)
+    sign = np.int64(-1 << 63)
+    givens = (bits[:, 6] == bits[:, 0] ^ sign) & (bits[:, 7] == bits[:, 1])  # d = -conj(a)
+    givens &= (bits[:, 2] == bits[:, 4]) & (bits[:, 3] == bits[:, 5] ^ sign) & ~np.isnan(floats).any(axis=1)
     distinct = set(code)
     at = {p: position_text(p, n) for p in distinct.union(u_at) if p >= 0}
     lines = {g: "X " + at[g] for g in distinct if g >= 0}  # code -> its line
     for start in range(0, len(u_at), _BLOCK):
-        block = repr(floats[start : start + _BLOCK].reshape(-1).tolist())[1:-1].split(", ")
-        entries = zip(*[iter(block)] * 8)
-        for j, (p, m) in enumerate(zip(u_at[start : start + _BLOCK], entries), start):
+        f, g = floats[start : start + _BLOCK], givens[start : start + _BLOCK]
+        free = f[g][:, [0, 1, 4, 5]].reshape(-1).tolist()
+        block = repr(free + f[~g].reshape(-1).tolist())[1:-1].split(", ")
+        ar, ai, cr, ci = (block[k : len(free) : 4] for k in range(4))
+        neg_ar, neg_ci = ([s[1:] if s[0] == "-" else "-" + s for s in x] for x in (ar, ci))
+        givens_rows = zip(ar, ai, cr, neg_ci, cr, ci, neg_ar, ai)
+        other_rows = zip(*[iter(block[len(free) :])] * 8)
+        for j, p, is_givens in zip(range(start, start + len(g)), u_at[start : start + _BLOCK], g.tolist()):
+            m = next(givens_rows) if is_givens else next(other_rows)
             lines[~j] = "U %s m=%s,%s;%s,%s;%s,%s;%s,%s" % (at[p], *m)
     return "\n".join([f"n={n} gates={len(code)}", *map(lines.__getitem__, code), ""])
 

@@ -547,9 +547,12 @@ def test_trie_rejects_x_runs_that_are_not_gray_walks(tmp_path, capsys, circuit, 
     assert err == f"error: cannot read circuit: X run is not the Gray walk of pair {pair}\n"
 
 
-def test_trie_of_an_empty_circuit(tmp_path, capsys):
+@pytest.mark.parametrize("n", [2, 99999999999])
+def test_trie_of_an_empty_circuit(tmp_path, capsys, n):
+    # The split returns before any work sized by n, so a huge n is no
+    # MemoryError.
     path = tmp_path / "empty.circ"
-    path.write_text("n=2 gates=0\n")
+    path.write_text(f"n={n} gates=0\n")
     code, out, err = run(capsys, "trie", "--input", str(path))
     assert code == 0
     assert out == "leaves=0 interior=0 count=0\n"

@@ -111,8 +111,22 @@ def test_circuit_to_matrix_matches_column_oracle(circuit):
 @settings(max_examples=60, deadline=None)
 @given(circuit=random_circuits())
 def test_circuit_to_matrix_matches_gate_object_reference(circuit):
-    # Row views updated through a scratch pair against the fancy-indexed
+    # Strided two-row views updated in place against the fancy-indexed
     # gather and scatter over gate objects.
+    assert np.max(np.abs(circuit_to_matrix(circuit) - ref_circuit_to_matrix(circuit))) < 1e-12
+
+
+@pytest.mark.parametrize("descending", [False, True])
+def test_circuit_to_matrix_u_rows_in_either_order(descending):
+    # The last U gate acts on basis states 0 and 2.  The X gate on (2, 3)
+    # stores state 2 in row 3, so its rows are 0 and 3, ascending, with rows
+    # 1 and 2 between them untouched; the X gate on (0, 2) then makes them 3
+    # and 0, descending.  The first U gate leaves no row a basis row.
+    first = ControlledGate(2, 0, 0, random_unitary(1, 5))
+    x23, x02 = ControlledGate(2, 0, 0b10, "X"), ControlledGate(2, 1, 0, "X")
+    last = ControlledGate(2, 1, 0, random_unitary(1, 6))
+    gates = [first, x23, x02, last] if descending else [first, x23, last]
+    circuit = circuit_from_gates(2, gates)
     assert np.max(np.abs(circuit_to_matrix(circuit) - ref_circuit_to_matrix(circuit))) < 1e-12
 
 

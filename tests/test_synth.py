@@ -1,4 +1,5 @@
 import io
+import math
 from unittest import mock
 
 import numpy as np
@@ -301,6 +302,46 @@ def test_circuit_text_matches_controls_tuple_reference(order, seed):
     circuit, reference = construct_circuit(d), ref_construct(d)
     assert write_circuit(circuit) == ref_write(d.n, reference)
     assert write_circuit(cancel_pass(circuit)) == ref_write(d.n, cancel_pass_peephole(reference))
+
+
+# Reals whose repr or sign flip is special, and ordinary ones.
+_REALS = st.one_of(
+    st.sampled_from(
+        [0.0, -0.0, 5e-324, -5e-324, 1e-05, -1e-05, 1e16, -1e16, math.inf, -math.inf, math.nan, -math.nan]
+    ),
+    st.floats(-2, 2),
+)
+
+
+@st.composite
+def component_floats(draw):
+    """A component's 8 floats, real and imaginary parts row-major: Givens
+    form ``[[a, conj(c)], [c, -conj(a)]]``, that form with one float's sign
+    flipped, or 8 drawn floats."""
+    ar, ai, cr, ci = (draw(_REALS) for _ in range(4))
+    floats = [ar, ai, cr, -ci, cr, ci, -ar, ai]
+    kind = draw(st.sampled_from(["givens", "one sign flipped", "other"]))
+    if kind == "one sign flipped":
+        i = draw(st.integers(0, 7))
+        floats[i] = -floats[i]
+    elif kind == "other":
+        floats = [draw(_REALS) for _ in range(8)]
+    return floats
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.lists(component_floats(), max_size=8), block=st.sampled_from([1, 2, 3, synth._BLOCK]))
+@example(rows=[[0.0, 1.0, 2.0, -3.0, 2.0, 3.0, 0.0, 1.0]], block=1)  # d.re is 0.0, not -0.0
+@example(rows=[[math.nan, 1.0, 2.0, -3.0, 2.0, 3.0, -math.nan, 1.0]], block=1)  # repr(-nan) is 'nan'
+def test_write_circuit_matches_per_float_reference(rows, block):
+    # Givens-form components have only a and c formatted; every float of
+    # the text must still be its own repr.
+    n = 2
+    comps = np.array(rows, dtype=float).reshape(-1).view(complex).reshape(-1, 2, 2)
+    u_at = [(0b000, 0b010, 0b100, 0b101)[j % 4] for j in range(len(rows))]
+    circuit = Circuit(n, [~j for j in range(len(rows))], u_at, comps)
+    with mock.patch.object(synth, "_BLOCK", block):
+        assert write_circuit(circuit) == ref_write(n, circuit.gates)
 
 
 @settings(max_examples=60, deadline=None)
