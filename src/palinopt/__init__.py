@@ -15,10 +15,9 @@ from .optimize import (
     formula_conventional,
     formula_conventional_cancel,
     formula_poa,
-    poa_recurrence,
 )
 from .ordering import OrderArray, conventional_order, poa_order, validate_order
-from .palindrome import build_trie, dfs_order, mos_check, trie_gate_count
+from .palindrome import build_trie, trie_gate_count
 from .sim import VerificationReport, circuit_to_matrix, verify
 from .synth import (
     Circuit,
@@ -40,16 +39,13 @@ __all__ = [
     "construct_circuit",
     "conventional_order",
     "count_structural",
-    "dfs_order",
     "formula_conventional",
     "formula_conventional_cancel",
     "formula_poa",
     "frobenius_distance",
     "gray_code",
     "is_unitary",
-    "mos_check",
     "poa_order",
-    "poa_recurrence",
     "random_unitary",
     "trie_gate_count",
     "two_level_decompose",

@@ -71,17 +71,6 @@ def formula_poa(n: int) -> int:
     return num // 3 - 7 * (1 << (n - 1))
 
 
-def poa_recurrence(n: int) -> int:
-    """Same count via the level-doubling recurrence, base 8 at n=2."""
-    if n < 2:
-        raise ValueError(f"qubit count must be >= 2, got {n}")
-    val = 8
-    for m in range(3, n + 1):
-        half = 1 << (m - 1)
-        val = 4 * (val + half - 2) + 5 * (half - 1) + 1 - 2 * (half - 1)
-    return val
-
-
 def table_rows(lo: int, hi: int, mode: str = "formula") -> list[tuple[int, int, int, int]]:
     """(n, palindromic, conventional, no-canceling) rows.
 

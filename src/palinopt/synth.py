@@ -31,8 +31,9 @@ n=57, where position codes leave int64, the arrays hold Python ints.
 A :class:`GrayPairs` holds that circuit as its pairs and counts its
 gates, and what the X-pair cancellation leaves of them, from the same
 per-bit rows without building it.
-:func:`split_subcircuits` inverts the builder on arrays and checks the
-pairs it reads by rebuilding them.  :func:`read_circuit` reads a circuit
+:func:`split_subcircuits` inverts the builder on arrays, checks the
+pairs it reads by rebuilding them and returns the subcircuits as arrays,
+a :class:`Subcircuits`.  :func:`read_circuit` reads a circuit
 file from an open text file in chunks of ``_CHUNK`` characters, so it never
 holds the whole text or a list of all its lines.
 
@@ -357,9 +358,23 @@ def construct_circuit(d: Decomposition, skip_identity: bool = False) -> Circuit:
     return gray_circuit(d.n, rows, cols, comps)
 
 
-def split_subcircuits(c: Circuit) -> list[tuple[tuple[int, ...], tuple[int, int]]]:
-    """Recover the palindromic subcircuits of an uncancelled circuit as
-    ``(prefix, pair)``: the X run's position codes and the pair (r, c).
+@dataclass(frozen=True, eq=False)
+class Subcircuits:
+    """Palindromic subcircuits as arrays: subcircuit j's X run is the
+    position codes ``codes[start[j] : start[j] + length[j]]`` and its pair
+    is (``rows[j]``, ``cols[j]``).  The arrays hold int64, or Python ints
+    past ``ARRAY_MAX_N``."""
+
+    codes: np.ndarray
+    start: np.ndarray
+    length: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+
+
+def split_subcircuits(c: Circuit) -> Subcircuits:
+    """Recover the palindromic subcircuits of an uncancelled circuit, in
+    gate order.
 
     The inverse of :func:`gray_circuit`, on arrays.  The component gates
     are the negative codes, at p_0 < p_1 < ...; subcircuit j is k_j X
@@ -372,20 +387,21 @@ def split_subcircuits(c: Circuit) -> list[tuple[tuple[int, ...], tuple[int, int]
     gives c as its base.  The circuit rebuilt from the pairs must equal the
     one given, its component gates numbered in gate order: cancelled
     circuits no longer have this shape and are rejected with the first
-    fault in gate order.
+    fault in gate order.  ``codes`` is the circuit's codes, component gate
+    j as ``~j``.
     """
     n, code = c.n, c.code
-    if not code:
-        return []
-    mask = (1 << n) - 1
     codes, u_at = _code_arrays(n, code, c.u_at)
     at = np.flatnonzero(codes < 0)  # p_j
     # k_j = g_j - k_{j-1} with the gaps g_j = p_j - p_{j-1} - 1 (p_{-1} =
     # -1), so (-1)^j k_j is the running sum of (-1)^i g_i.
     sign = 1 - 2 * (np.arange(len(at)) & 1)
     k = np.cumsum((np.diff(at, prepend=-1) - 1) * sign) * sign
+    if not code:  # all arrays empty; 2^n need not fit in memory
+        return Subcircuits(codes, at, k, u_at, u_at)
     if not len(at) or (k < 0).any() or at[-1] + k[-1] + 1 != len(code):
         raise _first_fault(c)
+    mask = (1 << n) - 1
     middle = u_at[~codes[at].astype(np.intp)]
     rows = middle & mask | 1 << (middle >> n)
     first = np.where(k > 0, codes[at - k], middle)
@@ -394,9 +410,7 @@ def split_subcircuits(c: Circuit) -> list[tuple[tuple[int, ...], tuple[int, int]
     for pairs, gates, block_code, block_u in _gray_blocks(n, rows, cols):
         if not (np.array_equal(block_code, codes[gates]) and np.array_equal(block_u, middle[pairs])):
             raise _first_fault(c)
-    runs = zip((at - k).tolist(), at.tolist(), zip(rows.tolist(), cols.tolist()))
-    code = tuple(code)  # so that each prefix is one slice, not a list made a tuple
-    return [(code[start:p], pair) for start, p, pair in runs]
+    return Subcircuits(codes, at - k, k, rows, cols)
 
 
 def _first_fault(c: Circuit) -> ValueError:

@@ -9,6 +9,10 @@ overlap test by recursive runs of leaf sets.  The library runs its stack
 cancellation, row-tracking simulator, subcircuit split and trie on integer
 gate codes; the same algorithms over gate objects are kept here as
 references, and so is the circuit reader without its U-line head cache.
+The library's palindrome trie is arrays; the trie as nested dicts, built
+one subcircuit at a time, with its recursive depth-first walk, mos test
+and dump, is its reference here, and so is the level-doubling recurrence
+for the palindromic gate count that the closed form is checked against.
 Circuits of (r, c) pairs are also built from the pairs' Gray codes, state
 by state, as a reference for the library's builders.
 The small matrix helpers, per-column counts, subcircuit overlaps, the
@@ -37,6 +41,7 @@ from palinopt.synth import (
     _parse_position,
     gray_circuit,
     gray_code,
+    position_text,
 )
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -230,6 +235,139 @@ def ref_trie(subs) -> tuple[tuple[int, int], str]:
     lines: list[str] = []
     counts = _ref_dump(root, 0, lines)
     return counts, "".join(lines)
+
+
+@dataclass
+class RefTrie:
+    """The palindrome trie as nested dicts.  A node is a dict: an X gate's
+    child node under its position code target << n | base, a leaf's pair
+    (r, c) under a negative int unique within the trie."""
+
+    root: dict
+    n: int  # qubit count of the subcircuits
+    leaves: int
+    interior: int  # nodes other than the root and the leaves
+
+    def counts(self) -> tuple[int, int]:
+        """(leaf count, interior count), as recorded while building."""
+        return self.leaves, self.interior
+
+
+def ref_build_trie(n: int, subs) -> RefTrie:
+    """One leaf per ``(prefix, pair)`` subcircuit of n qubits, inserted one
+    by one: shared X-run prefixes share paths, children keyed by the X
+    gates' position codes; leaves and interior nodes are counted as they
+    are inserted."""
+    root: dict = {}
+    interior = 0
+    pairs: set[tuple[int, int]] = set()
+    for prefix, pair in subs:
+        if pair in pairs:
+            raise ValueError(f"duplicate subcircuit for pair {pair}")
+        pairs.add(pair)
+        node = root
+        for key in prefix:
+            child = node.get(key)
+            if child is None:
+                child = node[key] = {}
+                interior += 1
+            node = child
+        node[-len(pairs)] = pair
+    return RefTrie(root, n, len(pairs), interior)
+
+
+# The recursive walks are module-level functions: a nested function that
+# calls itself is a reference cycle, which would keep the trie alive until
+# the cyclic garbage collector runs.
+def _leaves(node: dict, out: list) -> list:
+    for key, child in node.items():
+        if key < 0:
+            out.append(child)
+        else:
+            _leaves(child, out)
+    return out
+
+
+def dfs_order(t: RefTrie) -> list[tuple[int, int]]:
+    """Leaf pairs in depth-first order; children visited in insertion order."""
+    return _leaves(t.root, [])
+
+
+def _run(node: dict, pos: dict, runs: list) -> tuple[int, int, int]:
+    """(first, last, count) of the leaf positions under ``node``; appends
+    each interior node's triple to ``runs``."""
+    first, last, count = len(pos), -1, 0
+    for key, child in node.items():
+        if key < 0:
+            lo = hi = pos[child]
+            k = 1
+        else:
+            lo, hi, k = _run(child, pos, runs)
+        first, last, count = min(first, lo), max(last, hi), count + k
+    runs.append((first, last, count))
+    return first, last, count
+
+
+def mos_check(t: RefTrie, seq) -> bool:
+    """True iff ``seq`` is a maximal overlap sequence for the trie.
+
+    Characterization: the leaves under every trie node fill one contiguous
+    run of positions in the sequence; siblings may appear in any order.
+    One post-order walk finds each node's (first, last, count) of leaf
+    positions.  Positions are distinct, so a run with last - first >= count
+    has a gap.
+    """
+    pos = {leaf: i for i, leaf in enumerate(seq)}
+    if len(pos) != len(seq) or pos.keys() != set(dfs_order(t)):
+        raise ValueError("sequence is not a permutation of the trie's leaves")
+    runs: list[tuple[int, int, int]] = []
+    _run(t.root, pos, runs)
+    return all(last - first < count for first, last, count in runs)
+
+
+def _dump(node: dict, n: int, indent: str, lines: list[str], labels: dict) -> list[str]:
+    for key, child in node.items():
+        if key < 0:  # the pair (r, c) as its repr, rendered from its two ints
+            pair = "(%d, %d)" % child
+            lines.append(f"{indent}V{pair} [leaf {pair}]\n")
+            continue
+        label = labels.get(key)
+        if label is None:  # each distinct X gate's text is rendered once
+            label = labels[key] = "X " + position_text(key, n) + "\n"
+        lines.append(indent + label)
+        _dump(child, n, indent + "  ", lines, labels)
+    return lines
+
+
+def ref_dump_trie(t: RefTrie) -> str:
+    """Indented one-node-per-line rendering of the dict trie, by a
+    recursive walk."""
+    return "".join(_dump(t.root, t.n, "", [], {}))
+
+
+def trie_order(t) -> list[tuple[int, int]]:
+    """The leaf pairs of the library's trie, in its depth-first order."""
+    return list(zip(t.rows.tolist(), t.cols.tolist()))
+
+
+def subcircuit_tuples(s) -> list:
+    """The split's subcircuit arrays as ``(prefix, pair)`` tuples, the
+    prefix as the X run's position codes."""
+    codes = s.codes.tolist()
+    runs = zip(s.start.tolist(), s.length.tolist(), s.rows.tolist(), s.cols.tolist())
+    return [(tuple(codes[a : a + k]), (r, c)) for a, k, r, c in runs]
+
+
+def poa_recurrence(n: int) -> int:
+    """Palindromic-order size after cancellation, by the level-doubling
+    recurrence, base 8 at n=2."""
+    if n < 2:
+        raise ValueError(f"qubit count must be >= 2, got {n}")
+    val = 8
+    for m in range(3, n + 1):
+        half = 1 << (m - 1)
+        val = 4 * (val + half - 2) + 5 * (half - 1) + 1 - 2 * (half - 1)
+    return val
 
 
 def dense_decompose(u: np.ndarray, order) -> list[TwoLevelMatrix]:

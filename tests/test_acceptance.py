@@ -9,11 +9,16 @@ from itertools import permutations
 import numpy as np
 import pytest
 from oracles import (
+    dfs_order,
     factor_pairs,
     intercolumn_cancellation,
+    mos_check,
     overlap,
+    poa_recurrence,
+    ref_build_trie,
     subcircuit_for_pair,
     subcircuits_circuit,
+    trie_order,
 )
 
 from palinopt.cli import main
@@ -25,10 +30,9 @@ from palinopt.optimize import (
     formula_conventional,
     formula_conventional_cancel,
     formula_poa,
-    poa_recurrence,
 )
 from palinopt.ordering import conventional_order, poa_order
-from palinopt.palindrome import build_trie, dfs_order, mos_check, trie_gate_count
+from palinopt.palindrome import build_trie, trie_gate_count
 from palinopt.sim import circuit_to_matrix
 from palinopt.synth import construct_circuit
 
@@ -95,7 +99,7 @@ def test_criterion_4_mos_brute_force(capsys):
     for col, rows in enumerate(order.columns):
         poa_count = len(cancel_pass(column_circuit_gates(n, rows, col)))
         subs = {r: subcircuit_for_pair(r, col, n) for r in rows}
-        trie = build_trie(n, subs.values())
+        trie = ref_build_trie(n, subs.values())
         best = min(
             len(cancel_pass(column_circuit_gates(n, perm, col)))
             for perm in permutations(rows)
@@ -121,7 +125,8 @@ def test_criterion_5_trie_count_equality(capsys):
             for col, rows in enumerate(order.columns):
                 subs = {r: subcircuit_for_pair(r, col, n) for r in rows}
                 trie = build_trie(n, subs.values())
-                mos_rows = [r for (r, _) in dfs_order(trie)]
+                ok &= trie_order(trie) == dfs_order(ref_build_trie(n, subs.values()))
+                mos_rows = [r for (r, _) in trie_order(trie)]
                 cancelled = len(cancel_pass(column_circuit_gates(n, mos_rows, col)))
                 ok &= cancelled == trie_gate_count(trie)
         # POA columns are already maximal overlap sequences in place

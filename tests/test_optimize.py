@@ -7,6 +7,7 @@ from oracles import (
     column_counts,
     intercolumn_cancellation,
     overlap,
+    poa_recurrence,
     ref_cancel_pass,
     subcircuit_for_pair,
 )
@@ -20,7 +21,6 @@ from palinopt.optimize import (
     formula_conventional,
     formula_conventional_cancel,
     formula_poa,
-    poa_recurrence,
     structural_circuit,
     table_rows,
 )

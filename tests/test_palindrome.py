@@ -8,6 +8,7 @@ position codes target << n | base at n=4.
 import gc
 import io
 import random
+import re
 import weakref
 from itertools import permutations
 
@@ -16,27 +17,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    dfs_order,
+    mos_check,
     overlap,
     pair_columns,
+    ref_build_trie,
+    ref_dump_trie,
     ref_mos_check,
     ref_overlap,
     ref_split_subcircuits,
     ref_trie,
     subcircuit_for_pair,
+    subcircuit_tuples,
     subcircuits_circuit,
     total_overlap,
     trie_leaves,
+    trie_order,
 )
 
 from palinopt.optimize import cancel_pass
 from palinopt.ordering import conventional_order, poa_order
-from palinopt.palindrome import (
-    build_trie,
-    dfs_order,
-    dump_trie,
-    mos_check,
-    trie_gate_count,
-)
+from palinopt.palindrome import build_trie, dump_trie, trie_gate_count
 from palinopt.synth import (
     ARRAY_MAX_N,
     Circuit,
@@ -68,8 +69,8 @@ def cancelled_length(subs, n, middles=None):
 
 
 def _shuffled_dfs(node, rnd):
-    """Leaves in a depth-first order with each node's children shuffled:
-    always a maximal overlap sequence."""
+    """Leaves of a dict trie in a depth-first order with each node's
+    children shuffled: always a maximal overlap sequence."""
     children = list(node.items())
     rnd.shuffle(children)
     return [
@@ -114,13 +115,12 @@ def test_dfs_order_of_poa_column_is_row_order():
     # trie it induces.
     order = poa_order(3)
     subs = column_subcircuits(order, 0, 3)
-    t = build_trie(3, subs)
-    assert dfs_order(t) == [(r, 0) for r in order.columns[0]]
+    rows = [(r, 0) for r in order.columns[0]]
+    assert trie_order(build_trie(3, subs)) == dfs_order(ref_build_trie(3, subs)) == rows
 
 
 def test_dfs_order_abc_example():
-    t = build_trie(4, [S1, S2])
-    assert dfs_order(t) == [(1, -1), (2, -1)]
+    assert trie_order(build_trie(4, [S1, S2])) == dfs_order(ref_build_trie(4, [S1, S2])) == [(1, -1), (2, -1)]
 
 
 def test_mos_dfs_always_true():
@@ -128,13 +128,15 @@ def test_mos_dfs_always_true():
     for n in (3, 4, 5):
         for make_order in (poa_order, conventional_order):
             for col in range((1 << n) - 1):
-                t = build_trie(n, column_subcircuits(make_order(n), col, n))
+                subs = column_subcircuits(make_order(n), col, n)
+                t = ref_build_trie(n, subs)
                 assert mos_check(t, dfs_order(t))
                 assert mos_check(t, _shuffled_dfs(t.root, rnd))
+                assert mos_check(t, trie_order(build_trie(n, subs)))
 
 
 def test_mos_siblings_permute_freely():
-    t = build_trie(4, [S1, S2])
+    t = ref_build_trie(4, [S1, S2])
     assert mos_check(t, [(1, -1), (2, -1)])
     assert mos_check(t, [(2, -1), (1, -1)])
 
@@ -143,12 +145,12 @@ def test_mos_rejects_conventional_row_order():
     # Leaves below the shared first-flip node are rows 3, 5, 7; they are
     # not contiguous in 1..7.
     subs = column_subcircuits(poa_order(3), 0, 3)
-    t = build_trie(3, subs)
+    t = ref_build_trie(3, subs)
     assert not mos_check(t, [(r, 0) for r in range(1, 8)])
 
 
 def test_mos_rejects_non_permutation():
-    t = build_trie(4, [S1, S2])
+    t = ref_build_trie(4, [S1, S2])
     with pytest.raises(ValueError):
         mos_check(t, [(1, -1)])
     with pytest.raises(ValueError):
@@ -174,7 +176,7 @@ def test_mos_order_cancels_to_trie_count():
         subs = column_subcircuits(poa_order(3), col, 3)
         t = build_trie(3, subs)
         by_id = {s[1]: s for s in subs}
-        ordered = [by_id[i] for i in dfs_order(t)]
+        ordered = [by_id[i] for i in trie_order(t)]
         assert cancelled_length(ordered, 3) == trie_gate_count(t)
 
 
@@ -187,8 +189,9 @@ def test_total_overlap_matches_cancellation():
 
 
 def test_duplicate_subcircuit_rejected():
-    with pytest.raises(ValueError):
-        build_trie(4, [S1, S1])
+    for build in (build_trie, ref_build_trie):
+        with pytest.raises(ValueError, match=r"^duplicate subcircuit for pair \(1, -1\)$"):
+            build(4, [S1, S2, S1])
 
 
 def test_trie_counts_insertion_order_invariant():
@@ -203,9 +206,8 @@ def test_brute_force_optimality_small():
     # Exhaustive over the 5 subcircuits of column 2, n=3: dfs order is
     # minimal and minimality coincides with mos membership.
     subs = column_subcircuits(poa_order(3), 2, 3)
-    t = build_trie(3, subs)
-    by_id = {s[1]: s for s in subs}
-    best = trie_gate_count(t)
+    t = ref_build_trie(3, subs)
+    best = trie_gate_count(build_trie(3, subs))
     for perm in permutations(subs):
         count = cancelled_length(list(perm), 3)
         assert count >= best
@@ -228,20 +230,43 @@ def test_dump_empty_trie():
 
 
 @pytest.mark.parametrize(
-    "walk", [dump_trie, dfs_order, lambda t: mos_check(t, dfs_order(t))], ids=["dump", "dfs", "mos"]
+    "walk", [ref_dump_trie, dfs_order, lambda t: mos_check(t, dfs_order(t))], ids=["dump", "dfs", "mos"]
 )
 def test_walks_leave_the_trie_to_reference_counting(walk):
-    # The walks make no reference cycles, so the trie is freed when its last
-    # reference goes, without waiting for the cyclic garbage collector.
+    # The dict trie's recursive walks make no reference cycles, so the trie
+    # is freed when its last reference goes, without waiting for the cyclic
+    # garbage collector.
     enabled = gc.isenabled()
     gc.disable()
     try:
-        trie = build_trie(4, column_subcircuits(poa_order(4), 0, 4))
+        trie = ref_build_trie(4, column_subcircuits(poa_order(4), 0, 4))
         ref = weakref.ref(trie)
         gc.collect()
         walk(trie)
         del trie
         assert ref() is None
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("tuples", [False, True], ids=["split", "tuples"])
+def test_trie_path_leaves_nothing_to_the_cyclic_collector(tuples):
+    # Split, build and dump make no reference cycles: the split's arrays and
+    # the trie are freed when their last references go, and nothing is left
+    # for the cyclic garbage collector.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        rows, cols = poa_order(4).pairs()
+        subs = split_subcircuits(gray_circuit(4, rows, cols))
+        trie = build_trie(4, subcircuit_tuples(subs) if tuples else subs)
+        refs = weakref.ref(subs), weakref.ref(trie)
+        assert dump_trie(trie)
+        del subs, trie
+        assert [ref() for ref in refs] == [None, None]
         assert gc.collect() == 0
     finally:
         if enabled:
@@ -258,8 +283,10 @@ def test_conventional_column_trie_same_counts():
 
 def test_trie_leaves_are_the_subcircuit_pairs():
     subs = column_subcircuits(poa_order(3), 0, 3)
-    leaves = trie_leaves(build_trie(3, subs))
+    leaves = trie_leaves(ref_build_trie(3, subs))
     assert sorted(leaves) == sorted(pair for _, pair in subs)
+    assert len(leaves) == ref_build_trie(3, subs).counts()[0]
+    assert trie_order(build_trie(3, subs)) == leaves
     assert len(leaves) == build_trie(3, subs).counts()[0]
 
 
@@ -271,7 +298,7 @@ def column_tries_and_sequences(draw):
     n = draw(st.integers(3, 5))
     make_order = draw(st.sampled_from([poa_order, conventional_order]))
     col = draw(st.integers(0, (1 << n) - 2))
-    trie = build_trie(n, column_subcircuits(make_order(n), col, n))
+    trie = ref_build_trie(n, column_subcircuits(make_order(n), col, n))
     rnd = draw(st.randoms(use_true_random=False))
     kind = draw(st.sampled_from(["random", "dfs", "swapped"]))
     if kind == "random":
@@ -291,7 +318,7 @@ def test_mos_check_matches_recursive_reference(case):
 
 
 def test_mos_empty_trie_and_sequence():
-    t = build_trie(3, [])
+    t = ref_build_trie(3, [])
     assert mos_check(t, []) and ref_mos_check(t, [])
 
 
@@ -313,7 +340,7 @@ def test_dump_trie_text():
 
 
 def test_trie_keys_are_ints():
-    t = build_trie(3, column_subcircuits(conventional_order(3), 0, 3))
+    t = ref_build_trie(3, column_subcircuits(conventional_order(3), 0, 3))
     stack = [t.root]
     while stack:
         node = stack.pop()
@@ -322,6 +349,17 @@ def test_trie_keys_are_ints():
             assert type(key) is int and (key < 0) == (type(child) is tuple)
             if key >= 0:
                 stack.append(child)
+
+
+def test_trie_arrays_are_ints():
+    # The array trie's counterpart of the dict trie's int keys: its arrays
+    # hold ints, and column i of x is leaf i's X run, padded with -1.
+    subs = column_subcircuits(conventional_order(3), 0, 3)
+    t = build_trie(3, subs)
+    assert all(a.dtype.kind in "iu" for a in (t.x, t.time, t.rows, t.cols))
+    runs = {pair: list(prefix) for prefix, pair in subs}
+    for i, pair in enumerate(trie_order(t)):
+        assert t.x[:, i].tolist() == runs[pair] + [-1] * (len(t.x) - len(runs[pair]))
 
 
 @st.composite
@@ -340,7 +378,8 @@ def test_split_and_trie_match_gate_object_reference(case):
     # same circuit file through gate objects and render labels from them.
     n, pairs = case
     circuit = read_circuit(io.StringIO(write_circuit(gray_circuit(n, *pair_columns(pairs)))))
-    subs, ref = split_subcircuits(circuit), ref_split_subcircuits(circuit)
+    split, ref = split_subcircuits(circuit), ref_split_subcircuits(circuit)
+    subs = subcircuit_tuples(split)
     assert [pair for _, pair in subs] == [pair for _, pair in ref] == pairs
     assert [prefix for prefix, _ in subs] == [
         tuple(g.target << n | g.base for g in prefix) for prefix, _ in ref
@@ -348,7 +387,7 @@ def test_split_and_trie_match_gate_object_reference(case):
     assert [overlap(a, b) for a, b in zip(subs, subs[1:])] == [
         ref_overlap(a, b) for a, b in zip(ref, ref[1:])
     ]
-    trie = build_trie(n, subs)
+    trie = build_trie(n, split)
     counts, text = ref_trie(ref)
     assert trie.counts() == counts
     assert trie_gate_count(trie) == counts[0] + 2 * counts[1]
@@ -362,10 +401,11 @@ def test_dump_trie_past_int64_matches_gate_object_reference(n):
     top = (1 << n) - 1
     pairs = [(top, 0), (top, 1), (top - 2, 0), (1 << n - 1 | 3, 2), (3, 0), (top, 1 << n - 1)]
     circuit = gray_circuit(n, *pair_columns(pairs))
-    subs = split_subcircuits(circuit)
+    split = split_subcircuits(circuit)
+    subs = subcircuit_tuples(split)
     assert [pair for _, pair in subs] == pairs
     assert all(type(v) is int for _, pair in subs for v in pair)
-    trie = build_trie(n, subs)
+    trie = build_trie(n, split)
     counts, text = ref_trie(ref_split_subcircuits(circuit))
     assert trie.counts() == counts and counts[1] > 0
     assert dump_trie(trie) == text
@@ -429,24 +469,26 @@ def test_split_checks_match_gate_object_reference(circuit):
     def gate_codes(prefix):
         return tuple(g.target << n | g.base for g in prefix)
 
-    got = _split_outcome(split_subcircuits, circuit, tuple)
+    got = _split_outcome(lambda c: subcircuit_tuples(split_subcircuits(c)), circuit, tuple)
     assert got == _split_outcome(ref_split_subcircuits, circuit, gate_codes)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_trie_counts_are_recorded_while_building(n):
-    # For the whole circuit of either order: counts() returns what
-    # build_trie recorded, and a walk of the finished trie gives the same
-    # pair.  The dict trie's walks agree with the references, and its dump
-    # with the gate-object trie's.
+    # For the whole circuit of either order: the dict trie's counts() is
+    # what it recorded while building, and a walk of the finished trie gives
+    # the same pair; the array trie's counts, depth-first order and dump
+    # agree with it, its walks agree with the references, and the dump with
+    # the gate-object trie's.
     rnd = random.Random(n)
     for make_order in (poa_order, conventional_order):
         rows, cols = make_order(n).pairs()
         pairs = list(zip(rows.tolist(), cols.tolist()))
         circuit = gray_circuit(n, rows, cols)
-        trie = build_trie(n, split_subcircuits(circuit))
+        split = split_subcircuits(circuit)
+        trie, ref = build_trie(n, split), ref_build_trie(n, subcircuit_tuples(split))
         leaves = interior = 0
-        stack = list(trie.root.items())
+        stack = list(ref.root.items())
         while stack:
             key, child = stack.pop()
             if key < 0:
@@ -454,9 +496,57 @@ def test_trie_counts_are_recorded_while_building(n):
             else:
                 interior += 1
                 stack.extend(child.items())
-        assert trie.counts() == (trie.leaves, trie.interior) == (leaves, interior)
+        assert trie.counts() == ref.counts() == (ref.leaves, ref.interior) == (leaves, interior)
         assert leaves == (1 << (n - 1)) * ((1 << n) - 1)
-        assert dfs_order(trie) == trie_leaves(trie)
-        for seq in (dfs_order(trie), _shuffled_dfs(trie.root, rnd), pairs, pairs[::-1]):
-            assert mos_check(trie, seq) == ref_mos_check(trie, seq)
-        assert dump_trie(trie) == ref_trie(ref_split_subcircuits(circuit))[1]
+        assert trie_order(trie) == dfs_order(ref) == trie_leaves(ref)
+        for seq in (dfs_order(ref), _shuffled_dfs(ref.root, rnd), pairs, pairs[::-1]):
+            assert mos_check(ref, seq) == ref_mos_check(ref, seq)
+        assert dump_trie(trie) == ref_dump_trie(ref) == ref_trie(ref_split_subcircuits(circuit))[1]
+
+
+_CODES = st.integers(0, 5).map(lambda k: 1 << 4 | k)  # a few n=4 position codes
+_WIDE = st.integers(0, 5).map(lambda k: 59 << 60 | k)  # n=60 codes past int64
+
+
+@st.composite
+def subcircuit_lists(draw):
+    """n and ``(prefix, pair)`` subcircuits of runs over a few codes, so
+    that runs share prefixes and a leaf may come before, between or after
+    sibling subtrees: empty runs (leaves at the root) included, and the
+    empty list.  At n=60 the codes and the pairs leave int64.  Up to two
+    pairs are overwritten with drawn ones, so that pairs may repeat."""
+    n, codes = draw(st.sampled_from([(4, _CODES), (60, _WIDE)]))
+    prefixes = draw(st.lists(st.lists(codes, max_size=4).map(tuple), max_size=12))
+    top = (1 << n) - 1
+    pairs = draw(
+        st.lists(
+            st.tuples(st.integers(top - 20, top), st.integers(0, 3)),
+            min_size=len(prefixes),
+            max_size=len(prefixes),
+            unique=True,
+        )
+    )
+    for _ in range(draw(st.integers(0, 2)) if pairs else 0):
+        pairs[draw(st.integers(0, len(pairs) - 1))] = draw(st.sampled_from(pairs))
+    return n, list(zip(prefixes, pairs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(subcircuit_lists())
+def test_array_trie_matches_dict_trie(case):
+    # The array trie against the dict trie it replaces: the same dump, the
+    # same counts and the same depth-first leaf order, or the same message
+    # for a repeated pair.
+    n, subs = case
+    try:
+        ref = ref_build_trie(n, subs)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            build_trie(n, subs)
+        return
+    trie = build_trie(n, subs)
+    assert trie.counts() == ref.counts()
+    assert trie_order(trie) == dfs_order(ref)
+    assert dump_trie(trie) == ref_dump_trie(ref)
+    if n > ARRAY_MAX_N:
+        assert all(type(v) is int for a in (trie.x, trie.rows, trie.cols) for v in a.ravel().tolist())

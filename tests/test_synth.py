@@ -16,6 +16,7 @@ from oracles import (
     ref_split_subcircuits,
     ref_write,
     subcircuit_for_pair,
+    subcircuit_tuples,
     subcircuits_circuit,
 )
 from strategies import random_circuits, valid_orders
@@ -262,7 +263,7 @@ def test_read_circuit_rejects_bad_header_n():
 def test_split_subcircuits_round_trip():
     d = two_level_decompose(random_unitary(3, 3), conventional_order(3))
     circuit = construct_circuit(d)
-    subs = split_subcircuits(circuit)
+    subs = subcircuit_tuples(split_subcircuits(circuit))
     assert len(subs) == len(d.factors)
     flat = subcircuits_circuit(3, subs, circuit.comps)
     assert flat.code == circuit.code and flat.u_at == circuit.u_at
@@ -281,7 +282,8 @@ def test_split_subcircuits_rejects_cancelled():
 def test_split_subcircuits_recovers_pairs():
     for order in (conventional_order(3), poa_order(3)):
         d = two_level_decompose(random_unitary(3, 3), order)
-        subs = split_subcircuits(read_circuit(io.StringIO(write_circuit(construct_circuit(d)))))
+        circuit = read_circuit(io.StringIO(write_circuit(construct_circuit(d))))
+        subs = subcircuit_tuples(split_subcircuits(circuit))
         assert [pair for _, pair in subs] == [f.pair for f in reversed(d.factors)]
 
 
@@ -632,7 +634,7 @@ def test_split_inverts_gray_circuit_in_blocks(case, block):
     # also where position codes leave int64.
     n, pairs = case
     with mock.patch.object(synth, "_PAIR_BLOCK", block):
-        subs = split_subcircuits(gray_circuit(n, *pair_columns(pairs)))
+        subs = subcircuit_tuples(split_subcircuits(gray_circuit(n, *pair_columns(pairs))))
     runs = [ref_gray_circuit(n, [pair]).code for pair in pairs]
     assert subs == [(tuple(run[: len(run) // 2]), pair) for run, pair in zip(runs, pairs)]
 
@@ -648,7 +650,7 @@ def test_split_inverts_gray_circuit_in_blocks(case, block):
 )
 def test_split_recovers_runs_of_any_length(pairs):
     circuit = gray_circuit(3, *pair_columns(pairs))
-    subs = split_subcircuits(circuit)
+    subs = subcircuit_tuples(split_subcircuits(circuit))
     assert [pair for _, pair in subs] == pairs
     assert [len(prefix) for prefix, _ in subs] == [(r ^ c).bit_count() - 1 for r, c in pairs]
     assert subs == [(tuple(g.target << 3 | g.base for g in p), q) for p, q in ref_split_subcircuits(circuit)]
@@ -662,7 +664,7 @@ def test_split_of_a_circuit_longer_than_one_block():
     circuit = gray_circuit(7, rows, cols)
     reference = ref_gray_circuit(7, pairs)
     assert circuit.code == reference.code and circuit.u_at == reference.u_at
-    subs = split_subcircuits(read_circuit(io.StringIO(write_circuit(circuit))))
+    subs = subcircuit_tuples(split_subcircuits(read_circuit(io.StringIO(write_circuit(circuit)))))
     assert [pair for _, pair in subs] == pairs
     assert subcircuits_circuit(7, subs).code == circuit.code
 
@@ -675,7 +677,7 @@ def test_split_reads_component_gates_through_their_codes(n, u_at, pairs):
     # U gates coded ~1 then ~0: each is read through its code, as the
     # gate-object reference reads it, so U gate 1 leads.
     circuit = Circuit(n, [~1, ~0], u_at, np.broadcast_to(np.eye(2, dtype=complex), (2, 2, 2)))
-    subs = split_subcircuits(circuit)
+    subs = subcircuit_tuples(split_subcircuits(circuit))
     assert subs == [(tuple(p), q) for p, q in ref_split_subcircuits(circuit)]
     assert subs == [((), pair) for pair in pairs]
 
@@ -705,10 +707,10 @@ def test_gray_circuit_needs_rows_and_cols_of_one_length(build):
 
 @pytest.mark.parametrize("n", [synth.ARRAY_MAX_N + 1, 64])
 def test_split_past_int64_matches_the_gate_object_reference(n):
-    assert split_subcircuits(read_circuit(io.StringIO(f"n={n} gates=0\n"))) == []
+    assert subcircuit_tuples(split_subcircuits(read_circuit(io.StringIO(f"n={n} gates=0\n")))) == []
     pairs = [((1 << n) - 1, 0), (1 << n - 1, 1), (3, 2)]
     circuit = read_circuit(io.StringIO(write_circuit(gray_circuit(n, *pair_columns(pairs)))))
-    subs = split_subcircuits(circuit)
+    subs = subcircuit_tuples(split_subcircuits(circuit))
     assert [pair for _, pair in subs] == pairs
     assert subs == [(tuple(g.target << n | g.base for g in p), q) for p, q in ref_split_subcircuits(circuit)]
 
