@@ -47,7 +47,7 @@ def _resolve_order(spec: str, n: int) -> ordering.OrderArray:
         return ordering.conventional_order(n)
     if spec == "poa":
         return ordering.poa_order(n)
-    order = ordering.load_order(Path(spec).read_text())
+    order = ordering.load_order(Path(spec).read_text(encoding="utf-8"))
     if order.n != n:
         raise ValueError(f"order file is for n={order.n}, need n={n}")
     return order
@@ -55,7 +55,7 @@ def _resolve_order(spec: str, n: int) -> ordering.OrderArray:
 
 def cmd_compile(args: argparse.Namespace) -> int:
     with _context("cannot read input matrix"):
-        u = linalg.read_matrix(Path(args.input).read_text())
+        u = linalg.read_matrix(Path(args.input).read_text(encoding="utf-8"))
     dim = u.shape[0]
     n = dim.bit_length() - 1
     if dim < 2 or dim != 1 << n:
@@ -67,11 +67,11 @@ def cmd_compile(args: argparse.Namespace) -> int:
     if args.cancel:
         circuit = optimize.cancel_pass(circuit)
     with _context("cannot write output"):
-        Path(args.output).write_text(synth.write_circuit(circuit))
+        Path(args.output).write_text(synth.write_circuit(circuit), encoding="utf-8")
     print(f"wrote {len(circuit)} gates to {args.output}")
 
     if args.verify:
-        with _context("cannot read circuit back"), open(args.output) as f:
+        with _context("cannot read circuit back"), open(args.output, encoding="utf-8") as f:
             reread = synth.read_circuit(f)
         report = sim.verify(u, reread)
         print(report)
@@ -117,7 +117,7 @@ def cmd_gray(args: argparse.Namespace) -> int:
 def cmd_trie(args: argparse.Namespace) -> int:
     if args.input:
         with _context("cannot read circuit"):
-            with open(args.input) as f:
+            with open(args.input, encoding="utf-8") as f:
                 circuit = synth.read_circuit(f)
             subs = synth.split_subcircuits(circuit)
     elif args.n is not None and args.order and args.column is not None:

@@ -23,9 +23,11 @@ def circuit_to_matrix(c: Circuit) -> np.ndarray:
     ``row[i]`` names the row of ``m`` holding basis state i of the product
     so far, so the product is ``m[row]``.  A U gate's two stored rows a and
     b are the only rows of the strided view ``m[a:b+1:b-a]`` (for a > b,
-    ``m[b:a+1:a-b]``, with the component's rows and columns reversed), and
-    one ``np.matmul`` into that view updates them in place; numpy copies an
-    operand that overlaps the output first.
+    ``m[b:a+1:a-b]``, with the component's rows and columns reversed).  One
+    ``np.matmul`` computes their update into a contiguous ``(2, 2^n)``
+    scratch pair, made once, and one copy writes it back to the view: an
+    output that overlapped the operand would make numpy allocate and copy a
+    temporary for every U gate.
     """
     n = c.n
     dim = 1 << n
@@ -34,6 +36,7 @@ def circuit_to_matrix(c: Circuit) -> np.ndarray:
     row = list(range(dim))
     u_at, comps = c.u_at, c.comps
     flipped = comps[:, ::-1, ::-1]
+    pair = np.empty((2, dim), dtype=complex)
     for g in c.code:
         if g >= 0:
             i0 = g & mask
@@ -45,10 +48,11 @@ def circuit_to_matrix(c: Circuit) -> np.ndarray:
             a, b = row[i0], row[i0 | 1 << (at >> n)]
             if a < b:
                 v = m[a : b + 1 : b - a]
-                np.matmul(comps[~g], v, out=v)
+                np.matmul(comps[~g], v, out=pair)
             else:
                 v = m[b : a + 1 : a - b]
-                np.matmul(flipped[~g], v, out=v)
+                np.matmul(flipped[~g], v, out=pair)
+            v[...] = pair
     return m[row]
 
 

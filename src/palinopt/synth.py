@@ -561,6 +561,19 @@ def _parse_header(line: str) -> tuple[int, int]:
 _CHUNK = 1 << 16
 
 
+def _seed(n: int, positions: dict, x_codes: dict, u_heads: dict) -> None:
+    """Enter every position's text as the writer renders it, so that the
+    reader finds each canonical X line and U-line head without parsing it:
+    ``(t, c)`` in ``positions`` and ``"X " + text`` in ``x_codes`` and
+    ``"U " + text`` in ``u_heads``, all mapped to one shared position code.
+    There are ``n << (n - 1)`` positions."""
+    for p in range(n << n):
+        if not p >> (p >> n) & 1:  # the target bit of the base is clear
+            text = position_text(p, n)
+            t, c = text[2:].split(" c=")
+            positions[t, c] = x_codes["X " + text] = u_heads["U " + text] = p
+
+
 def read_circuit(f: TextIO) -> Circuit:
     """Parse a circuit file from the open text file ``f``, read with
     ``f.read(_CHUNK)``, never whole.
@@ -570,10 +583,17 @@ def read_circuit(f: TextIO) -> Circuit:
     text split at once; blank and whitespace-only lines are dropped.  Each
     distinct ``(t, c)`` position, X line and U-line head (the text before
     `` m=``, reused only for a line whose rest is one ASCII field without
-    whitespace) is parsed once.  The ``m=`` fields are checked and converted
-    by :func:`_components` per block of U lines, which bounds the number
-    strings alive at once.  The header's gate count is checked at the end of
-    the file, so a fault in a line is reported before a wrong count."""
+    whitespace) is parsed once.  When the chunk holding the header has at
+    least n and then at least ``n << n`` lines (the test on n comes first, so
+    a huge n is never shifted), every position's text as the writer renders
+    it is entered before the next line (:func:`_seed`), so no canonical line
+    is parsed at all, and the ``n << n`` lines and heads entered never
+    outnumber the lines already read; any other line, and every line of a
+    file that fails the bound, still takes the parse.  The ``m=`` fields are
+    checked and converted by :func:`_components` per block of U lines, which
+    bounds the number strings alive at once.  The header's gate count is
+    checked at the end of the file, so a fault in a line is reported before
+    a wrong count."""
     n = count = None
     positions: dict[tuple[str, str], int] = {}
     x_codes: dict[str, int] = {}  # code of each distinct X line
@@ -611,6 +631,8 @@ def read_circuit(f: TextIO) -> Circuit:
                         continue
                     if n is None:  # the first line that is not blank
                         n, count = _parse_header(line)
+                        if n <= len(lines) and n << n <= len(lines):
+                            _seed(n, positions, x_codes, u_heads)
                         continue
                     kind, *tokens = words
                     if kind not in ("X", "U"):

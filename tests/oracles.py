@@ -8,7 +8,8 @@ with gates that name each control qubit's bit explicitly, and the maximal
 overlap test by recursive runs of leaf sets.  The library runs its stack
 cancellation, row-tracking simulator, subcircuit split and trie on integer
 gate codes; the same algorithms over gate objects are kept here as
-references, and so is the circuit reader without its U-line head cache.
+references, and so are the circuit reader without its U-line head cache
+and the simulator that updates a U gate's two rows in place.
 The library's palindrome trie is arrays; the trie as nested dicts, built
 one subcircuit at a time, with its recursive depth-first walk, mos test
 and dump, is its reference here, and so is the level-doubling recurrence
@@ -468,6 +469,34 @@ def ref_circuit_to_matrix(c: Circuit) -> np.ndarray:
         else:
             rows = [row[i0], row[i1]]
             m[rows] = g.op @ m[rows]
+    return m[row]
+
+
+def ref_inplace_circuit_to_matrix(c: Circuit) -> np.ndarray:
+    """The library's row-tracking simulation with each U gate's product
+    written straight into the strided view of its two rows, which numpy
+    computes through a temporary copy of the operand."""
+    n = c.n
+    dim = 1 << n
+    mask = dim - 1
+    m = np.eye(dim, dtype=complex)
+    row = list(range(dim))
+    flipped = c.comps[:, ::-1, ::-1]
+    for g in c.code:
+        if g >= 0:
+            i0 = g & mask
+            i1 = i0 | 1 << (g >> n)
+            row[i0], row[i1] = row[i1], row[i0]
+        else:
+            at = c.u_at[~g]
+            i0 = at & mask
+            a, b = row[i0], row[i0 | 1 << (at >> n)]
+            if a < b:
+                v = m[a : b + 1 : b - a]
+                np.matmul(c.comps[~g], v, out=v)
+            else:
+                v = m[b : a + 1 : a - b]
+                np.matmul(flipped[~g], v, out=v)
     return m[row]
 
 

@@ -351,7 +351,10 @@ def run_on_circuit_file(tmp_path, capsys, monkeypatch, command, edit=None):
             circ.write_bytes(edit(circ.read_bytes()))
         return run(capsys, "trie", "--input", str(circ))
     if edit:
-        monkeypatch.setattr(Path, "write_text", lambda self, text: self.write_bytes(edit(text.encode())))
+        def write_text(self, text, encoding):
+            return self.write_bytes(edit(text.encode(encoding)))
+
+        monkeypatch.setattr(Path, "write_text", write_text)
     return run(capsys, "compile", "--input", str(inp), "--output", str(circ), "--verify")
 
 
@@ -646,3 +649,25 @@ def test_closed_stdout_exits_1_in_one_line(tmp_path, capsys, argv, unbuffered):
     assert proc.stderr.startswith("error: ")
     assert len(proc.stderr.splitlines()) == 1
     assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+
+def test_text_files_name_their_encoding(tmp_path):
+    # Every text file the CLI reads or writes is opened as UTF-8, whatever
+    # the locale, so a run warns of no default encoding.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(palinopt.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    inp = write_unitary(tmp_path, 3)
+    order = tmp_path / "o.ord"
+    order.write_text(save_order(conventional_order(3)), encoding="utf-8")
+    circ = tmp_path / "c.circ"
+    for argv in (
+        ("compile", "--input", inp, "--output", circ, "--verify"),
+        ("compile", "--input", inp, "--order", order, "--output", circ, "--verify"),
+        ("trie", "--input", circ),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-m", "palinopt.cli", *map(str, argv)],
+            capture_output=True, encoding="utf-8", env=env, timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (0, ""), argv

@@ -7,6 +7,7 @@ from oracles import (
     circuit_matrix,
     expand_two_level,
     ref_circuit_to_matrix,
+    ref_inplace_circuit_to_matrix,
     subcircuit_for_pair,
     subcircuits_circuit,
 )
@@ -128,6 +129,43 @@ def test_circuit_to_matrix_u_rows_in_either_order(descending):
     gates = [first, x23, x02, last] if descending else [first, x23, last]
     circuit = circuit_from_gates(2, gates)
     assert np.max(np.abs(circuit_to_matrix(circuit) - ref_circuit_to_matrix(circuit))) < 1e-12
+    assert np.array_equal(circuit_to_matrix(circuit), ref_inplace_circuit_to_matrix(circuit))
+
+
+def u_row_orders(c):
+    """For each U gate of ``c``, whether its stored rows a, b have a < b."""
+    n, mask = c.n, (1 << c.n) - 1
+    row = list(range(1 << n))
+    orders = []
+    for g in c.code:
+        at = g if g >= 0 else c.u_at[~g]
+        i0 = at & mask
+        i1 = i0 | 1 << (at >> n)
+        if g >= 0:
+            row[i0], row[i1] = row[i1], row[i0]
+        else:
+            orders.append(row[i0] < row[i1])
+    return orders
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_circuit_to_matrix_is_bit_identical_to_the_in_place_update(n):
+    # The product through the scratch pair is the arithmetic of the product
+    # written into the rows' view, so the matrices are equal bit for bit,
+    # with U gates on rows in both orders.
+    rng = np.random.default_rng(n)
+    seen = set()
+    for _ in range(10):
+        gates = []
+        for _ in range(60):
+            target = int(rng.integers(n))
+            base = int(rng.integers(1 << n)) & ~(1 << target)
+            op = "X" if rng.random() < 0.5 else random_unitary(1, int(rng.integers(2**32)))
+            gates.append(ControlledGate(n, target, base, op))
+        circuit = circuit_from_gates(n, gates)
+        seen.update(u_row_orders(circuit))
+        assert np.array_equal(circuit_to_matrix(circuit), ref_inplace_circuit_to_matrix(circuit))
+    assert seen == {True, False}
 
 
 def test_verify_identity():

@@ -397,10 +397,17 @@ def test_circuit_codes_match_its_gates():
 
 
 def test_circuit_shares_each_distinct_x_code():
-    # At n=6 most position codes are past CPython's cached small ints.
+    # At n=6 most position codes are past CPython's cached small ints.  In
+    # the mixed text every other line has a doubled space, so the parsed
+    # lines and the writer's own ones, found through the entered positions,
+    # meet at the same codes.
     d = two_level_decompose(random_unitary(6, 4), conventional_order(6))
-    reread = read_circuit(io.StringIO(write_circuit(construct_circuit(d))))
-    for circuit in (construct_circuit(d), reread):
+    lines = write_circuit(construct_circuit(d)).splitlines()
+    reread = read_circuit(io.StringIO("\n".join(lines)))
+    lines[1::2] = [ln.replace(" c=", "  c=") for ln in lines[1::2]]
+    mixed = read_circuit(io.StringIO("\n".join(lines)))
+    assert mixed.code == reread.code
+    for circuit in (construct_circuit(d), reread, mixed):
         first = {}
         for g in circuit.code:
             if g >= 0:
@@ -487,12 +494,13 @@ def read_text(text):
 
 
 def read_outcome(read, text):
-    """What ``read(text)`` gives: the circuit's fields, or the error."""
+    """What ``read(text)`` gives: the circuit's fields, the components as
+    bytes, or the error."""
     try:
         c = read(text)
     except ValueError as exc:
         return str(exc)
-    return c.n, c.code, c.u_at, c.comps.tolist()
+    return c.n, c.code, c.u_at, c.comps.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -573,7 +581,8 @@ def test_read_circuit_with_a_later_chunk_past_ascii(edit, chunk):
             assert read_outcome(read_text, t) == read_outcome(ref_read_circuit, t)
 
 
-def test_read_circuit_parses_each_u_line_head_once(monkeypatch):
+def counted_parses(monkeypatch):
+    """The first token of each ``_parse_fields`` call, as they happen."""
     calls = []
     parse = synth._parse_fields
 
@@ -582,13 +591,40 @@ def test_read_circuit_parses_each_u_line_head_once(monkeypatch):
         return parse(tokens)
 
     monkeypatch.setattr(synth, "_parse_fields", counted)
-    d = two_level_decompose(random_unitary(3, 8), poa_order(3))
-    circuit = construct_circuit(d)
+    return calls
+
+
+def test_read_circuit_parses_no_canonical_line(monkeypatch):
+    # The n=3 file's first chunk has more than 3 << 3 lines, so the reader
+    # enters every position's text as the writer renders it, and only the
+    # header reaches the field parse.
+    calls = counted_parses(monkeypatch)
+    circuit = construct_circuit(two_level_decompose(random_unitary(3, 8), poa_order(3)))
     text = write_circuit(circuit)
+    assert len(text.splitlines()) >= 3 << 3
     again = read_circuit(io.StringIO(text))
     assert again.code == circuit.code and np.array_equal(again.comps, circuit.comps)
-    heads = {ln.split(" m=")[0] for ln in text.splitlines()[1:]}
-    assert len(calls) == 1 + len(heads)  # the header, then each distinct X line and U head
+    assert calls == ["n=3"]
+
+
+def test_read_circuit_parses_each_other_u_line_head_once(monkeypatch):
+    # Lines that are not the writer's own, and every line of a file whose
+    # n << n exceeds its first chunk's lines (n=9, 32 pairs: 286 lines
+    # against 4,608), still reach the field parse once per distinct X line
+    # and U-line head.
+    calls = counted_parses(monkeypatch)
+    circuit = construct_circuit(two_level_decompose(random_unitary(3, 8), poa_order(3)))
+    spaced = write_circuit(circuit).replace(" c=", "  c=")
+    pairs = [((5 * j + 1) % 512, (3 * j) % 512) for j in range(32)]
+    sparse = write_circuit(gray_circuit(9, *pair_columns(pairs)))
+    assert len(sparse.splitlines()) < 9 << 9
+    for text in (spaced, sparse):
+        calls.clear()
+        again = read_circuit(io.StringIO(text))
+        assert write_circuit(again) == text.replace("  c=", " c=")
+        assert calls[0] == text.split()[0]
+        heads = {ln.split(" m=")[0] for ln in text.splitlines()[1:]}
+        assert len(calls) == 1 + len(heads)  # the header, then each distinct X line and U head
 
 
 @st.composite
@@ -806,6 +842,73 @@ def test_read_circuit_in_any_chunks_reads_the_whole_text(text):
     for chunk in (1, 2, 3, 7, synth._CHUNK):
         with mock.patch.object(synth, "_CHUNK", chunk):
             assert read_outcome(read_text, text) == expected
+
+
+def _rotate_pattern(ln):
+    """The line with its control pattern rotated one place, which moves
+    the ``_`` off the target's slot (n > 1)."""
+    head, _, rest = ln.partition(" c=")
+    pattern, space, tail = rest.partition(" ")
+    return f"{head} c={pattern[1:]}{pattern[:1]}{space}{tail}"
+
+
+# An edit of one gate line that leaves the writer's layout: the kinds of
+# line it can hit, and the edit.  Some keep the line valid, the rest break it.
+_EDITS = {
+    **_FAULTS,
+    "doubled space": ("XU", lambda ln: ln.replace(" ", "  ", 1)),
+    "tab": ("XU", lambda ln: ln.replace(" c=", "\tc=", 1)),
+    "reordered": ("XU", lambda ln: " ".join([ln.split()[0], *ln.split()[:0:-1]])),
+    "extra field": ("XU", lambda ln: ln + " x=1"),
+    "misplaced _": ("XU", _rotate_pattern),
+}
+
+
+@st.composite
+def written_texts(draw):
+    """A written circuit, n = 1..7, of drawn pairs or of a whole poa or
+    conventional order, cancelled or not, with LF or CRLF breaks and blank
+    lines, and at most one edit of one gate line or a cut of the text."""
+    n = draw(st.integers(1, 7))
+    kind = draw(st.sampled_from(["drawn", "poa", "conventional"])) if n > 1 else "drawn"
+    if kind == "drawn":
+        state = st.integers(0, (1 << n) - 1)
+        pair = st.tuples(state, state.filter(bool)).map(lambda cd: (cd[0] ^ cd[1], cd[0]))
+        rows, cols = pair_columns(draw(st.lists(pair, min_size=1, max_size=60)))
+    else:
+        rows, cols = (poa_order if kind == "poa" else conventional_order)(n).pairs()
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    comps = np.linalg.qr(rng.standard_normal((len(rows), 2, 2, 2)).view(complex)[..., 0])[0]
+    circuit = gray_circuit(n, rows, cols, comps)
+    if draw(st.booleans()):
+        circuit = cancel_pass(circuit)
+    lines = write_circuit(circuit).splitlines()
+    edit = draw(st.sampled_from([None, "cut", *_EDITS]))
+    if edit in _EDITS:
+        kinds, change = _EDITS[edit]
+        i = draw(st.sampled_from([i for i, ln in enumerate(lines[1:], 1) if ln[0] in kinds]))
+        lines[i] = change(lines[i])
+    blanks = st.tuples(st.integers(0, len(lines)), st.sampled_from(["", " ", "\t"]))
+    for i, blank in sorted(draw(st.lists(blanks, max_size=3)), reverse=True):
+        lines.insert(i, blank)
+    text = draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n"
+    if edit == "cut":
+        text = text[: draw(st.integers(0, len(text) - 1))]
+    return n, text
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=written_texts())
+def test_read_circuit_seeded_or_not_reads_the_same(case):
+    # A chunk of fewer than n << n characters holds fewer than n << n
+    # lines, so the reader enters no position's text and parses every line
+    # it has not seen; the default chunk lets it skip the parse of the
+    # writer's own lines.  Both give the same circuit or the same first error.
+    n, text = case
+    seeded = read_outcome(read_text, text)
+    with mock.patch.object(synth, "_CHUNK", (n << n) - 1), \
+            mock.patch.object(synth, "_seed", side_effect=AssertionError("seeded")):
+        assert read_outcome(read_text, text) == seeded
 
 
 class _Reads:
