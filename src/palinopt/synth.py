@@ -564,14 +564,14 @@ _CHUNK = 1 << 16
 def _seed(n: int, positions: dict, x_codes: dict, u_heads: dict) -> None:
     """Enter every position's text as the writer renders it, so that the
     reader finds each canonical X line and U-line head without parsing it:
-    ``(t, c)`` in ``positions`` and ``"X " + text`` in ``x_codes`` and
-    ``"U " + text`` in ``u_heads``, all mapped to one shared position code.
+    ``"X " + text`` in ``x_codes`` and ``"U " + text`` in ``u_heads``, both
+    mapped to the code ``positions`` holds, or now enters, for ``(t, c)``.
     There are ``n << (n - 1)`` positions."""
     for p in range(n << n):
         if not p >> (p >> n) & 1:  # the target bit of the base is clear
             text = position_text(p, n)
             t, c = text[2:].split(" c=")
-            positions[t, c] = x_codes["X " + text] = u_heads["U " + text] = p
+            x_codes["X " + text] = u_heads["U " + text] = positions.setdefault((t, c), p)
 
 
 def read_circuit(f: TextIO) -> Circuit:
@@ -580,24 +580,26 @@ def read_circuit(f: TextIO) -> Circuit:
 
     Each chunk is split with ``str.splitlines`` and the piece after its last
     line break carried into the next, so the lines are those of the whole
-    text split at once; blank and whitespace-only lines are dropped.  Each
-    distinct ``(t, c)`` position, X line and U-line head (the text before
-    `` m=``, reused only for a line whose rest is one ASCII field without
-    whitespace) is parsed once.  When the chunk holding the header has at
-    least n and then at least ``n << n`` lines (the test on n comes first, so
-    a huge n is never shifted), every position's text as the writer renders
-    it is entered before the next line (:func:`_seed`), so no canonical line
-    is parsed at all, and the ``n << n`` lines and heads entered never
-    outnumber the lines already read; any other line, and every line of a
-    file that fails the bound, still takes the parse.  The ``m=`` fields are
-    checked and converted by :func:`_components` per block of U lines, which
-    bounds the number strings alive at once.  The header's gate count is
-    checked at the end of the file, so a fault in a line is reported before
-    a wrong count."""
+    text split at once; blank and whitespace-only lines are dropped.  One
+    rule skips the parse of a line: once the characters read so far are at
+    least those of the texts :func:`_seed` enters, ``(n << n) * (n + 8)``
+    up to n=10, every position's text as the writer renders it is entered
+    as an X line and as a U-line head (the text before `` m=``, used only
+    for a line whose rest is one ASCII field without whitespace), so no
+    line the writer made is parsed.  The bound is tested right after the
+    header and again as each chunk arrives, so the tables never outgrow
+    the text read and a huge header n is never shifted.  Any other line
+    takes the full parse every time, and nothing is learned from it but
+    its ``(t, c)`` position, which keeps each X code one shared int.  The
+    ``m=`` fields are checked and converted by :func:`_components` per
+    block of U lines, which bounds the number strings alive at once.  The
+    header's gate count is checked at the end of the file, so a fault in
+    a line is reported before a wrong count."""
     n = count = None
     positions: dict[tuple[str, str], int] = {}
-    x_codes: dict[str, int] = {}  # code of each distinct X line
-    u_heads: dict[str, int] = {}  # position code of each distinct U-line head
+    x_codes: dict[str, int] = {}  # code of each X line the writer renders, once seeded
+    u_heads: dict[str, int] = {}  # position code of each U-line head, likewise
+    read, need = 0, float("inf")  # characters read; characters _seed enters
     code: list[int] = []
     u_at: list[int] = []
     blocks: list[np.ndarray] = []  # components, one array per block of U lines
@@ -606,6 +608,9 @@ def read_circuit(f: TextIO) -> Circuit:
     tail: list[str] = []  # the pieces read so far of a line not yet ended
     while True:
         chunk = f.read(_CHUNK)
+        read += len(chunk)
+        if need <= read and not x_codes:  # not seeded yet
+            _seed(n, positions, x_codes, u_heads)
         if chunk:
             lines = chunk.splitlines()
             # the chunk may end inside its last line: carry that line on
@@ -631,7 +636,9 @@ def read_circuit(f: TextIO) -> Circuit:
                         continue
                     if n is None:  # the first line that is not blank
                         n, count = _parse_header(line)
-                        if n <= len(lines) and n << n <= len(lines):
+                        # past n=63 no file holds the texts: a huge n is never shifted
+                        need = (n << n) * (n + 7 + len(str(n - 1))) if n < 64 else need
+                        if need <= read:
                             _seed(n, positions, x_codes, u_heads)
                         continue
                     kind, *tokens = words
@@ -646,11 +653,8 @@ def read_circuit(f: TextIO) -> Circuit:
                     if g is None:
                         g = positions[at] = _parse_position(*at, n, line)
                     if kind == "X":
-                        x_codes[line] = g
                         code.append(g)
                         continue
-                    if one_field:  # t= and c= are in the head
-                        u_heads[head] = g
                     m = parsed["m"]
                 if m.count(";") != 3:
                     raise ValueError(f"component matrix needs 4 entries: {line!r}")

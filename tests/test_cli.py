@@ -26,7 +26,7 @@ def run(capsys, *argv):
 
 def write_unitary(tmp_path, n, seed=0, name="u.mat"):
     path = tmp_path / name
-    path.write_text(write_matrix(random_unitary(n, seed)))
+    path.write_text(write_matrix(random_unitary(n, seed)), encoding="utf-8")
     return path
 
 
@@ -178,14 +178,14 @@ def test_gray_bad_endpoints(capsys):
 
 def test_compile_identity_poa_cancel(tmp_path, capsys):
     inp = tmp_path / "id.mat"
-    inp.write_text(write_matrix(np.eye(8)))
+    inp.write_text(write_matrix(np.eye(8)), encoding="utf-8")
     out_path = tmp_path / "c.circ"
     code, out, _ = run(
         capsys, "compile", "--input", str(inp), "--order", "poa",
         "--output", str(out_path), "--cancel",
     )
     assert code == 0
-    circuit = read_circuit(io.StringIO(out_path.read_text()))
+    circuit = read_circuit(io.StringIO(out_path.read_text(encoding="utf-8")))
     assert len(circuit.gates) == 50
 
 
@@ -205,7 +205,7 @@ def test_compile_round_trips_bit_exactly(tmp_path, capsys):
     out_path = tmp_path / "c.circ"
     code, *_ = run(capsys, "compile", "--input", str(inp), "--output", str(out_path))
     assert code == 0
-    text = out_path.read_text()
+    text = out_path.read_text(encoding="utf-8")
     from palinopt.synth import write_circuit
 
     assert write_circuit(read_circuit(io.StringIO(text))) == text
@@ -214,7 +214,7 @@ def test_compile_round_trips_bit_exactly(tmp_path, capsys):
 def test_compile_with_order_file(tmp_path, capsys):
     inp = write_unitary(tmp_path, 3, seed=2)
     order_path = tmp_path / "o.ord"
-    order_path.write_text(save_order(poa_order(3)))
+    order_path.write_text(save_order(poa_order(3)), encoding="utf-8")
     out_path = tmp_path / "c.circ"
     code, *_ = run(
         capsys, "compile", "--input", str(inp), "--order", str(order_path),
@@ -225,7 +225,7 @@ def test_compile_with_order_file(tmp_path, capsys):
 
 def test_compile_rejects_non_unitary(tmp_path, capsys):
     inp = tmp_path / "bad.mat"
-    inp.write_text(write_matrix(np.ones((4, 4))))
+    inp.write_text(write_matrix(np.ones((4, 4))), encoding="utf-8")
     code, _, err = run(
         capsys, "compile", "--input", str(inp), "--output", str(tmp_path / "c.circ")
     )
@@ -267,14 +267,14 @@ def test_compile_verify_unreadable_circuit(tmp_path, capsys, monkeypatch):
 
 def test_compile_skip_identity(tmp_path, capsys):
     inp = tmp_path / "id.mat"
-    inp.write_text(write_matrix(np.eye(4)))
+    inp.write_text(write_matrix(np.eye(4)), encoding="utf-8")
     out_path = tmp_path / "c.circ"
     code, *_ = run(
         capsys, "compile", "--input", str(inp), "--output", str(out_path),
         "--skip-identity",
     )
     assert code == 0
-    assert len(read_circuit(io.StringIO(out_path.read_text())).gates) == 0
+    assert len(read_circuit(io.StringIO(out_path.read_text(encoding="utf-8"))).gates) == 0
 
 
 def test_trie_poa_column(capsys):
@@ -331,7 +331,7 @@ def test_trie_rejects_cancelled_circuit(tmp_path, capsys):
 )
 def test_trie_bad_circuit_file_exits_1(tmp_path, capsys, body):
     path = tmp_path / "bad.circ"
-    path.write_text(f"n=2 gates=1\n{body}\n")
+    path.write_text(f"n=2 gates=1\n{body}\n", encoding="utf-8")
     code, _, err = run(capsys, "trie", "--input", str(path))
     assert code == 1
     assert err.startswith("error: cannot read circuit: ")
@@ -410,7 +410,7 @@ def test_trie_rejects_repeated_subcircuit(tmp_path, capsys):
     # which the trie refuses as a duplicate.
     sub = "X t=0 c=0_\nU t=1 c=_1 m=1.0,0.0;0.0,0.0;0.0,0.0;1.0,0.0\nX t=0 c=0_\n"
     path = tmp_path / "twice.circ"
-    path.write_text("n=2 gates=6\n" + sub * 2)
+    path.write_text("n=2 gates=6\n" + sub * 2, encoding="utf-8")
     code, out, err = run(capsys, "trie", "--input", str(path))
     assert code == 1
     assert out == ""
@@ -543,7 +543,7 @@ def _palindrome(n, xs, target, base):
 )
 def test_trie_rejects_x_runs_that_are_not_gray_walks(tmp_path, capsys, circuit, pair):
     path = tmp_path / "walk.circ"
-    path.write_text(write_circuit(circuit))
+    path.write_text(write_circuit(circuit), encoding="utf-8")
     code, out, err = run(capsys, "trie", "--input", str(path))
     assert code == 1
     assert out == ""
@@ -555,7 +555,7 @@ def test_trie_of_an_empty_circuit(tmp_path, capsys, n):
     # The split returns before any work sized by n, so a huge n is no
     # MemoryError.
     path = tmp_path / "empty.circ"
-    path.write_text(f"n={n} gates=0\n")
+    path.write_text(f"n={n} gates=0\n", encoding="utf-8")
     code, out, err = run(capsys, "trie", "--input", str(path))
     assert code == 0
     assert out == "leaves=0 interior=0 count=0\n"
@@ -567,10 +567,10 @@ def test_trie_past_int64_positions(tmp_path, capsys):
     # a circuit of two pairs the trie of their subcircuits.
     n = ARRAY_MAX_N + 1
     path = tmp_path / "wide.circ"
-    path.write_text(f"n={n} gates=0\n")
+    path.write_text(f"n={n} gates=0\n", encoding="utf-8")
     assert run(capsys, "trie", "--input", str(path)) == (0, "leaves=0 interior=0 count=0\n", "")
     pairs = [((1 << n) - 1, 0), ((1 << n) - 2, 0)]
-    path.write_text(write_circuit(ref_gray_circuit(n, pairs)))
+    path.write_text(write_circuit(ref_gray_circuit(n, pairs)), encoding="utf-8")
     trie = build_trie(n, [subcircuit_for_pair(r, c, n) for r, c in pairs])
     leaves, interior = trie.counts()
     expected = f"{dump_trie(trie)}leaves={leaves} interior={interior} count={leaves + 2 * interior}\n"
@@ -606,7 +606,7 @@ VALIDATION = "order file fails validation: columns must each permute {c+1, ..., 
 @pytest.mark.parametrize("command", ["compile", "trie"])
 def test_order_file_qubit_count(tmp_path, capsys, text, msg, command):
     order = tmp_path / "o.ord"
-    order.write_text(text)
+    order.write_text(text, encoding="utf-8")
     out_path = tmp_path / "c.circ"
     if command == "compile":
         argv = ("compile", "--input", str(write_unitary(tmp_path, 3)), "--order", str(order),
@@ -641,7 +641,7 @@ def test_closed_stdout_exits_1_in_one_line(tmp_path, capsys, argv, unbuffered):
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "palinopt.cli", *argv], stdout=write_end,
-            stderr=subprocess.PIPE, env=env, text=True, timeout=120,
+            stderr=subprocess.PIPE, env=env, encoding="utf-8", timeout=120,
         )
     finally:
         os.close(write_end)

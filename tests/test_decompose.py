@@ -171,7 +171,7 @@ def test_compile_builds_no_two_level_matrix(tmp_path, capsys, monkeypatch, order
 
     monkeypatch.setattr(TwoLevelMatrix, "__post_init__", no_factor)
     matrix = tmp_path / "u.mat"
-    matrix.write_text(write_matrix(random_unitary(3, 2)))
+    matrix.write_text(write_matrix(random_unitary(3, 2)), encoding="utf-8")
     argv = ["compile", "--input", str(matrix), "--order", order, "--cancel", "--verify",
             "--output", str(tmp_path / "u.circ")]
     assert cli.main(argv) == 0

@@ -436,7 +436,7 @@ def test_compile_builds_no_gate_object(tmp_path, capsys, monkeypatch, order):
 
     monkeypatch.setattr(ControlledGate, "__init__", no_gate)
     matrix = tmp_path / "u.mat"
-    matrix.write_text(write_matrix(random_unitary(3, 2)))
+    matrix.write_text(write_matrix(random_unitary(3, 2)), encoding="utf-8")
     argv = ["compile", "--input", str(matrix), "--order", order, "--cancel", "--verify",
             "--output", str(tmp_path / "u.circ")]
     assert cli.main(argv) == 0
@@ -594,37 +594,79 @@ def counted_parses(monkeypatch):
     return calls
 
 
-def test_read_circuit_parses_no_canonical_line(monkeypatch):
-    # The n=3 file's first chunk has more than 3 << 3 lines, so the reader
-    # enters every position's text as the writer renders it, and only the
-    # header reaches the field parse.
+def parsed(lines):
+    """What ``counted_parses`` records for ``lines`` if each is parsed."""
+    return [ln.split()[0 if ln.startswith("n=") else 1] for ln in lines]
+
+
+@pytest.mark.parametrize("n, cancelled", [(3, False), (7, True), (8, True), (8, False)])
+def test_read_circuit_parses_no_canonical_line(monkeypatch, n, cancelled):
+    # Each written poa circuit holds the characters of every position's
+    # texts within its first chunk, so the reader enters them and only the
+    # header reaches the field parse.  From the cancelled n=7 one on, that
+    # chunk holds fewer than n << n lines.
     calls = counted_parses(monkeypatch)
-    circuit = construct_circuit(two_level_decompose(random_unitary(3, 8), poa_order(3)))
-    text = write_circuit(circuit)
-    assert len(text.splitlines()) >= 3 << 3
-    again = read_circuit(io.StringIO(text))
+    circuit = construct_circuit(two_level_decompose(random_unitary(n, 8), poa_order(n)))
+    if cancelled:
+        circuit = cancel_pass(circuit)
+    again = read_circuit(io.StringIO(write_circuit(circuit)))
     assert again.code == circuit.code and np.array_equal(again.comps, circuit.comps)
-    assert calls == ["n=3"]
+    assert calls == [f"n={n}"]
 
 
-def test_read_circuit_parses_each_other_u_line_head_once(monkeypatch):
-    # Lines that are not the writer's own, and every line of a file whose
-    # n << n exceeds its first chunk's lines (n=9, 32 pairs: 286 lines
-    # against 4,608), still reach the field parse once per distinct X line
-    # and U-line head.
+def test_read_circuit_parses_every_line_outside_the_writers_layout(monkeypatch):
+    # Lines that are not the writer's own, and every line of a file shorter
+    # than the texts of its n's positions (n=9, 32 pairs: 286 lines against
+    # 78,336 characters), reach the field parse each time they occur.
     calls = counted_parses(monkeypatch)
     circuit = construct_circuit(two_level_decompose(random_unitary(3, 8), poa_order(3)))
     spaced = write_circuit(circuit).replace(" c=", "  c=")
     pairs = [((5 * j + 1) % 512, (3 * j) % 512) for j in range(32)]
     sparse = write_circuit(gray_circuit(9, *pair_columns(pairs)))
-    assert len(sparse.splitlines()) < 9 << 9
+    assert len(sparse) < (9 << 9) * (9 + 8)
     for text in (spaced, sparse):
         calls.clear()
         again = read_circuit(io.StringIO(text))
         assert write_circuit(again) == text.replace("  c=", " c=")
-        assert calls[0] == text.split()[0]
-        heads = {ln.split(" m=")[0] for ln in text.splitlines()[1:]}
-        assert len(calls) == 1 + len(heads)  # the header, then each distinct X line and U head
+        assert calls == parsed(text.splitlines())
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "n=99999999999 gates=0\n",
+        "n=12 gates=3\nX t=0 c=00000000000_\nX t=11 c=_00000000001\nX t=0 c=00000000000_\n",
+    ],
+    ids=["huge-n", "n=12"],
+)
+def test_read_circuit_never_seeds_past_the_text_read(monkeypatch, text):
+    # The texts of every position of n=12 take (12 << 12) * 21 characters,
+    # far more than the file holds, and those of a huge n are never even
+    # counted, so the reader enters none of them and parses every line.
+    calls = counted_parses(monkeypatch)
+    with mock.patch.object(synth, "_seed", side_effect=AssertionError("seeded")):
+        again = read_circuit(io.StringIO(text))
+    assert len(again) == len(text.splitlines()) - 1
+    assert calls == parsed(text.splitlines())
+
+
+def test_read_circuit_seeds_at_the_chunk_that_reaches_the_bound(monkeypatch):
+    # n=6: its positions' texts take (6 << 6) * 14 = 5,376 characters.  In
+    # chunks of 1,000 the bound is met as the sixth chunk arrives, so every
+    # line that ends in the first five is parsed and no later one, and each
+    # X code, parsed or entered, is one shared int (past the cached ints).
+    calls = counted_parses(monkeypatch)
+    circuit = gray_circuit(6, *poa_order(6).pairs())
+    text = write_circuit(circuit)
+    seed = mock.Mock(wraps=synth._seed)
+    with mock.patch.object(synth, "_CHUNK", 1000), mock.patch.object(synth, "_seed", seed):
+        again = read_circuit(io.StringIO(text))
+    assert again.code == circuit.code and np.array_equal(again.comps, circuit.comps)
+    assert seed.call_count == 1
+    ended = text[:5000].split("\n")[:-1]
+    assert 5 < len(ended) < len(circuit) and calls == parsed(ended)
+    first = {}
+    assert all(first.setdefault(g, g) is g for g in again.code if g >= 0)
 
 
 @st.composite
@@ -900,14 +942,12 @@ def written_texts(draw):
 @settings(max_examples=80, deadline=None)
 @given(case=written_texts())
 def test_read_circuit_seeded_or_not_reads_the_same(case):
-    # A chunk of fewer than n << n characters holds fewer than n << n
-    # lines, so the reader enters no position's text and parses every line
-    # it has not seen; the default chunk lets it skip the parse of the
-    # writer's own lines.  Both give the same circuit or the same first error.
-    n, text = case
+    # With _seed doing nothing the reader enters no position's text and
+    # parses every line; seeded, it skips the parse of the writer's own
+    # lines.  Both give the same circuit or the same first error.
+    _, text = case
     seeded = read_outcome(read_text, text)
-    with mock.patch.object(synth, "_CHUNK", (n << n) - 1), \
-            mock.patch.object(synth, "_seed", side_effect=AssertionError("seeded")):
+    with mock.patch.object(synth, "_seed"):
         assert read_outcome(read_text, text) == seeded
 
 
