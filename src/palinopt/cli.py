@@ -125,9 +125,9 @@ def cmd_trie(args: argparse.Namespace) -> int:
             return _fail(f"trie --n builds orders only up to n={ENUMERATE_MAX_N}, got n={args.n}")
         with _context("cannot resolve order"):
             order = _resolve_order(args.order, args.n)
-        if not 0 <= args.column < len(order.columns):
+        if not 0 <= args.column < (1 << args.n) - 1:
             return _fail(f"column {args.column} out of range")
-        rows = order.columns[args.column]
+        rows = order.rows[order.cols == args.column]
         circuit = synth.gray_circuit(args.n, rows, [args.column] * len(rows))
         subs = synth.split_subcircuits(circuit)
     else:

@@ -98,9 +98,10 @@ def two_level_decompose(
         raise ValueError(f"input fails the unitarity check (not unitary within {UNITARY_TOL})")
 
     m = u.copy()
-    rows, cols = order.pairs()
+    rows, cols = order.rows, order.cols
     # Column c's slice of ``index`` is c, then the rows it eliminates.
-    index = np.array([i for c, col in enumerate(order.columns[:-1]) for i in (c, *col)])
+    heads = np.arange(dim - 1)
+    index = np.insert(rows, np.searchsorted(cols, heads), heads)
     # Row j holds factor j's component [[a, b], [c, d]] as (a, b, c, d); an
     # identity step keeps the identity.
     comps = np.zeros((len(rows), 4), dtype=complex)

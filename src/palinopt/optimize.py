@@ -40,7 +40,7 @@ def structural_circuit(n: int, rows, cols) -> GrayPairs:
 def count_structural(n: int, order: OrderArray, cancelled: bool) -> int:
     """Gates of the order's structural circuit, after cancellation if
     ``cancelled``."""
-    circuit = structural_circuit(n, *order.pairs())
+    circuit = structural_circuit(n, order.rows, order.cols)
     return circuit.cancelled_len() if cancelled else len(circuit)
 
 

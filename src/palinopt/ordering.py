@@ -1,34 +1,36 @@
 """Ordering arrays that direct two-level decomposition.
 
-An order array holds, for every column c in [0, 2^n - 2], the sequence of
-row indices r (all r > c, each exactly once) in the order their entries get
-eliminated.  Two constructions are provided: the conventional ascending
-order and the palindromic order built by doubling the previous level.
+An order holds, for every column c in [0, 2^n - 2] in turn, the row indices
+r (all r > c, each exactly once) in the order their entries get eliminated,
+as two integer arrays: pair j is (``rows[j]``, ``cols[j]``).  ``columns``
+splits ``rows`` into each column's rows, as views.  Two constructions are
+provided: the conventional ascending order and the palindromic order built
+by doubling the previous level.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrderArray:
     n: int
-    columns: tuple[tuple[int, ...], ...] = field(default_factory=tuple)
+    rows: np.ndarray
+    cols: np.ndarray
 
     @property
-    def dim(self) -> int:
-        return 1 << self.n
+    def columns(self) -> list[np.ndarray]:
+        """Each column's rows in elimination order, as views of ``rows``."""
+        return np.split(self.rows, np.flatnonzero(np.diff(self.cols)) + 1)
 
-    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """All ordering pairs (r, c) in elimination order, as the arrays of
-        their rows and of their columns."""
-        sizes = np.fromiter(map(len, self.columns), np.intp, len(self.columns))
-        rows = np.fromiter(itertools.chain.from_iterable(self.columns), np.intp, sizes.sum())
-        return rows, np.arange(len(self.columns)).repeat(sizes)
+
+def _from_columns(n: int, columns: list[np.ndarray]) -> OrderArray:
+    """The order whose column c eliminates the rows ``columns[c]`` in turn."""
+    rows = np.concatenate([np.empty(0, np.intp), *columns])
+    return OrderArray(n, rows, np.arange(len(columns)).repeat([len(c) for c in columns]))
 
 
 def conventional_order(n: int) -> OrderArray:
@@ -36,8 +38,7 @@ def conventional_order(n: int) -> OrderArray:
     if n < 1:
         raise ValueError(f"qubit count must be >= 1, got {n}")
     dim = 1 << n
-    cols = tuple(tuple(range(c + 1, dim)) for c in range(dim - 1))
-    return OrderArray(n, cols)
+    return _from_columns(n, [np.arange(c + 1, dim) for c in range(dim - 1)])
 
 
 def poa_order(n: int) -> OrderArray:
@@ -50,37 +51,38 @@ def poa_order(n: int) -> OrderArray:
     """
     if n < 2:
         raise ValueError(f"qubit count must be >= 2, got {n}")
-    cols: list[tuple[int, ...]] = [(1, 2, 3), (2, 3), (3,)]
+    columns = [np.array([1, 2, 3]), np.array([2, 3]), np.array([3])]
     for m in range(3, n + 1):
-        prev = cols
-        cols = []
+        prev, columns = columns, []
         for c in range((1 << (m - 1)) - 1):
-            # Lists, not tuple(generator): a tuple grown from a generator is
-            # resized past CPython's tuple free lists, so freeing the
-            # columns of every call would fill those lists by megabytes.
-            doubled = [2 * r for r in prev[c]]
-            plus_one = [r + 1 for r in doubled]
-            cols.append((*doubled, 2 * c + 1, *plus_one))
-            cols.append((*doubled, *plus_one))
-        cols.append(((1 << m) - 1,))
-    return OrderArray(n, tuple(cols))
+            d = 2 * prev[c]
+            columns += [np.concatenate((d, [2 * c + 1], d + 1)), np.concatenate((d, d + 1))]
+        columns.append(np.array([(1 << m) - 1]))
+    return _from_columns(n, columns)
 
 
 def validate_order(o: OrderArray) -> bool:
     """Check the triangular shape: column c is a permutation of c+1..2^n-1."""
-    dim = len(o.columns) + 1
-    if not 1 <= o.n < dim or dim != 1 << o.n:  # n < dim bounds the shift
+    k = len(o.cols)  # n <= its bit length bounds 1 << n
+    if not 1 <= o.n <= k.bit_length() or k != (1 << o.n - 1) * ((1 << o.n) - 1) or o.rows.shape != (k,):
         return False
-    for c, rows in enumerate(o.columns):
-        if sorted(rows) != list(range(c + 1, dim)):
-            return False
-    return True
+    dim = 1 << o.n
+    # In the triangle's column sequence, k pairs c < r < 2^n whose sorted
+    # keys col << n | row all differ are the triangle's k pairs.
+    keys = np.sort(o.cols << o.n | o.rows)
+    return bool(
+        (o.cols == np.arange(dim - 1).repeat(np.arange(dim - 1, 0, -1))).all()
+        and ((o.cols < o.rows) & (o.rows < dim)).all()
+        and (keys[1:] > keys[:-1]).all()
+    )
 
 
 def save_order(o: OrderArray) -> str:
+    """The order as text: a line n=<n>, then a line "c: rows" per column.
+    Each of the 2^n states is rendered once."""
+    digits = np.array([str(r) for r in range(1 << o.n)], object)
     lines = [f"n={o.n}"]
-    for c, rows in enumerate(o.columns):
-        lines.append(f"{c}: " + " ".join(str(r) for r in rows))
+    lines += (f"{c}: " + " ".join(digits[rows].tolist()) for c, rows in enumerate(o.columns))
     return "\n".join(lines) + "\n"
 
 
@@ -94,19 +96,22 @@ def load_order(text: str) -> OrderArray:
         raise ValueError(f"bad qubit count: {lines[0]!r}") from exc
     if n < 1:
         raise ValueError(f"bad qubit count: {lines[0]!r}")
-    cols: list[tuple[int, ...]] = []
+    columns: list[list[int]] = []
     for expected_c, line in enumerate(lines[1:]):
         head, _, tail = line.partition(":")
         try:
             c = int(head)
-            rows = tuple(int(t) for t in tail.split())
+            rows = [int(t) for t in tail.split()]
         except ValueError as exc:
             raise ValueError(f"malformed column line: {line!r}") from exc
         if c != expected_c:
             raise ValueError(f"expected column {expected_c}, got {c}")
-        cols.append(rows)
-    o = OrderArray(n, tuple(cols))
-    if not validate_order(o):
+        columns.append(rows)
+    try:
+        o = _from_columns(n, [np.array(rows, np.intp) for rows in columns])
+    except OverflowError:  # a row past the index type is no row of any order
+        o = None
+    if o is None or not validate_order(o):
         raise ValueError("order file fails validation: columns must each "
                          "permute {c+1, ..., 2^n - 1}")
     return o

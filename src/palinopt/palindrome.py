@@ -23,11 +23,10 @@ nodes of the rows where their times agree, from row 0 on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .synth import Subcircuits, _code_arrays, position_text
+from .synth import Subcircuits, position_text
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,18 +45,6 @@ class PalindromeTrie:
     def counts(self) -> tuple[int, int]:
         """(leaf count, interior count)."""
         return len(self.rows), self.interior
-
-
-def _subcircuit_arrays(n: int, subs: Iterable[tuple[Sequence[int], tuple[int, int]]]) -> Subcircuits:
-    """``(prefix, pair)`` subcircuits as the split's arrays."""
-    prefixes, rows, cols = [], [], []
-    for prefix, (r, c) in subs:
-        prefixes.append(prefix)
-        rows.append(r)
-        cols.append(c)
-    codes, rows, cols = _code_arrays(n, [g for p in prefixes for g in p], rows, cols)
-    length = np.array([len(p) for p in prefixes], dtype=np.int64)
-    return Subcircuits(codes, np.cumsum(length) - length, length, rows, cols)
 
 
 def _narrow(a: np.ndarray) -> np.ndarray:
@@ -80,14 +67,10 @@ def _fresh(a: np.ndarray) -> np.ndarray:
     return fresh
 
 
-def build_trie(
-    n: int, subs: Union[Subcircuits, Iterable[tuple[Sequence[int], tuple[int, int]]]]
-) -> PalindromeTrie:
-    """One leaf per subcircuit of n qubits, given as the split's arrays or
-    as ``(prefix, pair)`` pairs; shared X-run prefixes share paths.  A pair
-    that occurs twice is a ``ValueError`` naming its first repeat."""
-    if not isinstance(subs, Subcircuits):
-        subs = _subcircuit_arrays(n, subs)
+def build_trie(n: int, subs: Subcircuits) -> PalindromeTrie:
+    """One leaf per subcircuit of n qubits, given as the split's arrays;
+    shared X-run prefixes share paths.  A pair that occurs twice is a
+    ``ValueError`` naming its first repeat."""
     rows, cols = subs.rows, subs.cols
     by_pair = np.lexsort((_narrow(cols), _narrow(rows)))  # stable: a repeat sorts after its first
     again = (rows[by_pair[1:]] == rows[by_pair[:-1]]) & (cols[by_pair[1:]] == cols[by_pair[:-1]])

@@ -15,7 +15,11 @@ one subcircuit at a time, with its recursive depth-first walk, mos test
 and dump, is its reference here, and so is the level-doubling recurrence
 for the palindromic gate count that the closed form is checked against.
 Circuits of (r, c) pairs are also built from the pairs' Gray codes, state
-by state, as a reference for the library's builders.
+by state, as a reference for the library's builders.  The library holds
+an order as two integer arrays; the orders as tuples of column tuples,
+built over Python ints and written one int at a time, are their
+reference, and orders of any columns, valid or not, are made from such
+tuples here.  So are the split's arrays from ``(prefix, pair)`` tuples.
 The small matrix helpers, per-column counts, subcircuit overlaps, the
 decomposition's progress check and the builders of circuits from gate
 objects and of factor pair lists, which the library does not need, live
@@ -25,7 +29,7 @@ here as well.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -37,6 +41,8 @@ from palinopt.synth import (
     _BLOCK,
     Circuit,
     ControlledGate,
+    Subcircuits,
+    _code_arrays,
     _components,
     _parse_fields,
     _parse_position,
@@ -359,6 +365,60 @@ def subcircuit_tuples(s) -> list:
     return [(tuple(codes[a : a + k]), (r, c)) for a, k, r, c in runs]
 
 
+def subcircuit_arrays(n: int, tuples: Iterable[tuple[Sequence[int], tuple[int, int]]]) -> Subcircuits:
+    """``(prefix, pair)`` subcircuits as the split's arrays, the inverse of
+    :func:`subcircuit_tuples`."""
+    prefixes, rows, cols = [], [], []
+    for prefix, (r, c) in tuples:
+        prefixes.append(prefix)
+        rows.append(r)
+        cols.append(c)
+    codes, rows, cols = _code_arrays(n, [g for p in prefixes for g in p], rows, cols)
+    length = np.array([len(p) for p in prefixes], dtype=np.int64)
+    return Subcircuits(codes, np.cumsum(length) - length, length, rows, cols)
+
+
+def order_from_columns(n: int, columns) -> OrderArray:
+    """The order whose column c eliminates the rows ``columns[c]`` in turn,
+    whether or not that is a valid order."""
+    rows = [r for column in columns for r in column]
+    cols = [c for c, column in enumerate(columns) for _ in column]
+    return OrderArray(n, np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp))
+
+
+def ref_conventional_columns(n: int) -> tuple[tuple[int, ...], ...]:
+    """The conventional order as a tuple of column tuples: column c is
+    c+1, ..., 2^n - 1."""
+    dim = 1 << n
+    return tuple(tuple(range(c + 1, dim)) for c in range(dim - 1))
+
+
+def ref_poa_columns(n: int) -> tuple[tuple[int, ...], ...]:
+    """The palindromic order as a tuple of column tuples, by the paper's
+    level doubling over Python ints: column c of level m-1 spawns the
+    columns (2r..., 2c+1, 2r+1...) and (2r..., 2r+1...) of level m, and the
+    last column is (2^m - 1,)."""
+    cols: list[tuple[int, ...]] = [(1, 2, 3), (2, 3), (3,)]
+    for m in range(3, n + 1):
+        prev = cols
+        cols = []
+        for c in range((1 << (m - 1)) - 1):
+            doubled = [2 * r for r in prev[c]]
+            plus_one = [r + 1 for r in doubled]
+            cols.append((*doubled, 2 * c + 1, *plus_one))
+            cols.append((*doubled, *plus_one))
+        cols.append(((1 << m) - 1,))
+    return tuple(cols)
+
+
+def ref_save_order(n: int, columns) -> str:
+    """The order file of ``columns``, each row rendered by its own ``str``."""
+    lines = [f"n={n}"]
+    for c, rows in enumerate(columns):
+        lines.append(f"{c}: " + " ".join(str(r) for r in rows))
+    return "\n".join(lines) + "\n"
+
+
 def poa_recurrence(n: int) -> int:
     """Palindromic-order size after cancellation, by the level-doubling
     recurrence, base 8 at n=2."""
@@ -378,6 +438,7 @@ def dense_decompose(u: np.ndarray, order) -> list[TwoLevelMatrix]:
     dim = m.shape[0]
     factors = []
     for c, rows in enumerate(order.columns):
+        rows = rows.tolist()
         for r in rows:
             if c == dim - 2:
                 block = np.conj(m[np.ix_([c, r], [c, r])]).T

@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 from hypothesis import strategies as st
-from oracles import circuit_from_gates
+from oracles import circuit_from_gates, order_from_columns
 
 from palinopt.linalg import ZERO_TOL, random_unitary
-from palinopt.ordering import OrderArray
 from palinopt.synth import ControlledGate
 
 
@@ -16,10 +15,7 @@ def valid_orders(draw, min_n: int = 2, max_n: int = 4):
     """Any column-major order: each column's rows in a drawn permutation."""
     n = draw(st.integers(min_n, max_n))
     dim = 1 << n
-    cols = tuple(
-        tuple(draw(st.permutations(range(c + 1, dim)))) for c in range(dim - 1)
-    )
-    return OrderArray(n, cols)
+    return order_from_columns(n, [draw(st.permutations(range(c + 1, dim))) for c in range(dim - 1)])
 
 
 @st.composite

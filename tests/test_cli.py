@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import circuit_from_gates, ref_gray_circuit, subcircuit_for_pair
+from oracles import circuit_from_gates, ref_gray_circuit, subcircuit_arrays, subcircuit_for_pair
 
 import palinopt
 from palinopt import synth
@@ -571,7 +571,7 @@ def test_trie_past_int64_positions(tmp_path, capsys):
     assert run(capsys, "trie", "--input", str(path)) == (0, "leaves=0 interior=0 count=0\n", "")
     pairs = [((1 << n) - 1, 0), ((1 << n) - 2, 0)]
     path.write_text(write_circuit(ref_gray_circuit(n, pairs)), encoding="utf-8")
-    trie = build_trie(n, [subcircuit_for_pair(r, c, n) for r, c in pairs])
+    trie = build_trie(n, subcircuit_arrays(n, [subcircuit_for_pair(r, c, n) for r, c in pairs]))
     leaves, interior = trie.counts()
     expected = f"{dump_trie(trie)}leaves={leaves} interior={interior} count={leaves + 2 * interior}\n"
     assert run(capsys, "trie", "--input", str(path)) == (0, expected, "")
@@ -585,11 +585,12 @@ def test_trie_column_matches_per_pair_subcircuits(capsys, spec, make_order):
     for col, rows in enumerate(make_order(n).columns):
         code, out, _ = run(capsys, "trie", "--n", str(n), "--order", spec, "--column", str(col))
         assert code == 0
-        expected = dump_trie(build_trie(n, (subcircuit_for_pair(r, col, n) for r in rows)))
+        expected = dump_trie(build_trie(n, subcircuit_arrays(n, (subcircuit_for_pair(r, col, n) for r in rows))))
         assert out.rsplit("leaves=", 1)[0] == expected
 
 
 VALIDATION = "order file fails validation: columns must each permute {c+1, ..., 2^n - 1}"
+CONVENTIONAL_2 = save_order(conventional_order(2))
 
 
 @pytest.mark.parametrize(
@@ -599,9 +600,12 @@ VALIDATION = "order file fails validation: columns must each permute {c+1, ..., 
         ("n=0\n", "bad qubit count: 'n=0'"),
         # 1 << n does not fit in memory: the column count rejects n first
         (f"n={1 << 62}\n0: 1\n", VALIDATION),
-        (save_order(conventional_order(2)), "order file is for n=2, need n=3"),
+        (CONVENTIONAL_2, "order file is for n=2, need n=3"),
+        # n=2 orders but for one row: past int64, then negative
+        (CONVENTIONAL_2.replace("0: 1 2 3", "0: 1 2 100000000000000000000000000000"), VALIDATION),
+        (CONVENTIONAL_2.replace("0: 1 2 3", "0: 1 2 -3"), VALIDATION),
     ],
-    ids=["n=-1", "n=0", "n=2^62", "n=2"],
+    ids=["n=-1", "n=0", "n=2^62", "n=2", "row past int64", "negative row"],
 )
 @pytest.mark.parametrize("command", ["compile", "trie"])
 def test_order_file_qubit_count(tmp_path, capsys, text, msg, command):

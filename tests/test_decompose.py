@@ -4,14 +4,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import dense_decompose, expand_two_level, factor_pairs, progress_invariant_check
+from oracles import (
+    dense_decompose,
+    expand_two_level,
+    factor_pairs,
+    order_from_columns,
+    progress_invariant_check,
+)
 from strategies import adversarial_unitaries, valid_orders
 
 from palinopt import cli
 from palinopt.decompose import Decomposition, two_level_decompose
 from palinopt.linalg import TwoLevelMatrix, frobenius_distance, random_unitary, write_matrix
 from palinopt.optimize import cancel_pass
-from palinopt.ordering import OrderArray, conventional_order, poa_order, validate_order
+from palinopt.ordering import conventional_order, poa_order, validate_order
 from palinopt.sim import verify
 from palinopt.synth import construct_circuit, read_circuit, write_circuit
 
@@ -58,7 +64,7 @@ def test_random_n3_poa():
 def test_pairs_follow_order():
     order = poa_order(3)
     d = two_level_decompose(random_unitary(3, 0), order)
-    assert factor_pairs(d) == tuple((r, c) for c, rows in enumerate(order.columns) for r in rows)
+    assert factor_pairs(d) == tuple(zip(order.rows.tolist(), order.cols.tolist()))
 
 
 def test_factor_count_independent_of_input():
@@ -94,7 +100,7 @@ def test_shuffled_order_still_reconstructs():
         rows = list(range(c + 1, dim))
         rng.shuffle(rows)
         cols.append(tuple(rows))
-    order = OrderArray(4, tuple(cols))
+    order = order_from_columns(4, cols)
     assert validate_order(order)
     u = random_unitary(4, 17)
     d = two_level_decompose(u, order)
@@ -133,7 +139,7 @@ def test_any_valid_order_reconstructs(order, seed):
     assert validate_order(order)
     u = random_unitary(order.n, seed)
     d = two_level_decompose(u, order)
-    assert factor_pairs(d) == tuple((r, c) for c, rows in enumerate(order.columns) for r in rows)
+    assert factor_pairs(d) == tuple(zip(order.rows.tolist(), order.cols.tolist()))
     assert frobenius_distance(reconstruct(d), u) < 1e-9
 
 
@@ -248,7 +254,7 @@ def test_rejects_dimension_mismatch():
 
 
 def test_rejects_invalid_order():
-    bad = OrderArray(2, ((1, 2, 2), (2, 3), (3,)))
+    bad = order_from_columns(2, ((1, 2, 2), (2, 3), (3,)))
     with pytest.raises(ValueError, match="order"):
         two_level_decompose(np.eye(4), bad)
 

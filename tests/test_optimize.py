@@ -158,9 +158,9 @@ def test_column_counts_match_measured_columns(n):
 def test_structural_circuit_is_its_columns_concatenated(make_order):
     order = make_order(4)
     columns = [gray_circuit(4, rows, [c] * len(rows)) for c, rows in enumerate(order.columns)]
-    whole = gray_circuit(4, *order.pairs())
+    whole = gray_circuit(4, order.rows, order.cols)
     assert whole.gates == tuple(g for col in columns for g in col.gates)
-    held = structural_circuit(4, *order.pairs())
+    held = structural_circuit(4, order.rows, order.cols)
     assert (len(held), held.cancelled_len()) == (len(whole), len(cancel_pass(whole)))
 
 

@@ -5,6 +5,12 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from oracles import (
+    order_from_columns,
+    ref_conventional_columns,
+    ref_poa_columns,
+    ref_save_order,
+)
 from strategies import valid_orders
 
 from palinopt.ordering import (
@@ -15,6 +21,16 @@ from palinopt.ordering import (
     save_order,
     validate_order,
 )
+
+
+def columns(order):
+    """The order's columns as tuples of ints."""
+    return tuple(tuple(rows.tolist()) for rows in order.columns)
+
+
+def same(a, b):
+    """Whether two orders hold the same qubit count and pairs."""
+    return a.n == b.n and np.array_equal(a.rows, b.rows) and np.array_equal(a.cols, b.cols)
 
 
 def produce_array_reference(n):
@@ -42,19 +58,19 @@ def produce_array_reference(n):
     cols = []
     for c in range(size - 1):
         cols.append(tuple(a[r][c] for r in range(1, size - c)))
-    return OrderArray(n, tuple(cols))
+    return tuple(cols)
 
 
 def test_conventional_n2():
-    assert conventional_order(2).columns == ((1, 2, 3), (2, 3), (3,))
+    assert columns(conventional_order(2)) == ((1, 2, 3), (2, 3), (3,))
 
 
 def test_conventional_n1():
-    assert conventional_order(1).columns == ((1,),)
+    assert columns(conventional_order(1)) == ((1,),)
 
 
 def test_conventional_n3_column5():
-    assert conventional_order(3).columns[5] == (6, 7)
+    assert columns(conventional_order(3))[5] == (6, 7)
 
 
 def test_conventional_rejects_n0():
@@ -63,15 +79,15 @@ def test_conventional_rejects_n0():
 
 
 def test_poa_base_case_matches_conventional():
-    assert poa_order(2).columns == conventional_order(2).columns
+    assert same(poa_order(2), conventional_order(2))
 
 
 def test_poa_n3_column0():
-    assert poa_order(3).columns[0] == (2, 4, 6, 1, 3, 5, 7)
+    assert columns(poa_order(3))[0] == (2, 4, 6, 1, 3, 5, 7)
 
 
 def test_poa_n3_all_columns():
-    assert poa_order(3).columns == (
+    assert columns(poa_order(3)) == (
         (2, 4, 6, 1, 3, 5, 7),
         (2, 4, 6, 3, 5, 7),
         (4, 6, 3, 5, 7),
@@ -89,7 +105,7 @@ def test_poa_rejects_n1():
 
 @pytest.mark.parametrize("n", range(3, 8))
 def test_poa_matches_produce_array_pseudocode(n):
-    assert poa_order(n).columns == produce_array_reference(n).columns
+    assert columns(poa_order(n)) == produce_array_reference(n)
 
 
 @pytest.mark.parametrize("n", range(2, 8))
@@ -100,14 +116,14 @@ def test_validate_both_orderings(n):
 
 @pytest.mark.parametrize("n", range(2, 8))
 def test_poa_last_column_single_entry(n):
-    assert poa_order(n).columns[(1 << n) - 2] == ((1 << n) - 1,)
+    assert columns(poa_order(n))[(1 << n) - 2] == ((1 << n) - 1,)
 
 
 @pytest.mark.parametrize("n", range(3, 7))
 def test_poa_parity_structure(n):
     # Even columns: evens, then the single odd entry 2c+1, then odds.
     # Odd columns: evens then odds.
-    cols = poa_order(n).columns
+    cols = columns(poa_order(n))
     for c, rows in enumerate(cols[:-1]):
         parities = [r % 2 for r in rows]
         if c % 2 == 0:
@@ -123,27 +139,27 @@ def test_poa_parity_structure(n):
 def test_poa_column_boundary_parity(n):
     # Needed for the single inter-column overlap: even columns end odd,
     # the following odd column starts even.
-    cols = poa_order(n).columns
+    cols = columns(poa_order(n))
     for c in range(0, len(cols) - 1, 2):
         assert cols[c][-1] % 2 == 1
         assert cols[c + 1][0] % 2 == 0
 
 
 def test_validate_rejects_duplicate_row():
-    bad = OrderArray(2, ((1, 2, 2), (2, 3), (3,)))
+    bad = order_from_columns(2, ((1, 2, 2), (2, 3), (3,)))
     assert not validate_order(bad)
 
 
 def test_validate_rejects_short_column():
-    bad = OrderArray(2, ((1, 2, 3), (2,), (3,)))
+    bad = order_from_columns(2, ((1, 2, 3), (2,), (3,)))
     assert not validate_order(bad)
 
 
 @pytest.mark.parametrize("n", [-1, 0, 3, 1 << 62])
 def test_validate_rejects_qubit_count_that_misfits_the_columns(n):
     # n=3 needs 7 columns; 1 << n is never computed for an n this large.
-    assert not validate_order(OrderArray(n, ((1,),)))
-    assert not validate_order(OrderArray(n, ()))
+    assert not validate_order(order_from_columns(n, ((1,),)))
+    assert not validate_order(order_from_columns(n, ()))
 
 
 @pytest.mark.parametrize("head", ["n=-1", "n=0"])
@@ -154,7 +170,7 @@ def test_load_rejects_qubit_count_below_1(head):
 
 def test_save_load_round_trip():
     for o in (poa_order(3), conventional_order(4)):
-        assert load_order(save_order(o)) == o
+        assert same(load_order(save_order(o)), o)
 
 
 def test_save_format():
@@ -165,7 +181,7 @@ def test_save_format():
 
 def test_load_conventional_n2_file():
     text = "n=2\n0: 1 2 3\n1: 2 3\n2: 3\n"
-    assert load_order(text) == conventional_order(2)
+    assert same(load_order(text), conventional_order(2))
 
 
 def test_load_rejects_missing_row():
@@ -191,16 +207,12 @@ def test_orders_past_n7_emit_no_warning(make_order):
 @settings(max_examples=40, deadline=None)
 @given(order=valid_orders(1, 4))
 def test_order_text_round_trip(order):
-    again = load_order(save_order(order))
-    assert again.n == order.n
-    assert again.columns == order.columns
+    assert same(load_order(save_order(order)), order)
 
 
 def test_poa_order_leaves_no_memory_behind():
-    # Each call frees its columns; 300 calls kept ~2.8 MB in CPython's
-    # tuple free lists when the columns were built by tuple(generator).
     poa_order(6)
-    gc.collect()  # empties the free lists
+    gc.collect()
     tracemalloc.start()
     try:
         for _ in range(300):
@@ -211,10 +223,37 @@ def test_poa_order_leaves_no_memory_behind():
     assert held < 1_000_000
 
 
-@pytest.mark.parametrize("order", [conventional_order(1), conventional_order(3), poa_order(4), OrderArray(2)])
-def test_pairs_are_the_arrays_of_rows_and_columns(order):
-    rows, cols = order.pairs()
-    assert rows.dtype == cols.dtype == np.intp
-    assert list(zip(rows.tolist(), cols.tolist())) == [
-        (r, c) for c, column in enumerate(order.columns) for r in column
+@pytest.mark.parametrize(
+    "order", [conventional_order(1), conventional_order(3), poa_order(4), order_from_columns(2, ())]
+)
+def test_columns_are_the_rows_split_by_column(order):
+    assert order.rows.dtype == order.cols.dtype == np.intp
+    assert list(zip(order.rows.tolist(), order.cols.tolist())) == [
+        (r, c) for c, column in enumerate(columns(order)) for r in column
     ]
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_orders_are_the_tuple_references(n):
+    builds = [(conventional_order, ref_conventional_columns), (poa_order, ref_poa_columns)]
+    for make_order, ref_columns in builds[: 1 + (n >= 2)]:
+        order, ref = make_order(n), ref_columns(n)
+        assert same(order, order_from_columns(n, ref))
+        assert save_order(order) == ref_save_order(n, ref)
+
+
+@pytest.mark.parametrize(
+    "bad_columns",
+    [
+        ((1, 2, 3), (2, 7), (3,)),  # 7 = 1 << 2 | 3: its key col << n | row is (1, 3)'s
+        ((1, 2, 3), (-2, 3), (3,)),
+    ],
+)
+def test_validate_rejects_rows_outside_the_states(bad_columns):
+    assert not validate_order(order_from_columns(2, bad_columns))
+
+
+def test_validate_rejects_columns_out_of_turn():
+    # The triangle's pairs, but a pair of column 1 amid column 0's.
+    order = OrderArray(2, np.array([1, 2, 2, 3, 3, 3]), np.array([0, 1, 0, 0, 1, 2]))
+    assert not validate_order(order)

@@ -27,6 +27,7 @@ from oracles import (
     ref_overlap,
     ref_split_subcircuits,
     ref_trie,
+    subcircuit_arrays,
     subcircuit_for_pair,
     subcircuit_tuples,
     subcircuits_circuit,
@@ -61,7 +62,7 @@ def sub(prefix, ident):
 
 
 def column_subcircuits(order, col, n):
-    return [subcircuit_for_pair(r, col, n) for r in order.columns[col]]
+    return [subcircuit_for_pair(r, col, n) for r in order.columns[col].tolist()]
 
 
 def cancelled_length(subs, n, middles=None):
@@ -85,13 +86,13 @@ S2 = sub([A, B], (2, -1))  # AB A2 BA
 
 
 def test_trie_single_empty_prefix_leaf():
-    t = build_trie(4, [sub([], (1, -1))])
+    t = build_trie(4, subcircuit_arrays(4, [sub([], (1, -1))]))
     assert t.counts() == (1, 0)
     assert trie_gate_count(t) == 1
 
 
 def test_trie_abc_example_counts():
-    t = build_trie(4, [S1, S2])
+    t = build_trie(4, subcircuit_arrays(4, [S1, S2]))
     assert t.counts() == (2, 3)
     assert trie_gate_count(t) == 8  # the 8 symbols of ABCA1CA2BA
 
@@ -105,7 +106,7 @@ def test_abc_example_overlap_and_cancellation():
 
 def test_poa_column0_n3_trie():
     subs = column_subcircuits(poa_order(3), 0, 3)
-    t = build_trie(3, subs)
+    t = build_trie(3, subcircuit_arrays(3, subs))
     assert t.counts() == (7, 3)
     assert trie_gate_count(t) == 13
 
@@ -115,12 +116,13 @@ def test_dfs_order_of_poa_column_is_row_order():
     # trie it induces.
     order = poa_order(3)
     subs = column_subcircuits(order, 0, 3)
-    rows = [(r, 0) for r in order.columns[0]]
-    assert trie_order(build_trie(3, subs)) == dfs_order(ref_build_trie(3, subs)) == rows
+    rows = [(r, 0) for r in order.columns[0].tolist()]
+    assert trie_order(build_trie(3, subcircuit_arrays(3, subs))) == dfs_order(ref_build_trie(3, subs)) == rows
 
 
 def test_dfs_order_abc_example():
-    assert trie_order(build_trie(4, [S1, S2])) == dfs_order(ref_build_trie(4, [S1, S2])) == [(1, -1), (2, -1)]
+    t = build_trie(4, subcircuit_arrays(4, [S1, S2]))
+    assert trie_order(t) == dfs_order(ref_build_trie(4, [S1, S2])) == [(1, -1), (2, -1)]
 
 
 def test_mos_dfs_always_true():
@@ -132,7 +134,7 @@ def test_mos_dfs_always_true():
                 t = ref_build_trie(n, subs)
                 assert mos_check(t, dfs_order(t))
                 assert mos_check(t, _shuffled_dfs(t.root, rnd))
-                assert mos_check(t, trie_order(build_trie(n, subs)))
+                assert mos_check(t, trie_order(build_trie(n, subcircuit_arrays(n, subs))))
 
 
 def test_mos_siblings_permute_freely():
@@ -174,7 +176,7 @@ def test_overlap_shared_first_flip():
 def test_mos_order_cancels_to_trie_count():
     for col in range(7):
         subs = column_subcircuits(poa_order(3), col, 3)
-        t = build_trie(3, subs)
+        t = build_trie(3, subcircuit_arrays(3, subs))
         by_id = {s[1]: s for s in subs}
         ordered = [by_id[i] for i in trie_order(t)]
         assert cancelled_length(ordered, 3) == trie_gate_count(t)
@@ -189,16 +191,16 @@ def test_total_overlap_matches_cancellation():
 
 
 def test_duplicate_subcircuit_rejected():
-    for build in (build_trie, ref_build_trie):
+    for build in (lambda n, subs: build_trie(n, subcircuit_arrays(n, subs)), ref_build_trie):
         with pytest.raises(ValueError, match=r"^duplicate subcircuit for pair \(1, -1\)$"):
             build(4, [S1, S2, S1])
 
 
 def test_trie_counts_insertion_order_invariant():
     subs = column_subcircuits(poa_order(3), 0, 3)
-    base = build_trie(3, subs).counts()
+    base = build_trie(3, subcircuit_arrays(3, subs)).counts()
     for perm in ([6, 0, 3, 1, 5, 2, 4], [2, 1, 0, 6, 5, 4, 3]):
-        t = build_trie(3, [subs[i] for i in perm])
+        t = build_trie(3, subcircuit_arrays(3, [subs[i] for i in perm]))
         assert t.counts() == base
 
 
@@ -207,7 +209,7 @@ def test_brute_force_optimality_small():
     # minimal and minimality coincides with mos membership.
     subs = column_subcircuits(poa_order(3), 2, 3)
     t = ref_build_trie(3, subs)
-    best = trie_gate_count(build_trie(3, subs))
+    best = trie_gate_count(build_trie(3, subcircuit_arrays(3, subs)))
     for perm in permutations(subs):
         count = cancelled_length(list(perm), 3)
         assert count >= best
@@ -216,7 +218,7 @@ def test_brute_force_optimality_small():
 
 
 def test_dump_trie_shape():
-    text = dump_trie(build_trie(4, [S1, S2]))
+    text = dump_trie(build_trie(4, subcircuit_arrays(4, [S1, S2])))
     lines = text.splitlines()
     assert len(lines) == 5  # A, B, C, leaf1, leaf2
     assert lines[0].startswith("X t=0")
@@ -226,7 +228,7 @@ def test_dump_trie_shape():
 
 
 def test_dump_empty_trie():
-    assert dump_trie(build_trie(3, [])) == ""
+    assert dump_trie(build_trie(3, subcircuit_arrays(3, []))) == ""
 
 
 @pytest.mark.parametrize(
@@ -260,9 +262,9 @@ def test_trie_path_leaves_nothing_to_the_cyclic_collector(tuples):
     gc.disable()
     try:
         gc.collect()
-        rows, cols = poa_order(4).pairs()
-        subs = split_subcircuits(gray_circuit(4, rows, cols))
-        trie = build_trie(4, subcircuit_tuples(subs) if tuples else subs)
+        order = poa_order(4)
+        subs = split_subcircuits(gray_circuit(4, order.rows, order.cols))
+        trie = build_trie(4, subcircuit_arrays(4, subcircuit_tuples(subs)) if tuples else subs)
         refs = weakref.ref(subs), weakref.ref(trie)
         assert dump_trie(trie)
         del subs, trie
@@ -276,8 +278,8 @@ def test_trie_path_leaves_nothing_to_the_cyclic_collector(tuples):
 def test_conventional_column_trie_same_counts():
     # Column sets are identical for both orderings, so the tries agree.
     for col in range(7):
-        a = build_trie(3, column_subcircuits(poa_order(3), col, 3)).counts()
-        b = build_trie(3, column_subcircuits(conventional_order(3), col, 3)).counts()
+        a = build_trie(3, subcircuit_arrays(3, column_subcircuits(poa_order(3), col, 3))).counts()
+        b = build_trie(3, subcircuit_arrays(3, column_subcircuits(conventional_order(3), col, 3))).counts()
         assert a == b
 
 
@@ -286,8 +288,8 @@ def test_trie_leaves_are_the_subcircuit_pairs():
     leaves = trie_leaves(ref_build_trie(3, subs))
     assert sorted(leaves) == sorted(pair for _, pair in subs)
     assert len(leaves) == ref_build_trie(3, subs).counts()[0]
-    assert trie_order(build_trie(3, subs)) == leaves
-    assert len(leaves) == build_trie(3, subs).counts()[0]
+    assert trie_order(build_trie(3, subcircuit_arrays(3, subs))) == leaves
+    assert len(leaves) == build_trie(3, subcircuit_arrays(3, subs)).counts()[0]
 
 
 @st.composite
@@ -324,7 +326,7 @@ def test_mos_empty_trie_and_sequence():
 
 def test_dump_trie_text():
     # Labels are rendered from the integer keys at dump time.
-    text = dump_trie(build_trie(3, column_subcircuits(poa_order(3), 0, 3)))
+    text = dump_trie(build_trie(3, subcircuit_arrays(3, column_subcircuits(poa_order(3), 0, 3))))
     assert text == (
         "V(2, 0) [leaf (2, 0)]\n"
         "V(4, 0) [leaf (4, 0)]\n"
@@ -355,7 +357,7 @@ def test_trie_arrays_are_ints():
     # The array trie's counterpart of the dict trie's int keys: its arrays
     # hold ints, and column i of x is leaf i's X run, padded with -1.
     subs = column_subcircuits(conventional_order(3), 0, 3)
-    t = build_trie(3, subs)
+    t = build_trie(3, subcircuit_arrays(3, subs))
     assert all(a.dtype.kind in "iu" for a in (t.x, t.time, t.rows, t.cols))
     runs = {pair: list(prefix) for prefix, pair in subs}
     for i, pair in enumerate(trie_order(t)):
@@ -482,7 +484,8 @@ def test_trie_counts_are_recorded_while_building(n):
     # the gate-object trie's.
     rnd = random.Random(n)
     for make_order in (poa_order, conventional_order):
-        rows, cols = make_order(n).pairs()
+        order = make_order(n)
+        rows, cols = order.rows, order.cols
         pairs = list(zip(rows.tolist(), cols.tolist()))
         circuit = gray_circuit(n, rows, cols)
         split = split_subcircuits(circuit)
@@ -542,9 +545,9 @@ def test_array_trie_matches_dict_trie(case):
         ref = ref_build_trie(n, subs)
     except ValueError as exc:
         with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
-            build_trie(n, subs)
+            build_trie(n, subcircuit_arrays(n, subs))
         return
-    trie = build_trie(n, subs)
+    trie = build_trie(n, subcircuit_arrays(n, subs))
     assert trie.counts() == ref.counts()
     assert trie_order(trie) == dfs_order(ref)
     assert dump_trie(trie) == ref_dump_trie(ref)

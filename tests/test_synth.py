@@ -656,7 +656,8 @@ def test_read_circuit_seeds_at_the_chunk_that_reaches_the_bound(monkeypatch):
     # line that ends in the first five is parsed and no later one, and each
     # X code, parsed or entered, is one shared int (past the cached ints).
     calls = counted_parses(monkeypatch)
-    circuit = gray_circuit(6, *poa_order(6).pairs())
+    order = poa_order(6)
+    circuit = gray_circuit(6, order.rows, order.cols)
     text = write_circuit(circuit)
     seed = mock.Mock(wraps=synth._seed)
     with mock.patch.object(synth, "_CHUNK", 1000), mock.patch.object(synth, "_seed", seed):
@@ -736,7 +737,8 @@ def test_split_recovers_runs_of_any_length(pairs):
 
 def test_split_of_a_circuit_longer_than_one_block():
     # The n=7 palindromic order has 8,128 pairs, several blocks.
-    rows, cols = poa_order(7).pairs()
+    order = poa_order(7)
+    rows, cols = order.rows, order.cols
     assert len(rows) > synth._PAIR_BLOCK
     pairs = list(zip(rows.tolist(), cols.tolist()))
     circuit = gray_circuit(7, rows, cols)
@@ -918,7 +920,8 @@ def written_texts(draw):
         pair = st.tuples(state, state.filter(bool)).map(lambda cd: (cd[0] ^ cd[1], cd[0]))
         rows, cols = pair_columns(draw(st.lists(pair, min_size=1, max_size=60)))
     else:
-        rows, cols = (poa_order if kind == "poa" else conventional_order)(n).pairs()
+        order = (poa_order if kind == "poa" else conventional_order)(n)
+        rows, cols = order.rows, order.cols
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     comps = np.linalg.qr(rng.standard_normal((len(rows), 2, 2, 2)).view(complex)[..., 0])[0]
     circuit = gray_circuit(n, rows, cols, comps)
