@@ -9,6 +9,8 @@ circuit is built and no matrix value is involved.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .ordering import OrderArray, conventional_order, poa_order
 from .synth import Circuit, GrayPairs
 
@@ -23,12 +25,12 @@ def cancel_pass(c: Circuit) -> Circuit:
     Component-matrix gates are never touched.
     """
     stack: list[int] = []
-    for g in c.code:
+    for g in c.code.tolist():
         if stack and stack[-1] == g:
             stack.pop()
         else:
             stack.append(g)
-    return Circuit(c.n, stack, c.u_at, c.comps)
+    return Circuit(c.n, np.array(stack, c.code.dtype), c.u_at, c.comps)
 
 
 def structural_circuit(n: int, rows, cols) -> GrayPairs:

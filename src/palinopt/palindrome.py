@@ -69,7 +69,7 @@ def _fresh(a: np.ndarray) -> np.ndarray:
 
 def build_trie(n: int, subs: Subcircuits) -> PalindromeTrie:
     """One leaf per subcircuit of n qubits, given as the split's arrays;
-    shared X-run prefixes share paths.  A pair that occurs twice is a
+    X runs with a common prefix share its path.  A pair that occurs twice is a
     ``ValueError`` naming its first repeat."""
     rows, cols = subs.rows, subs.cols
     by_pair = np.lexsort((_narrow(cols), _narrow(rows)))  # stable: a repeat sorts after its first

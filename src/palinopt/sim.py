@@ -34,10 +34,10 @@ def circuit_to_matrix(c: Circuit) -> np.ndarray:
     mask = dim - 1
     m = np.eye(dim, dtype=complex)
     row = list(range(dim))
-    u_at, comps = c.u_at, c.comps
+    u_at, comps = c.u_at.tolist(), c.comps
     flipped = comps[:, ::-1, ::-1]
     pair = np.empty((2, dim), dtype=complex)
-    for g in c.code:
+    for g in c.code.tolist():
         if g >= 0:
             i0 = g & mask
             i1 = i0 | 1 << (g >> n)

@@ -11,11 +11,12 @@ its target bit, so it is identified by two integers: ``target`` and
 are the control values).  Its position code is ``target << n | base``.
 
 A :class:`Circuit` holds integer codes, not gate objects.  ``code`` has
-one int per gate in application order: an X gate is its position code
+one code per gate in application order: an X gate is its position code
 (>= 0), and the j-th component gate is ``~j`` (< 0).  ``u_at[j]`` is that
 gate's position code and ``comps[j]`` its 2x2 component matrix, rows of a
-``(k, 2, 2)`` array.  Within a circuit each distinct X code is one shared
-int object.  Construction, cancellation, the file text, splitting into
+``(k, 2, 2)`` array.  ``code`` and ``u_at`` are read-only int64 arrays,
+or arrays of Python ints past ``ARRAY_MAX_N`` (n=57), where position
+codes leave int64.  Construction, cancellation, the file text, splitting into
 subcircuits and simulation work on the codes; ``Circuit.gates`` builds
 :class:`ControlledGate` objects on first access, one per distinct X gate.
 
@@ -23,11 +24,7 @@ subcircuits and simulation work on the codes; ``Circuit.gates`` builds
 codes with array operations per block of ``_PAIR_BLOCK`` pairs, which
 bounds the temporaries: a block is one grid with a column per pair, its
 rows the X run by rising bit, the U gate and the run reversed, A U A^R,
-read column by column under a mask of the gates present.  The int64 codes
-become ints by indexing an object array of every position code, so the
-circuit shares one int per distinct X code; a circuit of fewer gates
-than there are position codes shares them through a dict instead.  Past
-n=57, where position codes leave int64, the arrays hold Python ints.
+read column by column under a mask of the gates present.
 A :class:`GrayPairs` holds that circuit as its pairs and counts its
 gates, and what the X-pair cancellation leaves of them, from the same
 per-bit rows without building it.
@@ -54,9 +51,9 @@ from .linalg import UNITARY_TOL, is_unitary_entries, parse_floats
 
 
 def _pattern(n: int, target: int, base: int) -> str:
-    bits = format(base, f"0{n}b")
-    slot = n - 1 - target
-    return bits[:slot] + "_" + bits[slot + 1 :]
+    bits = bin(base | 1 << n)  # "0b1", then the base's n bits
+    slot = n + 2 - target  # the target bit's index in bits
+    return bits[3:slot] + "_" + bits[slot + 1 :]
 
 
 def position_text(at: int, n: int) -> str:
@@ -130,18 +127,20 @@ class ControlledGate:
 
 @dataclass(frozen=True, eq=False)
 class Circuit:
-    """Gates as integer codes; see the module docstring.  The lists are
-    shared between circuits (``cancel_pass`` keeps ``u_at`` and ``comps``)
-    and must not be changed."""
+    """Gates as integer codes; see the module docstring.  A circuit may
+    hold another's arrays (``cancel_pass`` keeps ``u_at`` and ``comps``),
+    so ``code`` and ``u_at`` are made read-only."""
 
     n: int
-    code: list[int]
-    u_at: list[int]
+    code: np.ndarray
+    u_at: np.ndarray
     comps: np.ndarray
 
     def __post_init__(self) -> None:
         if self.comps.shape != (len(self.u_at), 2, 2):
             raise ValueError(f"need ({len(self.u_at)}, 2, 2) components, got {self.comps.shape}")
+        self.code.setflags(write=False)
+        self.u_at.setflags(write=False)
 
     def __len__(self) -> int:
         return len(self.code)
@@ -152,13 +151,14 @@ class Circuit:
         n, mask = self.n, (1 << self.n) - 1
         x_gates: dict[int, ControlledGate] = {}
         gates = []
-        for g in self.code:
+        u_at = self.u_at.tolist()
+        for g in self.code.tolist():
             if g >= 0:
                 gate = x_gates.get(g)
                 if gate is None:
                     gate = x_gates[g] = ControlledGate(n, g >> n, g & mask, "X")
             else:
-                at = self.u_at[~g]
+                at = u_at[~g]
                 gate = ControlledGate(n, at >> n, at & mask, self.comps[~g])
             gates.append(gate)
         return tuple(gates)
@@ -309,34 +309,15 @@ def gray_circuit(n: int, rows, cols, comps: Optional[np.ndarray] = None) -> Circ
     None.  A pair of equal states, or of a state outside [0, 2^n), is a
     ``ValueError``.
 
-    The codes are built by :func:`_gray_blocks`.  They become ints by
-    indexing one object array that holds every position code and then
-    -m .. -1, so that U gate j's code ~j, as an index, counts back from its
-    end to ~j; each distinct X code is then one shared int.  A circuit of
-    fewer gates than there are position codes shares them through a dict
-    of the codes built instead, so the table never outgrows the circuit.
+    The codes are built by :func:`_gray_blocks` into two arrays made at
+    their full length and filled in place: grown block by block, they
+    would be moved past each block's temporaries and fragment the heap.
     """
     held = GrayPairs(n, rows, cols)
-    # The lists are made at their full length and filled in place: grown
-    # block by block, they would be moved past each block's temporaries and
-    # fragment the heap.
-    code: list[int] = [0] * len(held)
-    u_at: list[int] = [0] * len(held.rows)
-    if n << n <= len(code):
-        table = np.concatenate((np.arange(n << n), np.arange(-len(u_at), 0))).astype(object)
-
-        def shared(a: np.ndarray) -> list[int]:
-            return table[a].tolist()
-
-    else:
-        x_codes: dict[int, int] = {}
-
-        def shared(a: np.ndarray) -> list[int]:
-            return [x_codes.setdefault(g, g) for g in a.tolist()]
-
+    code = np.empty(len(held), held.rows.dtype)
+    u_at = np.empty_like(held.rows)
     for pairs, gates, block_code, block_u in _gray_blocks(n, held.rows, held.cols):
-        code[gates] = shared(block_code)
-        u_at[pairs] = shared(block_u)
+        code[gates], u_at[pairs] = block_code, block_u
     if comps is None:
         comps = np.broadcast_to(np.eye(2, dtype=complex), (len(u_at), 2, 2))
     return Circuit(n, code, u_at, comps)
@@ -390,16 +371,15 @@ def split_subcircuits(c: Circuit) -> Subcircuits:
     fault in gate order.  ``codes`` is the circuit's codes, component gate
     j as ``~j``.
     """
-    n, code = c.n, c.code
-    codes, u_at = _code_arrays(n, code, c.u_at)
+    n, codes, u_at = c.n, c.code.copy(), c.u_at
     at = np.flatnonzero(codes < 0)  # p_j
     # k_j = g_j - k_{j-1} with the gaps g_j = p_j - p_{j-1} - 1 (p_{-1} =
     # -1), so (-1)^j k_j is the running sum of (-1)^i g_i.
     sign = 1 - 2 * (np.arange(len(at)) & 1)
     k = np.cumsum((np.diff(at, prepend=-1) - 1) * sign) * sign
-    if not code:  # all arrays empty; 2^n need not fit in memory
+    if not len(codes):  # all arrays empty; 2^n need not fit in memory
         return Subcircuits(codes, at, k, u_at, u_at)
-    if not len(at) or (k < 0).any() or at[-1] + k[-1] + 1 != len(code):
+    if not len(at) or (k < 0).any() or at[-1] + k[-1] + 1 != len(codes):
         raise _first_fault(c)
     mask = (1 << n) - 1
     middle = u_at[~codes[at].astype(np.intp)]
@@ -418,7 +398,7 @@ def _first_fault(c: Circuit) -> ValueError:
     subcircuit must be an X run, its component gate and the run mirrored,
     and the run the Gray walk of the pair whose c is the component gate's
     base with the run's flips undone."""
-    n, code, u_at = c.n, c.code, c.u_at
+    n, code, u_at = c.n, c.code.tolist(), c.u_at.tolist()
     mask = (1 << n) - 1
     i = 0
     while True:
@@ -445,35 +425,39 @@ _BLOCK = 1024
 
 def write_circuit(c: Circuit) -> str:
     """Circuit file text.  Each distinct position's ``t=.. c=..`` text and
-    each distinct X line is rendered once, and the floats of the component
+    each distinct line is rendered once, and the floats of the component
     matrices (real and imaginary parts, row-major) by one ``repr`` of a list
     per block of matrices, which bounds the float strings alive at once.
     A component in Givens form, ``[[a, conj(c)], [c, -conj(a)]]`` bit for
-    bit with no NaN entry (each eliminating step of ``decompose``), has only
-    a and c formatted: b and d take those strings, copied or with the sign
-    flipped, which is exact for every float but NaN (``repr(-nan)`` is
-    ``'nan'``)."""
-    n, code, u_at = c.n, c.code, c.u_at
+    bit (each eliminating step of ``decompose``), has only a and c
+    formatted: b and d take those strings, copied or with the sign flipped,
+    which is exact for every float; a NaN keeps its string, as
+    ``repr(-nan)`` is ``'nan'``.  Each gate's line is that of its code
+    among the distinct codes of one ``np.unique``, so U gate j's line is
+    written wherever ``~j`` occurs in ``code``, in whatever order."""
+    n, code, u_at = c.n, c.code, c.u_at.tolist()
     bits = c.comps.reshape(-1).view(np.int64).reshape(-1, 8)
     floats = bits.view(float)
     sign = np.int64(-1 << 63)
     givens = (bits[:, 6] == bits[:, 0] ^ sign) & (bits[:, 7] == bits[:, 1])  # d = -conj(a)
-    givens &= (bits[:, 2] == bits[:, 4]) & (bits[:, 3] == bits[:, 5] ^ sign) & ~np.isnan(floats).any(axis=1)
-    distinct = set(code)
-    at = {p: position_text(p, n) for p in distinct.union(u_at) if p >= 0}
-    lines = {g: "X " + at[g] for g in distinct if g >= 0}  # code -> its line
+    givens &= (bits[:, 2] == bits[:, 4]) & (bits[:, 3] == bits[:, 5] ^ sign)
+    distinct, line_of = np.unique(code, return_inverse=True)
+    at = {p: position_text(p, n) for p in {*distinct.tolist(), *u_at} if p >= 0}
+    u_lines = []
     for start in range(0, len(u_at), _BLOCK):
         f, g = floats[start : start + _BLOCK], givens[start : start + _BLOCK]
-        free = f[g][:, [0, 1, 4, 5]].reshape(-1).tolist()
+        free = f.reshape(-1, 4, 2)[g, ::2].reshape(-1).tolist()  # a and c
         block = repr(free + f[~g].reshape(-1).tolist())[1:-1].split(", ")
         ar, ai, cr, ci = (block[k : len(free) : 4] for k in range(4))
-        neg_ar, neg_ci = ([s[1:] if s[0] == "-" else "-" + s for s in x] for x in (ar, ci))
+        neg_ar, neg_ci = ([s[1:] if s[0] == "-" else s if s == "nan" else "-" + s for s in x] for x in (ar, ci))
         givens_rows = zip(ar, ai, cr, neg_ci, cr, ci, neg_ar, ai)
         other_rows = zip(*[iter(block[len(free) :])] * 8)
-        for j, p, is_givens in zip(range(start, start + len(g)), u_at[start : start + _BLOCK], g.tolist()):
+        for p, is_givens in zip(u_at[start : start + _BLOCK], g.tolist()):
             m = next(givens_rows) if is_givens else next(other_rows)
-            lines[~j] = "U %s m=%s,%s;%s,%s;%s,%s;%s,%s" % (at[p], *m)
-    return "\n".join([f"n={n} gates={len(code)}", *map(lines.__getitem__, code), ""])
+            u_lines.append("U %s m=%s,%s;%s,%s;%s,%s;%s,%s" % (at[p], *m))
+    texts = [u_lines[~g] if g < 0 else "X " + at[g] for g in distinct.tolist()]
+    lines = np.array(texts, object)[line_of].tolist()
+    return "\n".join([f"n={n} gates={len(code)}", *lines, ""])
 
 
 def _parse_fields(tokens: list[str]) -> dict[str, str]:
@@ -561,17 +545,15 @@ def _parse_header(line: str) -> tuple[int, int]:
 _CHUNK = 1 << 16
 
 
-def _seed(n: int, positions: dict, x_codes: dict, u_heads: dict) -> None:
+def _seed(n: int, x_codes: dict, u_heads: dict) -> None:
     """Enter every position's text as the writer renders it, so that the
     reader finds each canonical X line and U-line head without parsing it:
     ``"X " + text`` in ``x_codes`` and ``"U " + text`` in ``u_heads``, both
-    mapped to the code ``positions`` holds, or now enters, for ``(t, c)``.
-    There are ``n << (n - 1)`` positions."""
+    mapped to the position's code.  There are ``n << (n - 1)`` positions."""
     for p in range(n << n):
         if not p >> (p >> n) & 1:  # the target bit of the base is clear
             text = position_text(p, n)
-            t, c = text[2:].split(" c=")
-            x_codes["X " + text] = u_heads["U " + text] = positions.setdefault((t, c), p)
+            x_codes["X " + text] = u_heads["U " + text] = p
 
 
 def read_circuit(f: TextIO) -> Circuit:
@@ -590,11 +572,11 @@ def read_circuit(f: TextIO) -> Circuit:
     header and again as each chunk arrives, so the tables never outgrow
     the text read and a huge header n is never shifted.  Any other line
     takes the full parse every time, and nothing is learned from it but
-    its ``(t, c)`` position, which keeps each X code one shared int.  The
-    ``m=`` fields are checked and converted by :func:`_components` per
-    block of U lines, which bounds the number strings alive at once.  The
-    header's gate count is checked at the end of the file, so a fault in
-    a line is reported before a wrong count."""
+    its ``(t, c)`` position's code.  The ``m=`` fields are checked and
+    converted by :func:`_components` per block of U lines, which bounds
+    the number strings alive at once.  The header's gate count is checked
+    at the end of the file, so a fault in a line is reported before a
+    wrong count, and the codes become arrays there."""
     n = count = None
     positions: dict[tuple[str, str], int] = {}
     x_codes: dict[str, int] = {}  # code of each X line the writer renders, once seeded
@@ -610,7 +592,7 @@ def read_circuit(f: TextIO) -> Circuit:
         chunk = f.read(_CHUNK)
         read += len(chunk)
         if need <= read and not x_codes:  # not seeded yet
-            _seed(n, positions, x_codes, u_heads)
+            _seed(n, x_codes, u_heads)
         if chunk:
             lines = chunk.splitlines()
             # the chunk may end inside its last line: carry that line on
@@ -639,7 +621,7 @@ def read_circuit(f: TextIO) -> Circuit:
                         # past n=63 no file holds the texts: a huge n is never shifted
                         need = (n << n) * (n + 7 + len(str(n - 1))) if n < 64 else need
                         if need <= read:
-                            _seed(n, positions, x_codes, u_heads)
+                            _seed(n, x_codes, u_heads)
                         continue
                     kind, *tokens = words
                     if kind not in ("X", "U"):
@@ -673,4 +655,4 @@ def read_circuit(f: TextIO) -> Circuit:
     blocks.append(_components(fields, u_lines))
     if len(code) != count:
         raise ValueError(f"header says {count} gates, file has {len(code)}")
-    return Circuit(n, code, u_at, np.concatenate(blocks))
+    return Circuit(n, *_code_arrays(n, code, u_at), np.concatenate(blocks))

@@ -78,21 +78,27 @@ def expand_two_level(t: TwoLevelMatrix) -> np.ndarray:
     return m
 
 
+def array_circuit(n: int, code, u_at, comps) -> Circuit:
+    """The circuit of the codes ``code`` and ``u_at``, given as any
+    sequences of ints, held as the library holds them: int64 arrays, or
+    arrays of Python ints past ``ARRAY_MAX_N``."""
+    return Circuit(n, *_code_arrays(n, code, u_at), comps)
+
+
 def circuit_from_gates(n: int, gates) -> Circuit:
     """The circuit of gate objects ``gates`` in application order."""
-    x_codes: dict[int, int] = {}
     code, u_at, ops = [], [], []
     for g in gates:
         if g.n != n:
             raise ValueError(f"gate for n={g.n} in a circuit for n={n}")
         at = g.target << n | g.base
         if g.is_x:
-            code.append(x_codes.setdefault(at, at))
+            code.append(at)
         else:
             code.append(~len(u_at))
             u_at.append(at)
             ops.append(g.op)
-    return Circuit(n, code, u_at, np.array(ops, dtype=complex).reshape(-1, 2, 2))
+    return array_circuit(n, code, u_at, np.array(ops, dtype=complex).reshape(-1, 2, 2))
 
 
 def factor_pairs(d: Decomposition) -> tuple[tuple[int, int], ...]:
@@ -123,20 +129,18 @@ def ref_gray_circuit(n: int, pairs, comps=None) -> Circuit:
     """The circuit of (r, c) pairs from their Gray codes: each step from a
     state g to the next flips one bit b, by the gate at position b << n |
     g & ~2^b.  A pair's last step is its component gate, the steps before
-    it the X run, mirrored after it.  Each distinct X code is one shared
-    int."""
-    x_codes: dict[int, int] = {}
+    it the X run, mirrored after it."""
     code: list[int] = []
     u_at: list[int] = []
     for j, (r, c) in enumerate(pairs):
         states = gray_code(c, r, n)
         steps = [((g ^ h).bit_length() - 1) << n | (g & ~(g ^ h)) for g, h in zip(states, states[1:])]
-        run = [x_codes.setdefault(x, x) for x in steps[:-1]]
+        run = steps[:-1]
         u_at.append(steps[-1])
         code += [*run, ~j, *run[::-1]]
     if comps is None:
         comps = np.broadcast_to(np.eye(2, dtype=complex), (len(u_at), 2, 2))
-    return Circuit(n, code, u_at, comps)
+    return array_circuit(n, code, u_at, comps)
 
 
 def subcircuit_for_pair(r: int, c: int, n: int) -> tuple[tuple[int, ...], tuple[int, int]]:
@@ -144,7 +148,7 @@ def subcircuit_for_pair(r: int, c: int, n: int) -> tuple[tuple[int, ...], tuple[
     (r, c), its X run cut out of the library's circuit construction of that
     one pair."""
     circuit = gray_circuit(n, [r], [c])
-    return tuple(circuit.code[: len(circuit) // 2]), (r, c)
+    return tuple(circuit.code[: len(circuit) // 2].tolist()), (r, c)
 
 
 def subcircuits_circuit(n: int, subs, comps=None, middles=None) -> Circuit:
@@ -161,7 +165,7 @@ def subcircuits_circuit(n: int, subs, comps=None, middles=None) -> Circuit:
         code += [*prefix, ~j, *prefix[::-1]]
     if comps is None:
         comps = np.broadcast_to(np.eye(2, dtype=complex), (len(u_at), 2, 2))
-    return Circuit(n, code, u_at, np.asarray(comps, dtype=complex).reshape(-1, 2, 2))
+    return array_circuit(n, code, u_at, np.asarray(comps, dtype=complex).reshape(-1, 2, 2))
 
 
 def ref_split_subcircuits(c: Circuit) -> list:
@@ -543,13 +547,13 @@ def ref_inplace_circuit_to_matrix(c: Circuit) -> np.ndarray:
     m = np.eye(dim, dtype=complex)
     row = list(range(dim))
     flipped = c.comps[:, ::-1, ::-1]
-    for g in c.code:
+    for g in c.code.tolist():
         if g >= 0:
             i0 = g & mask
             i1 = i0 | 1 << (g >> n)
             row[i0], row[i1] = row[i1], row[i0]
         else:
-            at = c.u_at[~g]
+            at = int(c.u_at[~g])
             i0 = at & mask
             a, b = row[i0], row[i0 | 1 << (at >> n)]
             if a < b:
@@ -781,4 +785,4 @@ def ref_read_circuit(text: str) -> Circuit:
                 g = ~(len(u_at) - 1)
         code.append(g)
     blocks.append(_components(fields, u_lines))
-    return Circuit(n, code, u_at, np.concatenate(blocks))
+    return array_circuit(n, code, u_at, np.concatenate(blocks))

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    array_circuit,
     dfs_order,
     mos_check,
     overlap,
@@ -41,7 +42,6 @@ from palinopt.ordering import conventional_order, poa_order
 from palinopt.palindrome import build_trie, dump_trie, trie_gate_count
 from palinopt.synth import (
     ARRAY_MAX_N,
-    Circuit,
     gray_circuit,
     read_circuit,
     split_subcircuits,
@@ -451,7 +451,7 @@ def palindrome_shaped_circuits(draw):
     elif change == "middle" and u_at:
         u_at[draw(st.integers(0, len(u_at) - 1))] = draw(_x_codes(n))
     code = code[: draw(st.integers(0, len(code)))] if draw(st.booleans()) else code
-    return Circuit(n, code, u_at, np.broadcast_to(np.eye(2, dtype=complex), (len(u_at), 2, 2)))
+    return array_circuit(n, code, u_at, np.broadcast_to(np.eye(2, dtype=complex), (len(u_at), 2, 2)))
 
 
 def _split_outcome(split, circuit, key):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
+    array_circuit,
     cancel_pass_peephole,
     circuit_from_gates,
     pair_columns,
@@ -26,8 +27,8 @@ from palinopt.decompose import two_level_decompose
 from palinopt.linalg import TwoLevelMatrix, random_unitary, write_matrix
 from palinopt.optimize import cancel_pass
 from palinopt.ordering import conventional_order, poa_order
+from palinopt.sim import circuit_to_matrix
 from palinopt.synth import (
-    Circuit,
     ControlledGate,
     GrayPairs,
     construct_circuit,
@@ -84,7 +85,7 @@ def test_subcircuit_pair_7_0():
     prefix, pair = subcircuit_for_pair(v.row, v.col, 3)
     assert prefix == (0 << 3 | 0b000, 1 << 3 | 0b001) and pair == (7, 0)
     circuit = subcircuits_circuit(3, [(prefix, pair)], [v.comp])
-    assert circuit.u_at == [2 << 3 | 0b011]
+    assert circuit.u_at.tolist() == [2 << 3 | 0b011]
     gates = circuit.gates
     assert len(gates) == 5
     assert [g.is_x for g in gates] == [True, True, False, True, True]
@@ -266,7 +267,7 @@ def test_split_subcircuits_round_trip():
     subs = subcircuit_tuples(split_subcircuits(circuit))
     assert len(subs) == len(d.factors)
     flat = subcircuits_circuit(3, subs, circuit.comps)
-    assert flat.code == circuit.code and flat.u_at == circuit.u_at
+    assert_code_arrays(flat, circuit)
     assert flat.gates == circuit.gates
 
 
@@ -332,16 +333,30 @@ def component_floats(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(rows=st.lists(component_floats(), max_size=8), block=st.sampled_from([1, 2, 3, synth._BLOCK]))
-@example(rows=[[0.0, 1.0, 2.0, -3.0, 2.0, 3.0, 0.0, 1.0]], block=1)  # d.re is 0.0, not -0.0
-@example(rows=[[math.nan, 1.0, 2.0, -3.0, 2.0, 3.0, -math.nan, 1.0]], block=1)  # repr(-nan) is 'nan'
-def test_write_circuit_matches_per_float_reference(rows, block):
+@given(
+    rows=st.lists(component_floats(), max_size=8),
+    block=st.sampled_from([1, 2, 3, synth._BLOCK]),
+    n=st.sampled_from([2, synth.ARRAY_MAX_N + 1]),
+    layout=st.sampled_from(["in order", "U reversed", "X around"]),
+)
+@example(rows=[[0.0, 1.0, 2.0, -3.0, 2.0, 3.0, 0.0, 1.0]], block=1, n=2, layout="in order")  # d.re 0.0, not -0.0
+# repr(-nan) is 'nan': a.re and c.im of a Givens form keep their strings
+@example(rows=[[math.nan, 1.0, 2.0, -3.0, 2.0, 3.0, -math.nan, 1.0]], block=1, n=2, layout="in order")
+@example(rows=[[1.0, 0.0, 2.0, -math.nan, 2.0, math.nan, -1.0, 0.0]], block=1, n=2, layout="in order")
+@example(rows=[[1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0]] * 2, block=1, n=2, layout="U reversed")  # code [~1, ~0]
+@example(
+    rows=[[0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0]] * 3, block=2, n=synth.ARRAY_MAX_N + 1, layout="X around"
+)
+def test_write_circuit_matches_per_float_reference(rows, block, n, layout):
     # Givens-form components have only a and c formatted; every float of
-    # the text must still be its own repr.
-    n = 2
+    # the text must still be its own repr.  The U codes may come out of
+    # gate order, an X code before, between and after them, and past
+    # ARRAY_MAX_N the codes are Python ints.
     comps = np.array(rows, dtype=float).reshape(-1).view(complex).reshape(-1, 2, 2)
-    u_at = [(0b000, 0b010, 0b100, 0b101)[j % 4] for j in range(len(rows))]
-    circuit = Circuit(n, [~j for j in range(len(rows))], u_at, comps)
+    u_at = [(0 << n | 0b00, 0 << n | 0b10, 1 << n | 0b00, 1 << n | 0b01)[j % 4] for j in range(len(rows))]
+    u, x = [~j for j in range(len(rows))], (n - 1) << n | 1
+    code = {"in order": u, "U reversed": u[::-1], "X around": [x, *(g for j in u for g in (j, x))]}[layout]
+    circuit = array_circuit(n, code, u_at, comps)
     with mock.patch.object(synth, "_BLOCK", block):
         assert write_circuit(circuit) == ref_write(n, circuit.gates)
 
@@ -396,27 +411,55 @@ def test_circuit_codes_match_its_gates():
     assert np.array_equal(circuit.comps, d.comps[::-1])
 
 
-def test_circuit_shares_each_distinct_x_code():
-    # At n=6 most position codes are past CPython's cached small ints.  In
-    # the mixed text every other line has a doubled space, so the parsed
+def assert_code_arrays(circuit, reference):
+    """``circuit``'s ``code`` and ``u_at`` are int64 arrays, or arrays of
+    Python ints past ``ARRAY_MAX_N``, holding ``reference``'s values."""
+    wide = circuit.n > synth.ARRAY_MAX_N
+    for got, want in ((circuit.code, reference.code), (circuit.u_at, reference.u_at)):
+        assert got.dtype == (object if wide else np.int64) and got.ndim == 1
+        assert got.tolist() == want.tolist()
+        assert not wide or all(type(g) is int for g in got.tolist())
+
+
+def test_circuit_codes_are_int64_arrays_of_the_reference_values():
+    # In the mixed text every other line has a doubled space, so the parsed
     # lines and the writer's own ones, found through the entered positions,
     # meet at the same codes.
     d = two_level_decompose(random_unitary(6, 4), conventional_order(6))
-    lines = write_circuit(construct_circuit(d)).splitlines()
+    built = construct_circuit(d)
+    lines = write_circuit(built).splitlines()
     reread = read_circuit(io.StringIO("\n".join(lines)))
     lines[1::2] = [ln.replace(" c=", "  c=") for ln in lines[1::2]]
     mixed = read_circuit(io.StringIO("\n".join(lines)))
-    assert mixed.code == reread.code
-    for circuit in (construct_circuit(d), reread, mixed):
-        first = {}
-        for g in circuit.code:
-            if g >= 0:
-                assert first.setdefault(g, g) is g
+    assert mixed.code.tolist() == reread.code.tolist()
+    reference = ref_gray_circuit(6, list(zip(d.rows[::-1].tolist(), d.cols[::-1].tolist())))
+    for circuit in (built, reread, mixed):
+        assert_code_arrays(circuit, reference)
+
+
+def test_circuit_codes_are_read_only():
+    # Circuits share their arrays (cancel_pass keeps u_at), so writing into
+    # the codes raises, and the split, the cancellation and the simulator
+    # take read-only codes and leave them as they were.
+    u = random_unitary(3, 5)
+    d = two_level_decompose(u, poa_order(3))
+    circuit = construct_circuit(d)
+    before = circuit.code.tolist()
+    for codes in (circuit.code, circuit.u_at):
+        with pytest.raises(ValueError, match="read-only"):
+            codes[0] = 0
+    subs = subcircuit_tuples(split_subcircuits(circuit))
+    assert [pair for _, pair in subs] == list(zip(d.rows[::-1].tolist(), d.cols[::-1].tolist()))
+    cancelled = cancel_pass(circuit)
+    assert not cancelled.code.flags.writeable and cancelled.u_at is circuit.u_at
+    assert cancelled.gates == tuple(cancel_pass_peephole(circuit.gates))
+    assert np.allclose(circuit_to_matrix(cancelled), u) and np.allclose(circuit_to_matrix(circuit), u)
+    assert circuit.code.tolist() == before
 
 
 def test_circuit_rejects_mismatched_components():
     with pytest.raises(ValueError, match="components"):
-        Circuit(2, [~0], [0], np.zeros((2, 2, 2), dtype=complex))
+        array_circuit(2, [~0], [0], np.zeros((2, 2, 2), dtype=complex))
     gate = ControlledGate(n=3, target=0, base=0, op="X")
     with pytest.raises(ValueError, match="n=3"):
         circuit_from_gates(2, [gate])
@@ -463,7 +506,7 @@ def test_circuit_text_past_one_block_of_components(monkeypatch):
     again = read_circuit(io.StringIO(text))
     assert blocks == [1024, 1024, 1024, 1024, 4]
     assert np.array_equal(again.comps, circuit.comps)
-    assert again.code == circuit.code and again.u_at == circuit.u_at
+    assert_code_arrays(again, circuit)
     assert write_circuit(again) == text
     lines = text.splitlines()
     lines[4099] = lines[4099].split(" m=")[0] + " m=2,0;0,0;0,0;2,0"  # U gate 4098
@@ -500,7 +543,7 @@ def read_outcome(read, text):
         c = read(text)
     except ValueError as exc:
         return str(exc)
-    return c.n, c.code, c.u_at, c.comps.tobytes()
+    return c.n, c.code.tolist(), c.u_at.tolist(), c.comps.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -610,7 +653,7 @@ def test_read_circuit_parses_no_canonical_line(monkeypatch, n, cancelled):
     if cancelled:
         circuit = cancel_pass(circuit)
     again = read_circuit(io.StringIO(write_circuit(circuit)))
-    assert again.code == circuit.code and np.array_equal(again.comps, circuit.comps)
+    assert again.code.tolist() == circuit.code.tolist() and np.array_equal(again.comps, circuit.comps)
     assert calls == [f"n={n}"]
 
 
@@ -653,8 +696,8 @@ def test_read_circuit_never_seeds_past_the_text_read(monkeypatch, text):
 def test_read_circuit_seeds_at_the_chunk_that_reaches_the_bound(monkeypatch):
     # n=6: its positions' texts take (6 << 6) * 14 = 5,376 characters.  In
     # chunks of 1,000 the bound is met as the sixth chunk arrives, so every
-    # line that ends in the first five is parsed and no later one, and each
-    # X code, parsed or entered, is one shared int (past the cached ints).
+    # line that ends in the first five is parsed and no later one, and the
+    # codes, parsed or entered, are int64 arrays of the circuit's values.
     calls = counted_parses(monkeypatch)
     order = poa_order(6)
     circuit = gray_circuit(6, order.rows, order.cols)
@@ -662,12 +705,11 @@ def test_read_circuit_seeds_at_the_chunk_that_reaches_the_bound(monkeypatch):
     seed = mock.Mock(wraps=synth._seed)
     with mock.patch.object(synth, "_CHUNK", 1000), mock.patch.object(synth, "_seed", seed):
         again = read_circuit(io.StringIO(text))
-    assert again.code == circuit.code and np.array_equal(again.comps, circuit.comps)
+    assert again.code.tolist() == circuit.code.tolist() and np.array_equal(again.comps, circuit.comps)
     assert seed.call_count == 1
     ended = text[:5000].split("\n")[:-1]
     assert 5 < len(ended) < len(circuit) and calls == parsed(ended)
-    first = {}
-    assert all(first.setdefault(g, g) is g for g in again.code if g >= 0)
+    assert_code_arrays(again, circuit)
 
 
 @st.composite
@@ -691,18 +733,14 @@ WIDE = pair_lists(min_n=9, max_n=70)
 @given(case=st.one_of(pair_lists(), WIDE), block=BLOCKS)
 def test_gray_circuit_matches_the_gray_code_reference(case, block):
     # The array builder, in blocks of any size and at any width, gives the
-    # codes and positions of the pairs' Gray codes, and each distinct X
-    # code is one shared int.
+    # codes and positions of the pairs' Gray codes, as int64 arrays, or
+    # arrays of Python ints past ARRAY_MAX_N.
     n, pairs = case
     with mock.patch.object(synth, "_PAIR_BLOCK", block):
         circuit = gray_circuit(n, *pair_columns(pairs))
     reference = ref_gray_circuit(n, pairs)
-    assert circuit.code == reference.code and circuit.u_at == reference.u_at
+    assert_code_arrays(circuit, reference)
     assert circuit.comps.shape == (len(pairs), 2, 2)
-    first = {}
-    for g in circuit.code:
-        if g >= 0:
-            assert first.setdefault(g, g) is g
 
 
 @settings(max_examples=200, deadline=None)
@@ -714,7 +752,7 @@ def test_split_inverts_gray_circuit_in_blocks(case, block):
     n, pairs = case
     with mock.patch.object(synth, "_PAIR_BLOCK", block):
         subs = subcircuit_tuples(split_subcircuits(gray_circuit(n, *pair_columns(pairs))))
-    runs = [ref_gray_circuit(n, [pair]).code for pair in pairs]
+    runs = [ref_gray_circuit(n, [pair]).code.tolist() for pair in pairs]
     assert subs == [(tuple(run[: len(run) // 2]), pair) for run, pair in zip(runs, pairs)]
 
 
@@ -743,10 +781,10 @@ def test_split_of_a_circuit_longer_than_one_block():
     pairs = list(zip(rows.tolist(), cols.tolist()))
     circuit = gray_circuit(7, rows, cols)
     reference = ref_gray_circuit(7, pairs)
-    assert circuit.code == reference.code and circuit.u_at == reference.u_at
+    assert_code_arrays(circuit, reference)
     subs = subcircuit_tuples(split_subcircuits(read_circuit(io.StringIO(write_circuit(circuit)))))
     assert [pair for _, pair in subs] == pairs
-    assert subcircuits_circuit(7, subs).code == circuit.code
+    assert subcircuits_circuit(7, subs).code.tolist() == circuit.code.tolist()
 
 
 @pytest.mark.parametrize(
@@ -756,7 +794,7 @@ def test_split_of_a_circuit_longer_than_one_block():
 def test_split_reads_component_gates_through_their_codes(n, u_at, pairs):
     # U gates coded ~1 then ~0: each is read through its code, as the
     # gate-object reference reads it, so U gate 1 leads.
-    circuit = Circuit(n, [~1, ~0], u_at, np.broadcast_to(np.eye(2, dtype=complex), (2, 2, 2)))
+    circuit = array_circuit(n, [~1, ~0], u_at, np.broadcast_to(np.eye(2, dtype=complex), (2, 2, 2)))
     subs = subcircuit_tuples(split_subcircuits(circuit))
     assert subs == [(tuple(p), q) for p, q in ref_split_subcircuits(circuit)]
     assert subs == [((), pair) for pair in pairs]
@@ -973,7 +1011,7 @@ def test_read_circuit_reads_the_file_in_chunks_only():
     assert len(text) > 3 * synth._CHUNK
     f = _Reads(text)
     again = read_circuit(f)
-    assert again.code == circuit.code and again.u_at == circuit.u_at
+    assert_code_arrays(again, circuit)
     assert np.array_equal(again.comps, circuit.comps)
     assert all(0 < size <= synth._CHUNK for size in f.sizes)
     assert len(f.sizes) == -(-len(text) // synth._CHUNK) + 1  # the last read finds the end
