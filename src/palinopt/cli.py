@@ -119,7 +119,7 @@ def cmd_trie(args: argparse.Namespace) -> int:
         with _context("cannot read circuit"):
             with open(args.input, encoding="utf-8") as f:
                 circuit = synth.read_circuit(f)
-            subs = synth.split_subcircuits(circuit)
+            pairs = synth.split_subcircuits(circuit)
     elif args.n is not None and args.order and args.column is not None:
         if args.n > ENUMERATE_MAX_N:
             return _fail(f"trie --n builds orders only up to n={ENUMERATE_MAX_N}, got n={args.n}")
@@ -128,11 +128,10 @@ def cmd_trie(args: argparse.Namespace) -> int:
         if not 0 <= args.column < (1 << args.n) - 1:
             return _fail(f"column {args.column} out of range")
         rows = order.rows[order.cols == args.column]
-        circuit = synth.gray_circuit(args.n, rows, [args.column] * len(rows))
-        subs = synth.split_subcircuits(circuit)
+        pairs = synth.GrayPairs(args.n, rows, [args.column] * len(rows))
     else:
         return _fail("need --input, or --n with --order and --column")
-    trie = palindrome.build_trie(circuit.n, subs)
+    trie = palindrome.build_trie(pairs.n, pairs.runs(), pairs.rows, pairs.cols)
     print(palindrome.dump_trie(trie), end="")
     leaves, interior = trie.counts()
     print(f"leaves={leaves} interior={interior} count={palindrome.trie_gate_count(trie)}")

@@ -8,16 +8,16 @@ and the trie shape gives the post-cancellation gate count directly: leaves
 + 2 * interior nodes.
 
 The trie is held as arrays with a column per leaf and a row per depth, and
-no object per node.  The runs form a grid ``x``: ``x[d, j]`` is the code of
-run j's gate d, or -1 past the run's end.  Sorted as words, the runs
-through one node at depth d are adjacent columns equal in rows 0..d, and
-the least subcircuit index among them is the node's insertion time, the
-first subcircuit through it.  Each node's time, and past the run's end the
-leaf's own index, make the grid ``time``; its columns sorted as words are
-the depth-first order, each node's children (subtrees and leaves) in
-insertion order as they would be walked in a trie of nested nodes.  Within
-a row the times name nodes, so adjacent leaves of that order share the
-nodes of the rows where their times agree, from row 0 on.
+no object per node.  The runs form the grid ``x`` of
+:meth:`~palinopt.synth.GrayPairs.runs`: ``x[d, j]`` is the code of run j's
+gate d, or -1 past the run's end.  Sorted as words, the runs through one
+node at depth d are adjacent columns equal in rows 0..d, and the least
+subcircuit index among them is the node's insertion time, the first
+subcircuit through it.  The nodes' times, and past the run's end the leaf's
+own index, sorted as words give the depth-first order, each node's children
+(subtrees and leaves) in insertion order as they would be walked in a trie
+of nested nodes.  In that order adjacent leaves share the nodes of the rows
+where their runs agree, from row 0 on.
 """
 
 from __future__ import annotations
@@ -26,18 +26,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .synth import Subcircuits, position_text
+from .synth import _fresh, position_text
 
 
 @dataclass(frozen=True, eq=False)
 class PalindromeTrie:
     """The leaves in depth-first order: leaf i is the pair (``rows[i]``,
-    ``cols[i]``) and column i of ``x`` and ``time`` its path, with one row
-    more than the deepest leaf's depth."""
+    ``cols[i]``) and column i of ``x`` its path, with one row more than the
+    deepest leaf's depth."""
 
     n: int  # qubit count of the subcircuits
     x: np.ndarray
-    time: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
     interior: int  # nodes other than the root and the leaves
@@ -57,30 +56,16 @@ def _narrow(a: np.ndarray) -> np.ndarray:
     return a.astype(np.result_type(np.min_scalar_type(lo), np.min_scalar_type(~hi if lo < 0 else hi)))
 
 
-def _fresh(a: np.ndarray) -> np.ndarray:
-    """True where column i of ``a`` differs from column i - 1 in this row
-    or one above it; all of column 0."""
-    fresh = np.ones(a.shape, bool)
-    np.not_equal(a[:, 1:], a[:, :-1], out=fresh[:, 1:])
-    for d in range(1, len(fresh)):  # a row loop: numpy's accumulate along axis 0 is slower
-        fresh[d] |= fresh[d - 1]
-    return fresh
-
-
-def build_trie(n: int, subs: Subcircuits) -> PalindromeTrie:
-    """One leaf per subcircuit of n qubits, given as the split's arrays;
-    X runs with a common prefix share its path.  A pair that occurs twice is a
-    ``ValueError`` naming its first repeat."""
-    rows, cols = subs.rows, subs.cols
+def build_trie(n: int, x: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> PalindromeTrie:
+    """One leaf per subcircuit of n qubits: column j of the grid ``x`` is
+    the X run of the pair (``rows[j]``, ``cols[j]``), padded with -1 to a
+    last row of -1.  X runs with a common prefix share its path.  A pair
+    that occurs twice is a ``ValueError`` naming its first repeat."""
     by_pair = np.lexsort((_narrow(cols), _narrow(rows)))  # stable: a repeat sorts after its first
     again = (rows[by_pair[1:]] == rows[by_pair[:-1]]) & (cols[by_pair[1:]] == cols[by_pair[:-1]])
     if again.any():
         j = by_pair[1:][again].min()
         raise ValueError(f"duplicate subcircuit for pair {(int(rows[j]), int(cols[j]))}")
-    depth = np.arange(subs.length.max(initial=0) + 1)[:, None]
-    live = depth < subs.length
-    x = np.full(live.shape, -1, subs.codes.dtype)
-    x[live] = subs.codes[(subs.start + depth)[live]]
     x = _narrow(x)
     by_run = np.lexsort(x[::-1])
     x = x[:, by_run]
@@ -96,7 +81,7 @@ def build_trie(n: int, subs: Subcircuits) -> PalindromeTrie:
     dfs = np.lexsort(time[::-1])
     leaves = by_run[dfs]
     interior = int(np.count_nonzero(fresh & live))
-    return PalindromeTrie(n, x[:, dfs], time[:, dfs], rows[leaves], cols[leaves], interior)
+    return PalindromeTrie(n, x[:, dfs], rows[leaves], cols[leaves], interior)
 
 
 def trie_gate_count(t: PalindromeTrie) -> int:
@@ -112,7 +97,7 @@ def dump_trie(t: PalindromeTrie) -> str:
     its path that the leaf before it does not share.  Each distinct X code
     and each distinct state of the pairs is rendered once."""
     lines = np.empty(t.x.shape, object)
-    show = _fresh(t.time)
+    show = _fresh(t.x)
     live = t.x >= 0
     show &= live
     indents = np.array(["  " * d for d in range(len(lines))], object)

@@ -25,12 +25,13 @@ codes with array operations per block of ``_PAIR_BLOCK`` pairs, which
 bounds the temporaries: a block is one grid with a column per pair, its
 rows the X run by rising bit, the U gate and the run reversed, A U A^R,
 read column by column under a mask of the gates present.
-A :class:`GrayPairs` holds that circuit as its pairs and counts its
+Each X run follows from its pair alone, so an uncancelled circuit's
+structure is its pairs: a :class:`GrayPairs`.  It counts the circuit's
 gates, and what the X-pair cancellation leaves of them, from the same
-per-bit rows without building it.
-:func:`split_subcircuits` inverts the builder on arrays, checks the
-pairs it reads by rebuilding them and returns the subcircuits as arrays,
-a :class:`Subcircuits`.  :func:`read_circuit` reads a circuit
+per-bit rows without building it, and lays its X runs out as the grid
+the palindrome trie takes.  :func:`split_subcircuits` inverts the builder
+on arrays, checks the pairs it reads by rebuilding them and returns them
+as a :class:`GrayPairs`.  :func:`read_circuit` reads a circuit
 file from an open text file in chunks of ``_CHUNK`` characters, so it never
 holds the whole text or a list of all its lines.
 
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterator, Optional, TextIO, Union
+from typing import Iterator, TextIO, Union
 
 import numpy as np
 
@@ -250,16 +251,28 @@ def _gray_blocks(n: int, rows: np.ndarray, cols: np.ndarray) -> Iterator[tuple]:
         done = gates.stop
 
 
+def _fresh(a: np.ndarray) -> np.ndarray:
+    """True where column i of ``a`` differs from column i - 1 in this row
+    or one above it; all of column 0.  With a column per X run and a row
+    per gate, false marks the gates run i shares with run i - 1: their
+    common prefix, which the Palindrome Transform cancels."""
+    fresh = np.ones(a.shape, bool)
+    np.not_equal(a[:, 1:], a[:, :-1], out=fresh[:, 1:])
+    for d in range(1, len(fresh)):  # a row loop: numpy's accumulate along axis 0 is slower
+        fresh[d] |= fresh[d - 1]
+    return fresh
+
+
 class GrayPairs:
     """The circuit :func:`gray_circuit` builds of the pairs (``rows[j]``,
-    ``cols[j]``), identity components, held as the pairs: ``len`` is its
-    gate count and :meth:`cancelled_len` the count
-    :func:`~palinopt.optimize.cancel_pass` leaves of it, both counted
-    without building it.  Arrays of different lengths, or a pair of equal
-    states or of a state outside [0, 2^n), are a ``ValueError``.
+    ``cols[j]``), held as the pairs: ``len`` is its gate count,
+    :meth:`cancelled_len` the count :func:`~palinopt.optimize.cancel_pass`
+    leaves of it, both counted without building it, and :meth:`runs` its X
+    runs.  Arrays of different lengths, or a pair of equal states or of a
+    state outside [0, 2^n), are a ``ValueError``.
     """
 
-    __slots__ = ("n", "rows", "cols")
+    __slots__ = ("n", "rows", "cols", "__weakref__")
 
     def __init__(self, n: int, rows, cols) -> None:
         rows, cols = _code_arrays(n, rows, cols)
@@ -293,21 +306,29 @@ class GrayPairs:
         for first in range(0, len(rows) - 1, _PAIR_BLOCK):
             stop = first + _PAIR_BLOCK + 1
             _, flips, x = _gray_rows(n, rows[first:stop], cols[first:stop])
-            key = np.where(flips, x, -1)  # the X gate at bit b, or none
-            same = key[:, :-1] == key[:, 1:]
-            for b in range(1, n - 1):  # a row loop: numpy's accumulate along axis 0 is slower
-                same[b] &= same[b - 1]
-            same &= flips[:, :-1]
-            overlap += int(np.count_nonzero(same))
+            shared = ~_fresh(np.where(flips, x, -1))[:, 1:]  # by the X gate at bit b, or none
+            overlap += int(np.count_nonzero(shared & flips[:, :-1]))
         return len(self) - 2 * overlap
 
+    def runs(self) -> np.ndarray:
+        """The X runs as a ``(longest run + 1, pairs)`` grid: column j is
+        pair j's run as :func:`gray_circuit` lays it out, then -1 down to a
+        last row of -1.  The gate at bit b of a run is the flip of
+        :func:`_gray_rows` in row b, and goes to the row of its rank."""
+        n, rows, cols = self.n, self.rows, self.cols
+        grid = np.full((n, len(rows)), -1, rows.dtype)  # a run has at most n - 1 gates
+        for first in range(0, len(rows), _PAIR_BLOCK):
+            _, flips, x = _gray_rows(n, rows[first : first + _PAIR_BLOCK], cols[first : first + _PAIR_BLOCK])
+            rank = np.cumsum(flips, axis=0) - 1
+            grid[rank[flips], np.nonzero(flips)[1] + first] = x[flips]
+        return grid[: np.count_nonzero(grid >= 0, axis=0).max(initial=0) + 1]
 
-def gray_circuit(n: int, rows, cols, comps: Optional[np.ndarray] = None) -> Circuit:
+
+def gray_circuit(n: int, rows, cols, comps: np.ndarray) -> Circuit:
     """Concatenate the palindromic subcircuits of the pairs (``rows[j]``,
     ``cols[j]``), in order.  Pair j's component gate is U gate j, with
-    component ``comps[j]``, or the identity for every pair if ``comps`` is
-    None.  A pair of equal states, or of a state outside [0, 2^n), is a
-    ``ValueError``.
+    component ``comps[j]``.  A pair of equal states, or of a state outside
+    [0, 2^n), is a ``ValueError``.
 
     The codes are built by :func:`_gray_blocks` into two arrays made at
     their full length and filled in place: grown block by block, they
@@ -318,8 +339,6 @@ def gray_circuit(n: int, rows, cols, comps: Optional[np.ndarray] = None) -> Circ
     u_at = np.empty_like(held.rows)
     for pairs, gates, block_code, block_u in _gray_blocks(n, held.rows, held.cols):
         code[gates], u_at[pairs] = block_code, block_u
-    if comps is None:
-        comps = np.broadcast_to(np.eye(2, dtype=complex), (len(u_at), 2, 2))
     return Circuit(n, code, u_at, comps)
 
 
@@ -339,23 +358,9 @@ def construct_circuit(d: Decomposition, skip_identity: bool = False) -> Circuit:
     return gray_circuit(d.n, rows, cols, comps)
 
 
-@dataclass(frozen=True, eq=False)
-class Subcircuits:
-    """Palindromic subcircuits as arrays: subcircuit j's X run is the
-    position codes ``codes[start[j] : start[j] + length[j]]`` and its pair
-    is (``rows[j]``, ``cols[j]``).  The arrays hold int64, or Python ints
-    past ``ARRAY_MAX_N``."""
-
-    codes: np.ndarray
-    start: np.ndarray
-    length: np.ndarray
-    rows: np.ndarray
-    cols: np.ndarray
-
-
-def split_subcircuits(c: Circuit) -> Subcircuits:
-    """Recover the palindromic subcircuits of an uncancelled circuit, in
-    gate order.
+def split_subcircuits(c: Circuit) -> GrayPairs:
+    """Recover the pairs of an uncancelled circuit's palindromic
+    subcircuits, in gate order.
 
     The inverse of :func:`gray_circuit`, on arrays.  The component gates
     are the negative codes, at p_0 < p_1 < ...; subcircuit j is k_j X
@@ -368,17 +373,16 @@ def split_subcircuits(c: Circuit) -> Subcircuits:
     gives c as its base.  The circuit rebuilt from the pairs must equal the
     one given, its component gates numbered in gate order: cancelled
     circuits no longer have this shape and are rejected with the first
-    fault in gate order.  ``codes`` is the circuit's codes, component gate
-    j as ``~j``.
+    fault in gate order.  A circuit with no gates has no pairs.
     """
     n, codes, u_at = c.n, c.code.copy(), c.u_at
+    if not len(codes):  # 2^n need not fit in memory
+        return GrayPairs(n, codes, codes)
     at = np.flatnonzero(codes < 0)  # p_j
     # k_j = g_j - k_{j-1} with the gaps g_j = p_j - p_{j-1} - 1 (p_{-1} =
     # -1), so (-1)^j k_j is the running sum of (-1)^i g_i.
     sign = 1 - 2 * (np.arange(len(at)) & 1)
     k = np.cumsum((np.diff(at, prepend=-1) - 1) * sign) * sign
-    if not len(codes):  # all arrays empty; 2^n need not fit in memory
-        return Subcircuits(codes, at, k, u_at, u_at)
     if not len(at) or (k < 0).any() or at[-1] + k[-1] + 1 != len(codes):
         raise _first_fault(c)
     mask = (1 << n) - 1
@@ -390,7 +394,7 @@ def split_subcircuits(c: Circuit) -> Subcircuits:
     for pairs, gates, block_code, block_u in _gray_blocks(n, rows, cols):
         if not (np.array_equal(block_code, codes[gates]) and np.array_equal(block_u, middle[pairs])):
             raise _first_fault(c)
-    return Subcircuits(codes, at - k, k, rows, cols)
+    return GrayPairs(n, rows, cols)
 
 
 def _first_fault(c: Circuit) -> ValueError:
@@ -570,15 +574,14 @@ def read_circuit(f: TextIO) -> Circuit:
     for a line whose rest is one ASCII field without whitespace), so no
     line the writer made is parsed.  The bound is tested right after the
     header and again as each chunk arrives, so the tables never outgrow
-    the text read and a huge header n is never shifted.  Any other line
-    takes the full parse every time, and nothing is learned from it but
-    its ``(t, c)`` position's code.  The ``m=`` fields are checked and
-    converted by :func:`_components` per block of U lines, which bounds
-    the number strings alive at once.  The header's gate count is checked
-    at the end of the file, so a fault in a line is reported before a
-    wrong count, and the codes become arrays there."""
+    the text read and a huge header n is never shifted.  Any other line,
+    among them those read before the tables are entered, takes the full
+    parse every time, and nothing is learned from it.  The ``m=`` fields
+    are checked and converted by :func:`_components` per block of U lines,
+    which bounds the number strings alive at once.  The header's gate
+    count is checked at the end of the file, so a fault in a line is
+    reported before a wrong count, and the codes become arrays there."""
     n = count = None
-    positions: dict[tuple[str, str], int] = {}
     x_codes: dict[str, int] = {}  # code of each X line the writer renders, once seeded
     u_heads: dict[str, int] = {}  # position code of each U-line head, likewise
     read, need = 0, float("inf")  # characters read; characters _seed enters
@@ -630,10 +633,7 @@ def read_circuit(f: TextIO) -> Circuit:
                     for key in ("t", "c", "m") if kind == "U" else ("t", "c"):
                         if key not in parsed:
                             raise ValueError(f"missing field {key}=: {line!r}")
-                    at = (parsed["t"], parsed["c"])
-                    g = positions.get(at)
-                    if g is None:
-                        g = positions[at] = _parse_position(*at, n, line)
+                    g = _parse_position(parsed["t"], parsed["c"], n, line)
                     if kind == "X":
                         code.append(g)
                         continue

@@ -19,7 +19,9 @@ by state, as a reference for the library's builders.  The library holds
 an order as two integer arrays; the orders as tuples of column tuples,
 built over Python ints and written one int at a time, are their
 reference, and orders of any columns, valid or not, are made from such
-tuples here.  So are the split's arrays from ``(prefix, pair)`` tuples.
+tuples here.  So is the trie's grid of X runs, from ``(prefix, pair)``
+tuples or from a :class:`~palinopt.synth.GrayPairs`, and so are circuits
+of pairs with identity components.
 The small matrix helpers, per-column counts, subcircuit overlaps, the
 decomposition's progress check and the builders of circuits from gate
 objects and of factor pair lists, which the library does not need, live
@@ -41,7 +43,7 @@ from palinopt.synth import (
     _BLOCK,
     Circuit,
     ControlledGate,
-    Subcircuits,
+    GrayPairs,
     _code_arrays,
     _components,
     _parse_fields,
@@ -125,6 +127,12 @@ def pair_columns(pairs) -> tuple[list[int], list[int]]:
     return rows, cols
 
 
+def identity_circuit(n: int, rows, cols) -> Circuit:
+    """The circuit :func:`gray_circuit` builds of the pairs (``rows[j]``,
+    ``cols[j]``), every component the identity."""
+    return gray_circuit(n, rows, cols, np.broadcast_to(np.eye(2, dtype=complex), (len(rows), 2, 2)))
+
+
 def ref_gray_circuit(n: int, pairs, comps=None) -> Circuit:
     """The circuit of (r, c) pairs from their Gray codes: each step from a
     state g to the next flips one bit b, by the gate at position b << n |
@@ -147,7 +155,7 @@ def subcircuit_for_pair(r: int, c: int, n: int) -> tuple[tuple[int, ...], tuple[
     """The palindromic subcircuit ``(prefix, pair)`` for ordering pair
     (r, c), its X run cut out of the library's circuit construction of that
     one pair."""
-    circuit = gray_circuit(n, [r], [c])
+    circuit = identity_circuit(n, [r], [c])
     return tuple(circuit.code[: len(circuit) // 2].tolist()), (r, c)
 
 
@@ -158,7 +166,7 @@ def subcircuits_circuit(n: int, subs, comps=None, middles=None) -> Circuit:
     pair's Gray walk, with component ``comps[j]``, by default the
     identity."""
     if middles is None:
-        middles = gray_circuit(n, *pair_columns(pair for _, pair in subs)).u_at
+        middles = identity_circuit(n, *pair_columns(pair for _, pair in subs)).u_at
     code: list[int] = []
     u_at = list(middles)
     for j, (prefix, _) in enumerate(subs):
@@ -361,25 +369,34 @@ def trie_order(t) -> list[tuple[int, int]]:
     return list(zip(t.rows.tolist(), t.cols.tolist()))
 
 
-def subcircuit_tuples(s) -> list:
-    """The split's subcircuit arrays as ``(prefix, pair)`` tuples, the
-    prefix as the X run's position codes."""
-    codes = s.codes.tolist()
-    runs = zip(s.start.tolist(), s.length.tolist(), s.rows.tolist(), s.cols.tolist())
-    return [(tuple(codes[a : a + k]), (r, c)) for a, k, r, c in runs]
+def subcircuit_tuples(x: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> list:
+    """The grid :func:`~palinopt.palindrome.build_trie` takes as
+    ``(prefix, pair)`` tuples, the prefix as the X run's position codes up
+    to the column's first -1."""
+    columns = zip(x.T.tolist(), rows.tolist(), cols.tolist())
+    return [(tuple(run[: run.index(-1)]), (r, c)) for run, r, c in columns]
 
 
-def subcircuit_arrays(n: int, tuples: Iterable[tuple[Sequence[int], tuple[int, int]]]) -> Subcircuits:
-    """``(prefix, pair)`` subcircuits as the split's arrays, the inverse of
-    :func:`subcircuit_tuples`."""
+def subcircuit_arrays(n: int, tuples: Iterable[tuple[Sequence[int], tuple[int, int]]]) -> tuple:
+    """``(prefix, pair)`` subcircuits as the grid
+    :func:`~palinopt.palindrome.build_trie` takes, ``(x, rows, cols)``, the
+    inverse of :func:`subcircuit_tuples`."""
     prefixes, rows, cols = [], [], []
     for prefix, (r, c) in tuples:
         prefixes.append(prefix)
         rows.append(r)
         cols.append(c)
-    codes, rows, cols = _code_arrays(n, [g for p in prefixes for g in p], rows, cols)
-    length = np.array([len(p) for p in prefixes], dtype=np.int64)
-    return Subcircuits(codes, np.cumsum(length) - length, length, rows, cols)
+    rows, cols = _code_arrays(n, rows, cols)
+    x = np.full((max(map(len, prefixes), default=0) + 1, len(prefixes)), -1, rows.dtype)
+    for j, prefix in enumerate(prefixes):
+        x[: len(prefix), j] = prefix
+    return x, rows, cols
+
+
+def trie_grid(p: GrayPairs) -> tuple:
+    """The grid :func:`~palinopt.palindrome.build_trie` takes of the pairs
+    ``p``: their X runs, rows and cols."""
+    return p.runs(), p.rows, p.cols
 
 
 def order_from_columns(n: int, columns) -> OrderArray:
@@ -592,7 +609,7 @@ def intercolumn_cancellation(n: int, order: OrderArray) -> int:
     """Gates cancelled at column boundaries: the per-column cancelled counts
     sum to more than the whole-circuit cancelled count by exactly this."""
     per_column = sum(
-        len(cancel_pass(gray_circuit(n, rows, [c] * len(rows))))
+        len(cancel_pass(identity_circuit(n, rows, [c] * len(rows))))
         for c, rows in enumerate(order.columns)
     )
     return per_column - count_structural(n, order, cancelled=True)

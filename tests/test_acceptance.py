@@ -125,7 +125,7 @@ def test_criterion_5_trie_count_equality(capsys):
             order = make_order(n)
             for col, rows in enumerate(order.columns):
                 subs = {r: subcircuit_for_pair(r, col, n) for r in rows}
-                trie = build_trie(n, subcircuit_arrays(n, subs.values()))
+                trie = build_trie(n, *subcircuit_arrays(n, subs.values()))
                 ok &= trie_order(trie) == dfs_order(ref_build_trie(n, subs.values()))
                 mos_rows = [r for (r, _) in trie_order(trie)]
                 cancelled = len(cancel_pass(column_circuit_gates(n, mos_rows, col)))
@@ -133,7 +133,7 @@ def test_criterion_5_trie_count_equality(capsys):
         # POA columns are already maximal overlap sequences in place
         order = poa_order(n)
         for col, rows in enumerate(order.columns):
-            trie = build_trie(n, subcircuit_arrays(n, (subcircuit_for_pair(r, col, n) for r in rows)))
+            trie = build_trie(n, *subcircuit_arrays(n, (subcircuit_for_pair(r, col, n) for r in rows)))
             cancelled = len(cancel_pass(column_circuit_gates(n, rows, col)))
             ok &= cancelled == trie_gate_count(trie)
     with capsys.disabled():

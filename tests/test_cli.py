@@ -1,3 +1,4 @@
+import contextlib
 import io
 import os
 import subprocess
@@ -6,16 +7,33 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import circuit_from_gates, ref_gray_circuit, subcircuit_arrays, subcircuit_for_pair
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from oracles import (
+    circuit_from_gates,
+    identity_circuit,
+    ref_gray_circuit,
+    subcircuit_arrays,
+    subcircuit_for_pair,
+    trie_grid,
+)
 
 import palinopt
 from palinopt import synth
 from palinopt.cli import build_parser, main
+from palinopt.decompose import two_level_decompose
 from palinopt.linalg import random_unitary, write_matrix
-from palinopt.optimize import formula_poa
+from palinopt.optimize import cancel_pass, formula_poa
 from palinopt.ordering import conventional_order, poa_order, save_order
 from palinopt.palindrome import build_trie, dump_trie
-from palinopt.synth import ARRAY_MAX_N, ControlledGate, read_circuit, write_circuit
+from palinopt.synth import (
+    ARRAY_MAX_N,
+    ControlledGate,
+    construct_circuit,
+    read_circuit,
+    split_subcircuits,
+    write_circuit,
+)
 
 
 def run(capsys, *argv):
@@ -571,22 +589,27 @@ def test_trie_past_int64_positions(tmp_path, capsys):
     assert run(capsys, "trie", "--input", str(path)) == (0, "leaves=0 interior=0 count=0\n", "")
     pairs = [((1 << n) - 1, 0), ((1 << n) - 2, 0)]
     path.write_text(write_circuit(ref_gray_circuit(n, pairs)), encoding="utf-8")
-    trie = build_trie(n, subcircuit_arrays(n, [subcircuit_for_pair(r, c, n) for r, c in pairs]))
+    trie = build_trie(n, *subcircuit_arrays(n, [subcircuit_for_pair(r, c, n) for r, c in pairs]))
     leaves, interior = trie.counts()
     expected = f"{dump_trie(trie)}leaves={leaves} interior={interior} count={leaves + 2 * interior}\n"
     assert run(capsys, "trie", "--input", str(path)) == (0, expected, "")
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 @pytest.mark.parametrize("spec, make_order", [("poa", poa_order), ("conventional", conventional_order)])
-def test_trie_column_matches_per_pair_subcircuits(capsys, spec, make_order):
-    # `trie --n` splits the column's structural circuit; the dump equals
-    # the trie of the subcircuits built pair by pair.
-    n = 4
-    for col, rows in enumerate(make_order(n).columns):
-        code, out, _ = run(capsys, "trie", "--n", str(n), "--order", spec, "--column", str(col))
-        assert code == 0
-        expected = dump_trie(build_trie(n, subcircuit_arrays(n, (subcircuit_for_pair(r, col, n) for r in rows))))
+def test_trie_column_matches_per_pair_subcircuits(capsys, n, spec, make_order):
+    # `trie --n` takes the column's pairs and builds no circuit; its dump
+    # equals the trie of the subcircuits built pair by pair, and its output
+    # that of the trie of the split of the column's circuit, byte for byte.
+    order = make_order(n)
+    for col, rows in enumerate(order.columns):
+        code, out, err = run(capsys, "trie", "--n", str(n), "--order", spec, "--column", str(col))
+        assert (code, err) == (0, "")
+        expected = dump_trie(build_trie(n, *subcircuit_arrays(n, (subcircuit_for_pair(r, col, n) for r in rows))))
         assert out.rsplit("leaves=", 1)[0] == expected
+        trie = build_trie(n, *trie_grid(split_subcircuits(identity_circuit(n, rows, [col] * len(rows)))))
+        leaves, interior = trie.counts()
+        assert out == f"{dump_trie(trie)}leaves={leaves} interior={interior} count={leaves + 2 * interior}\n"
 
 
 VALIDATION = "order file fails validation: columns must each permute {c+1, ..., 2^n - 1}"
@@ -675,3 +698,71 @@ def test_text_files_name_their_encoding(tmp_path):
             capture_output=True, encoding="utf-8", env=env, timeout=120,
         )
         assert (proc.returncode, proc.stderr) == (0, ""), argv
+
+
+def _valid_inputs() -> dict:
+    """Valid n=2 and n=3 input files of every kind, by (kind, n)."""
+    files = {}
+    for n in (2, 3):
+        u = random_unitary(n, n)
+        circuit = construct_circuit(two_level_decompose(u, poa_order(n)))
+        files["matrix", n] = write_matrix(u)
+        files["order", n] = save_order((poa_order if n == 3 else conventional_order)(n))
+        files["circuit", n] = write_circuit(circuit)
+        files["cancelled circuit", n] = write_circuit(cancel_pass(circuit))
+    return files
+
+
+VALID_INPUTS = _valid_inputs()
+# What a mutation inserts: numbers past float and int64 ranges, line
+# breaks and control characters, non-ASCII spaces and letters, field keys
+# and the files' own separators and digits.
+_INSERTS = st.sampled_from([
+    "1e400", "-1e400", "nan", "inf", "99999999999", "-1", "\r", "\n", "\r\n", "\x00", "\x1f", "\x0b",
+    "\xa0", "\u3000", "\u2028", "\xe9", "\u03bb", "\U0001f600", "n=", "gates=", "t=", "c=", "m=",
+    "X ", "U ", "_", ",", ";", ":", " ", "\t", "0", "1", "2", "-", ".",
+])
+
+
+@st.composite
+def mutated_inputs(draw):
+    """A valid input file with one to four edits: an insert, a deletion of
+    one to eight characters, or a replacement of them."""
+    kind, n = draw(st.sampled_from(sorted(VALID_INPUTS)))
+    text = VALID_INPUTS[kind, n]
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(text)))
+        edit = draw(st.sampled_from(["insert", "delete", "replace"]))
+        cut = 0 if edit == "insert" else draw(st.integers(1, 8))
+        text = text[:at] + ("" if edit == "delete" else draw(_INSERTS)) + text[at + cut :]
+    return kind, n, text
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=mutated_inputs(), cancel=st.booleans())
+def test_every_input_path_works_or_fails_in_one_line(tmp_path, case, cancel):
+    # Whatever a file holds, `main` returns 0, 1 or 2, and on 1 or 2 writes
+    # exactly one line to stderr, starting "error: "; no exception leaves it.
+    kind, n, text = case
+    path, matrix, out = tmp_path / "input", tmp_path / "u.mat", tmp_path / "c.circ"
+    path.write_text(text, encoding="utf-8", newline="")
+    matrix.write_text(VALID_INPUTS["matrix", n], encoding="utf-8")
+    if kind == "matrix":
+        argvs = [["compile", "--input", path, "--output", out, "--verify", *["--cancel"] * cancel]]
+    elif kind == "order":
+        argvs = [
+            ["compile", "--input", matrix, "--order", path, "--output", out, "--verify"],
+            ["trie", "--n", n, "--order", path, "--column", 0],
+        ]
+    else:
+        argvs = [["trie", "--input", path]]
+    for argv in argvs:
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main([str(a) for a in argv])
+        err = stderr.getvalue()
+        assert code in (0, 1, 2), argv
+        if code:
+            assert err.startswith("error: ") and err.endswith("\n") and len(err.splitlines()) == 1, err
+        else:
+            assert err == ""

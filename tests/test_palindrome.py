@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from oracles import (
     array_circuit,
     dfs_order,
+    identity_circuit,
     mos_check,
     overlap,
     pair_columns,
@@ -33,6 +34,7 @@ from oracles import (
     subcircuit_tuples,
     subcircuits_circuit,
     total_overlap,
+    trie_grid,
     trie_leaves,
     trie_order,
 )
@@ -42,7 +44,6 @@ from palinopt.ordering import conventional_order, poa_order
 from palinopt.palindrome import build_trie, dump_trie, trie_gate_count
 from palinopt.synth import (
     ARRAY_MAX_N,
-    gray_circuit,
     read_circuit,
     split_subcircuits,
     write_circuit,
@@ -86,13 +87,13 @@ S2 = sub([A, B], (2, -1))  # AB A2 BA
 
 
 def test_trie_single_empty_prefix_leaf():
-    t = build_trie(4, subcircuit_arrays(4, [sub([], (1, -1))]))
+    t = build_trie(4, *subcircuit_arrays(4, [sub([], (1, -1))]))
     assert t.counts() == (1, 0)
     assert trie_gate_count(t) == 1
 
 
 def test_trie_abc_example_counts():
-    t = build_trie(4, subcircuit_arrays(4, [S1, S2]))
+    t = build_trie(4, *subcircuit_arrays(4, [S1, S2]))
     assert t.counts() == (2, 3)
     assert trie_gate_count(t) == 8  # the 8 symbols of ABCA1CA2BA
 
@@ -106,7 +107,7 @@ def test_abc_example_overlap_and_cancellation():
 
 def test_poa_column0_n3_trie():
     subs = column_subcircuits(poa_order(3), 0, 3)
-    t = build_trie(3, subcircuit_arrays(3, subs))
+    t = build_trie(3, *subcircuit_arrays(3, subs))
     assert t.counts() == (7, 3)
     assert trie_gate_count(t) == 13
 
@@ -117,11 +118,11 @@ def test_dfs_order_of_poa_column_is_row_order():
     order = poa_order(3)
     subs = column_subcircuits(order, 0, 3)
     rows = [(r, 0) for r in order.columns[0].tolist()]
-    assert trie_order(build_trie(3, subcircuit_arrays(3, subs))) == dfs_order(ref_build_trie(3, subs)) == rows
+    assert trie_order(build_trie(3, *subcircuit_arrays(3, subs))) == dfs_order(ref_build_trie(3, subs)) == rows
 
 
 def test_dfs_order_abc_example():
-    t = build_trie(4, subcircuit_arrays(4, [S1, S2]))
+    t = build_trie(4, *subcircuit_arrays(4, [S1, S2]))
     assert trie_order(t) == dfs_order(ref_build_trie(4, [S1, S2])) == [(1, -1), (2, -1)]
 
 
@@ -134,7 +135,7 @@ def test_mos_dfs_always_true():
                 t = ref_build_trie(n, subs)
                 assert mos_check(t, dfs_order(t))
                 assert mos_check(t, _shuffled_dfs(t.root, rnd))
-                assert mos_check(t, trie_order(build_trie(n, subcircuit_arrays(n, subs))))
+                assert mos_check(t, trie_order(build_trie(n, *subcircuit_arrays(n, subs))))
 
 
 def test_mos_siblings_permute_freely():
@@ -176,7 +177,7 @@ def test_overlap_shared_first_flip():
 def test_mos_order_cancels_to_trie_count():
     for col in range(7):
         subs = column_subcircuits(poa_order(3), col, 3)
-        t = build_trie(3, subcircuit_arrays(3, subs))
+        t = build_trie(3, *subcircuit_arrays(3, subs))
         by_id = {s[1]: s for s in subs}
         ordered = [by_id[i] for i in trie_order(t)]
         assert cancelled_length(ordered, 3) == trie_gate_count(t)
@@ -191,16 +192,16 @@ def test_total_overlap_matches_cancellation():
 
 
 def test_duplicate_subcircuit_rejected():
-    for build in (lambda n, subs: build_trie(n, subcircuit_arrays(n, subs)), ref_build_trie):
+    for build in (lambda n, subs: build_trie(n, *subcircuit_arrays(n, subs)), ref_build_trie):
         with pytest.raises(ValueError, match=r"^duplicate subcircuit for pair \(1, -1\)$"):
             build(4, [S1, S2, S1])
 
 
 def test_trie_counts_insertion_order_invariant():
     subs = column_subcircuits(poa_order(3), 0, 3)
-    base = build_trie(3, subcircuit_arrays(3, subs)).counts()
+    base = build_trie(3, *subcircuit_arrays(3, subs)).counts()
     for perm in ([6, 0, 3, 1, 5, 2, 4], [2, 1, 0, 6, 5, 4, 3]):
-        t = build_trie(3, subcircuit_arrays(3, [subs[i] for i in perm]))
+        t = build_trie(3, *subcircuit_arrays(3, [subs[i] for i in perm]))
         assert t.counts() == base
 
 
@@ -209,7 +210,7 @@ def test_brute_force_optimality_small():
     # minimal and minimality coincides with mos membership.
     subs = column_subcircuits(poa_order(3), 2, 3)
     t = ref_build_trie(3, subs)
-    best = trie_gate_count(build_trie(3, subcircuit_arrays(3, subs)))
+    best = trie_gate_count(build_trie(3, *subcircuit_arrays(3, subs)))
     for perm in permutations(subs):
         count = cancelled_length(list(perm), 3)
         assert count >= best
@@ -218,7 +219,7 @@ def test_brute_force_optimality_small():
 
 
 def test_dump_trie_shape():
-    text = dump_trie(build_trie(4, subcircuit_arrays(4, [S1, S2])))
+    text = dump_trie(build_trie(4, *subcircuit_arrays(4, [S1, S2])))
     lines = text.splitlines()
     assert len(lines) == 5  # A, B, C, leaf1, leaf2
     assert lines[0].startswith("X t=0")
@@ -228,7 +229,12 @@ def test_dump_trie_shape():
 
 
 def test_dump_empty_trie():
-    assert dump_trie(build_trie(3, subcircuit_arrays(3, []))) == ""
+    assert dump_trie(build_trie(3, *subcircuit_arrays(3, []))) == ""
+    # A circuit with no gates splits into no pairs, whatever its u_at holds.
+    gateless = array_circuit(2, [], [1, 1], np.broadcast_to(np.eye(2, dtype=complex), (2, 2, 2)))
+    t = build_trie(2, *trie_grid(split_subcircuits(gateless)))
+    assert t.counts() == (0, 0)
+    assert dump_trie(t) == ""
 
 
 @pytest.mark.parametrize(
@@ -255,19 +261,20 @@ def test_walks_leave_the_trie_to_reference_counting(walk):
 
 @pytest.mark.parametrize("tuples", [False, True], ids=["split", "tuples"])
 def test_trie_path_leaves_nothing_to_the_cyclic_collector(tuples):
-    # Split, build and dump make no reference cycles: the split's arrays and
-    # the trie are freed when their last references go, and nothing is left
-    # for the cyclic garbage collector.
+    # Split, runs, build and dump make no reference cycles: the split's
+    # pairs and the trie are freed when their last references go, and
+    # nothing is left for the cyclic garbage collector.
     enabled = gc.isenabled()
     gc.disable()
     try:
         gc.collect()
         order = poa_order(4)
-        subs = split_subcircuits(gray_circuit(4, order.rows, order.cols))
-        trie = build_trie(4, subcircuit_arrays(4, subcircuit_tuples(subs)) if tuples else subs)
+        subs = split_subcircuits(identity_circuit(4, order.rows, order.cols))
+        grid = trie_grid(subs)
+        trie = build_trie(4, *subcircuit_arrays(4, subcircuit_tuples(*grid)) if tuples else grid)
         refs = weakref.ref(subs), weakref.ref(trie)
         assert dump_trie(trie)
-        del subs, trie
+        del subs, grid, trie
         assert [ref() for ref in refs] == [None, None]
         assert gc.collect() == 0
     finally:
@@ -278,8 +285,8 @@ def test_trie_path_leaves_nothing_to_the_cyclic_collector(tuples):
 def test_conventional_column_trie_same_counts():
     # Column sets are identical for both orderings, so the tries agree.
     for col in range(7):
-        a = build_trie(3, subcircuit_arrays(3, column_subcircuits(poa_order(3), col, 3))).counts()
-        b = build_trie(3, subcircuit_arrays(3, column_subcircuits(conventional_order(3), col, 3))).counts()
+        a = build_trie(3, *subcircuit_arrays(3, column_subcircuits(poa_order(3), col, 3))).counts()
+        b = build_trie(3, *subcircuit_arrays(3, column_subcircuits(conventional_order(3), col, 3))).counts()
         assert a == b
 
 
@@ -288,8 +295,8 @@ def test_trie_leaves_are_the_subcircuit_pairs():
     leaves = trie_leaves(ref_build_trie(3, subs))
     assert sorted(leaves) == sorted(pair for _, pair in subs)
     assert len(leaves) == ref_build_trie(3, subs).counts()[0]
-    assert trie_order(build_trie(3, subcircuit_arrays(3, subs))) == leaves
-    assert len(leaves) == build_trie(3, subcircuit_arrays(3, subs)).counts()[0]
+    assert trie_order(build_trie(3, *subcircuit_arrays(3, subs))) == leaves
+    assert len(leaves) == build_trie(3, *subcircuit_arrays(3, subs)).counts()[0]
 
 
 @st.composite
@@ -326,7 +333,7 @@ def test_mos_empty_trie_and_sequence():
 
 def test_dump_trie_text():
     # Labels are rendered from the integer keys at dump time.
-    text = dump_trie(build_trie(3, subcircuit_arrays(3, column_subcircuits(poa_order(3), 0, 3))))
+    text = dump_trie(build_trie(3, *subcircuit_arrays(3, column_subcircuits(poa_order(3), 0, 3))))
     assert text == (
         "V(2, 0) [leaf (2, 0)]\n"
         "V(4, 0) [leaf (4, 0)]\n"
@@ -357,8 +364,8 @@ def test_trie_arrays_are_ints():
     # The array trie's counterpart of the dict trie's int keys: its arrays
     # hold ints, and column i of x is leaf i's X run, padded with -1.
     subs = column_subcircuits(conventional_order(3), 0, 3)
-    t = build_trie(3, subcircuit_arrays(3, subs))
-    assert all(a.dtype.kind in "iu" for a in (t.x, t.time, t.rows, t.cols))
+    t = build_trie(3, *subcircuit_arrays(3, subs))
+    assert all(a.dtype.kind in "iu" for a in (t.x, t.rows, t.cols))
     runs = {pair: list(prefix) for prefix, pair in subs}
     for i, pair in enumerate(trie_order(t)):
         assert t.x[:, i].tolist() == runs[pair] + [-1] * (len(t.x) - len(runs[pair]))
@@ -379,9 +386,9 @@ def test_split_and_trie_match_gate_object_reference(case):
     # The split and the trie run on position codes; the references read the
     # same circuit file through gate objects and render labels from them.
     n, pairs = case
-    circuit = read_circuit(io.StringIO(write_circuit(gray_circuit(n, *pair_columns(pairs)))))
+    circuit = read_circuit(io.StringIO(write_circuit(identity_circuit(n, *pair_columns(pairs)))))
     split, ref = split_subcircuits(circuit), ref_split_subcircuits(circuit)
-    subs = subcircuit_tuples(split)
+    subs = subcircuit_tuples(*trie_grid(split))
     assert [pair for _, pair in subs] == [pair for _, pair in ref] == pairs
     assert [prefix for prefix, _ in subs] == [
         tuple(g.target << n | g.base for g in prefix) for prefix, _ in ref
@@ -389,7 +396,7 @@ def test_split_and_trie_match_gate_object_reference(case):
     assert [overlap(a, b) for a, b in zip(subs, subs[1:])] == [
         ref_overlap(a, b) for a, b in zip(ref, ref[1:])
     ]
-    trie = build_trie(n, split)
+    trie = build_trie(n, *trie_grid(split))
     counts, text = ref_trie(ref)
     assert trie.counts() == counts
     assert trie_gate_count(trie) == counts[0] + 2 * counts[1]
@@ -402,12 +409,12 @@ def test_dump_trie_past_int64_matches_gate_object_reference(n):
     # the leaves render the largest ints: states up to 2^n - 1.
     top = (1 << n) - 1
     pairs = [(top, 0), (top, 1), (top - 2, 0), (1 << n - 1 | 3, 2), (3, 0), (top, 1 << n - 1)]
-    circuit = gray_circuit(n, *pair_columns(pairs))
+    circuit = identity_circuit(n, *pair_columns(pairs))
     split = split_subcircuits(circuit)
-    subs = subcircuit_tuples(split)
+    subs = subcircuit_tuples(*trie_grid(split))
     assert [pair for _, pair in subs] == pairs
     assert all(type(v) is int for _, pair in subs for v in pair)
-    trie = build_trie(n, split)
+    trie = build_trie(n, *trie_grid(split))
     counts, text = ref_trie(ref_split_subcircuits(circuit))
     assert trie.counts() == counts and counts[1] > 0
     assert dump_trie(trie) == text
@@ -435,7 +442,7 @@ def palindrome_shaped_circuits(draw):
             c = draw(st.integers(0, (1 << n) - 2))
             pair = (draw(st.integers(c + 1, (1 << n) - 1)), c)
             run = list(subcircuit_for_pair(*pair, n)[0])
-            middle = gray_circuit(n, [pair[0]], [pair[1]]).u_at[0]
+            middle = identity_circuit(n, [pair[0]], [pair[1]]).u_at[0]
         else:
             run, middle = draw(st.lists(_x_codes(n), max_size=n + 1)), draw(_x_codes(n))
         code += [*run, ~j, *run[::-1]]
@@ -471,7 +478,7 @@ def test_split_checks_match_gate_object_reference(circuit):
     def gate_codes(prefix):
         return tuple(g.target << n | g.base for g in prefix)
 
-    got = _split_outcome(lambda c: subcircuit_tuples(split_subcircuits(c)), circuit, tuple)
+    got = _split_outcome(lambda c: subcircuit_tuples(*trie_grid(split_subcircuits(c))), circuit, tuple)
     assert got == _split_outcome(ref_split_subcircuits, circuit, gate_codes)
 
 
@@ -487,9 +494,10 @@ def test_trie_counts_are_recorded_while_building(n):
         order = make_order(n)
         rows, cols = order.rows, order.cols
         pairs = list(zip(rows.tolist(), cols.tolist()))
-        circuit = gray_circuit(n, rows, cols)
+        circuit = identity_circuit(n, rows, cols)
         split = split_subcircuits(circuit)
-        trie, ref = build_trie(n, split), ref_build_trie(n, subcircuit_tuples(split))
+        grid = trie_grid(split)
+        trie, ref = build_trie(n, *grid), ref_build_trie(n, subcircuit_tuples(*grid))
         leaves = interior = 0
         stack = list(ref.root.items())
         while stack:
@@ -545,9 +553,9 @@ def test_array_trie_matches_dict_trie(case):
         ref = ref_build_trie(n, subs)
     except ValueError as exc:
         with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
-            build_trie(n, subcircuit_arrays(n, subs))
+            build_trie(n, *subcircuit_arrays(n, subs))
         return
-    trie = build_trie(n, subcircuit_arrays(n, subs))
+    trie = build_trie(n, *subcircuit_arrays(n, subs))
     assert trie.counts() == ref.counts()
     assert trie_order(trie) == dfs_order(ref)
     assert dump_trie(trie) == ref_dump_trie(ref)

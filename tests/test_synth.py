@@ -10,6 +10,7 @@ from oracles import (
     array_circuit,
     cancel_pass_peephole,
     circuit_from_gates,
+    identity_circuit,
     pair_columns,
     ref_construct,
     ref_gray_circuit,
@@ -19,6 +20,7 @@ from oracles import (
     subcircuit_for_pair,
     subcircuit_tuples,
     subcircuits_circuit,
+    trie_grid,
 )
 from strategies import random_circuits, valid_orders
 
@@ -264,7 +266,7 @@ def test_read_circuit_rejects_bad_header_n():
 def test_split_subcircuits_round_trip():
     d = two_level_decompose(random_unitary(3, 3), conventional_order(3))
     circuit = construct_circuit(d)
-    subs = subcircuit_tuples(split_subcircuits(circuit))
+    subs = subcircuit_tuples(*trie_grid(split_subcircuits(circuit)))
     assert len(subs) == len(d.factors)
     flat = subcircuits_circuit(3, subs, circuit.comps)
     assert_code_arrays(flat, circuit)
@@ -284,7 +286,7 @@ def test_split_subcircuits_recovers_pairs():
     for order in (conventional_order(3), poa_order(3)):
         d = two_level_decompose(random_unitary(3, 3), order)
         circuit = read_circuit(io.StringIO(write_circuit(construct_circuit(d))))
-        subs = subcircuit_tuples(split_subcircuits(circuit))
+        subs = subcircuit_tuples(*trie_grid(split_subcircuits(circuit)))
         assert [pair for _, pair in subs] == [f.pair for f in reversed(d.factors)]
 
 
@@ -448,7 +450,7 @@ def test_circuit_codes_are_read_only():
     for codes in (circuit.code, circuit.u_at):
         with pytest.raises(ValueError, match="read-only"):
             codes[0] = 0
-    subs = subcircuit_tuples(split_subcircuits(circuit))
+    subs = subcircuit_tuples(*trie_grid(split_subcircuits(circuit)))
     assert [pair for _, pair in subs] == list(zip(d.rows[::-1].tolist(), d.cols[::-1].tolist()))
     cancelled = cancel_pass(circuit)
     assert not cancelled.code.flags.writeable and cancelled.u_at is circuit.u_at
@@ -665,7 +667,7 @@ def test_read_circuit_parses_every_line_outside_the_writers_layout(monkeypatch):
     circuit = construct_circuit(two_level_decompose(random_unitary(3, 8), poa_order(3)))
     spaced = write_circuit(circuit).replace(" c=", "  c=")
     pairs = [((5 * j + 1) % 512, (3 * j) % 512) for j in range(32)]
-    sparse = write_circuit(gray_circuit(9, *pair_columns(pairs)))
+    sparse = write_circuit(identity_circuit(9, *pair_columns(pairs)))
     assert len(sparse) < (9 << 9) * (9 + 8)
     for text in (spaced, sparse):
         calls.clear()
@@ -700,7 +702,7 @@ def test_read_circuit_seeds_at_the_chunk_that_reaches_the_bound(monkeypatch):
     # codes, parsed or entered, are int64 arrays of the circuit's values.
     calls = counted_parses(monkeypatch)
     order = poa_order(6)
-    circuit = gray_circuit(6, order.rows, order.cols)
+    circuit = identity_circuit(6, order.rows, order.cols)
     text = write_circuit(circuit)
     seed = mock.Mock(wraps=synth._seed)
     with mock.patch.object(synth, "_CHUNK", 1000), mock.patch.object(synth, "_seed", seed):
@@ -737,7 +739,7 @@ def test_gray_circuit_matches_the_gray_code_reference(case, block):
     # arrays of Python ints past ARRAY_MAX_N.
     n, pairs = case
     with mock.patch.object(synth, "_PAIR_BLOCK", block):
-        circuit = gray_circuit(n, *pair_columns(pairs))
+        circuit = identity_circuit(n, *pair_columns(pairs))
     reference = ref_gray_circuit(n, pairs)
     assert_code_arrays(circuit, reference)
     assert circuit.comps.shape == (len(pairs), 2, 2)
@@ -751,7 +753,7 @@ def test_split_inverts_gray_circuit_in_blocks(case, block):
     # also where position codes leave int64.
     n, pairs = case
     with mock.patch.object(synth, "_PAIR_BLOCK", block):
-        subs = subcircuit_tuples(split_subcircuits(gray_circuit(n, *pair_columns(pairs))))
+        subs = subcircuit_tuples(*trie_grid(split_subcircuits(identity_circuit(n, *pair_columns(pairs)))))
     runs = [ref_gray_circuit(n, [pair]).code.tolist() for pair in pairs]
     assert subs == [(tuple(run[: len(run) // 2]), pair) for run, pair in zip(runs, pairs)]
 
@@ -766,8 +768,8 @@ def test_split_inverts_gray_circuit_in_blocks(case, block):
     ],
 )
 def test_split_recovers_runs_of_any_length(pairs):
-    circuit = gray_circuit(3, *pair_columns(pairs))
-    subs = subcircuit_tuples(split_subcircuits(circuit))
+    circuit = identity_circuit(3, *pair_columns(pairs))
+    subs = subcircuit_tuples(*trie_grid(split_subcircuits(circuit)))
     assert [pair for _, pair in subs] == pairs
     assert [len(prefix) for prefix, _ in subs] == [(r ^ c).bit_count() - 1 for r, c in pairs]
     assert subs == [(tuple(g.target << 3 | g.base for g in p), q) for p, q in ref_split_subcircuits(circuit)]
@@ -779,10 +781,10 @@ def test_split_of_a_circuit_longer_than_one_block():
     rows, cols = order.rows, order.cols
     assert len(rows) > synth._PAIR_BLOCK
     pairs = list(zip(rows.tolist(), cols.tolist()))
-    circuit = gray_circuit(7, rows, cols)
+    circuit = identity_circuit(7, rows, cols)
     reference = ref_gray_circuit(7, pairs)
     assert_code_arrays(circuit, reference)
-    subs = subcircuit_tuples(split_subcircuits(read_circuit(io.StringIO(write_circuit(circuit)))))
+    subs = subcircuit_tuples(*trie_grid(split_subcircuits(read_circuit(io.StringIO(write_circuit(circuit))))))
     assert [pair for _, pair in subs] == pairs
     assert subcircuits_circuit(7, subs).code.tolist() == circuit.code.tolist()
 
@@ -795,7 +797,7 @@ def test_split_reads_component_gates_through_their_codes(n, u_at, pairs):
     # U gates coded ~1 then ~0: each is read through its code, as the
     # gate-object reference reads it, so U gate 1 leads.
     circuit = array_circuit(n, [~1, ~0], u_at, np.broadcast_to(np.eye(2, dtype=complex), (2, 2, 2)))
-    subs = subcircuit_tuples(split_subcircuits(circuit))
+    subs = subcircuit_tuples(*trie_grid(split_subcircuits(circuit)))
     assert subs == [(tuple(p), q) for p, q in ref_split_subcircuits(circuit)]
     assert subs == [((), pair) for pair in pairs]
 
@@ -805,7 +807,7 @@ def test_split_reads_component_gates_through_their_codes(n, u_at, pairs):
     [([1], [1]), ([0, 3, 2], [1, 3, 0]), ([4], [0]), ([0], [4]), ([-1], [0]), ([1], [-2])],
 )
 @pytest.mark.parametrize("n", [2, 60])
-@pytest.mark.parametrize("build", [gray_circuit, GrayPairs])
+@pytest.mark.parametrize("build", [identity_circuit, GrayPairs])
 def test_gray_circuit_rejects_pairs_that_are_not_two_states(build, n, rows, cols):
     rows, cols = [r << n - 2 for r in rows], [c << n - 2 for c in cols]
     r, c = next((r, c) for r, c in zip(rows, cols) if r == c or (r | c) >> n)
@@ -813,22 +815,22 @@ def test_gray_circuit_rejects_pairs_that_are_not_two_states(build, n, rows, cols
         build(n, rows, cols)
 
 
-@pytest.mark.parametrize("build", [gray_circuit, GrayPairs])
+@pytest.mark.parametrize("build", [identity_circuit, GrayPairs])
 def test_gray_circuit_needs_rows_and_cols_of_one_length(build):
     with pytest.raises(ValueError, match="one length"):
         build(2, [1, 2], [0])
     with pytest.raises(ValueError, match="one length"):
         build(2, [[1]], [[0]])
-    assert len(gray_circuit(2, [], [])) == 0
+    assert len(identity_circuit(2, [], [])) == 0
     assert len(GrayPairs(2, [], [])) == GrayPairs(2, [], []).cancelled_len() == 0
 
 
 @pytest.mark.parametrize("n", [synth.ARRAY_MAX_N + 1, 64])
 def test_split_past_int64_matches_the_gate_object_reference(n):
-    assert subcircuit_tuples(split_subcircuits(read_circuit(io.StringIO(f"n={n} gates=0\n")))) == []
+    assert subcircuit_tuples(*trie_grid(split_subcircuits(read_circuit(io.StringIO(f"n={n} gates=0\n"))))) == []
     pairs = [((1 << n) - 1, 0), (1 << n - 1, 1), (3, 2)]
-    circuit = read_circuit(io.StringIO(write_circuit(gray_circuit(n, *pair_columns(pairs)))))
-    subs = subcircuit_tuples(split_subcircuits(circuit))
+    circuit = read_circuit(io.StringIO(write_circuit(identity_circuit(n, *pair_columns(pairs)))))
+    subs = subcircuit_tuples(*trie_grid(split_subcircuits(circuit)))
     assert [pair for _, pair in subs] == pairs
     assert subs == [(tuple(g.target << n | g.base for g in p), q) for p, q in ref_split_subcircuits(circuit)]
 
@@ -857,7 +859,7 @@ def test_gray_pairs_count_the_built_circuit_before_and_after_cancellation(case, 
     n, pairs = case
     pairs *= (2 * block + 1) // len(pairs) + 1
     rows, cols = pair_columns(pairs)
-    circuit = gray_circuit(n, rows, cols)
+    circuit = identity_circuit(n, rows, cols)
     held = GrayPairs(n, rows, cols)
     with mock.patch.object(synth, "_PAIR_BLOCK", block):
         assert (len(held), held.cancelled_len()) == (len(circuit), len(cancel_pass(circuit)))
@@ -866,10 +868,31 @@ def test_gray_pairs_count_the_built_circuit_before_and_after_cancellation(case, 
 @pytest.mark.parametrize("n", [synth.ARRAY_MAX_N + 1, 64])
 def test_gray_pairs_count_past_int64(n):
     pairs = [((1 << n) - 1, 0), (3, 0), (7, 0), (1 << n - 1 | 3, 2)]
-    circuit = gray_circuit(n, *pair_columns(pairs))
+    circuit = identity_circuit(n, *pair_columns(pairs))
     held = GrayPairs(n, *pair_columns(pairs))
     assert (len(held), held.cancelled_len()) == (len(circuit), len(cancel_pass(circuit)))
     assert len(cancel_pass(circuit)) < len(circuit)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.one_of(pair_lists(max_n=8), pair_lists(55, 70), column_stretches()), block=BLOCKS)
+def test_gray_pairs_runs_are_the_built_circuits_x_runs(case, block):
+    # Column j of the grid is pair j's X run as the builder lays it out,
+    # then -1 down to a last row of -1, in blocks of any size, for empty
+    # runs, and as arrays of Python ints past ARRAY_MAX_N.
+    n, pairs = case
+    with mock.patch.object(synth, "_PAIR_BLOCK", block):
+        x = GrayPairs(n, *pair_columns(pairs)).runs()
+    runs = [list(subcircuit_for_pair(r, c, n)[0]) for r, c in pairs]
+    assert x.shape == (max(map(len, runs), default=0) + 1, len(pairs))
+    assert x.T.tolist() == [run + [-1] * (len(x) - len(run)) for run in runs]
+    assert x.dtype == (np.int64 if n <= synth.ARRAY_MAX_N else object)
+    assert all(type(g) is int for g in x.ravel().tolist())
+
+
+def test_gray_pairs_runs_of_no_pairs_build_no_per_bit_rows():
+    with mock.patch.object(synth, "_gray_rows", side_effect=AssertionError("built per-bit rows")):
+        assert GrayPairs(10**11, [], []).runs().shape == (1, 0)
 
 
 # Line breaks of str.splitlines: LF, CRLF and CR, then vertical tab, form
