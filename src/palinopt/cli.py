@@ -53,6 +53,14 @@ def _resolve_order(spec: str, n: int) -> ordering.OrderArray:
     return order
 
 
+def _write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8 ``synth._CHUNK`` characters at a
+    time, so that no encoded copy of the whole text is made."""
+    with open(path, "w", encoding="utf-8") as f:
+        for start in range(0, len(text), synth._CHUNK):
+            f.write(text[start : start + synth._CHUNK])
+
+
 def cmd_compile(args: argparse.Namespace) -> int:
     with _context("cannot read input matrix"):
         u = linalg.read_matrix(Path(args.input).read_text(encoding="utf-8"))
@@ -67,7 +75,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
     if args.cancel:
         circuit = optimize.cancel_pass(circuit)
     with _context("cannot write output"):
-        Path(args.output).write_text(synth.write_circuit(circuit), encoding="utf-8")
+        _write_text(args.output, synth.write_circuit(circuit))
     print(f"wrote {len(circuit)} gates to {args.output}")
 
     if args.verify:

@@ -113,6 +113,11 @@ def write_matrix(m: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Numbers per parse_floats call of the matrix and circuit readers, which
+# bounds the number strings alive at once.
+_PARSE_BUDGET = 2048
+
+
 def parse_floats(numbers: list[str], where) -> np.ndarray:
     """``numbers`` converted by one numpy call; a number that does not parse
     raises ValueError ``where(k, s)`` for the first such ``numbers[k] == s``."""
@@ -127,14 +132,11 @@ def parse_floats(numbers: list[str], where) -> np.ndarray:
         raise
 
 
-# Rows per block of the matrix reader's number conversion.
-_BLOCK_ROWS = 64
-
-
 def read_matrix(text: str) -> np.ndarray:
     """Parse a matrix file.  Each row is checked for ``dim`` entries of one
     ``re,im`` pair each, and the numbers are converted by one numpy call
-    per block of rows, which bounds the number strings alive at once."""
+    per block of rows: as many as ``_PARSE_BUDGET`` numbers hold, 2 dim to
+    a row, and at least one."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty matrix file")
@@ -144,10 +146,11 @@ def read_matrix(text: str) -> np.ndarray:
         raise ValueError(f"bad dimension line: {lines[0]!r}") from exc
     if dim < 1 or len(lines) != dim + 1:
         raise ValueError(f"expected {dim} rows, got {len(lines) - 1}")
+    step = max(1, _PARSE_BUDGET // (2 * dim))
     blocks: list[np.ndarray] = []
-    for start in range(0, dim, _BLOCK_ROWS):
+    for start in range(0, dim, step):
         entries: list[str] = []
-        for i, line in enumerate(lines[1 + start : 1 + start + _BLOCK_ROWS], start):
+        for i, line in enumerate(lines[1 + start : 1 + start + step], start):
             toks = line.split()
             if len(toks) != dim:
                 raise ValueError(f"row {i}: expected {dim} entries, got {len(toks)}")

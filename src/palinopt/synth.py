@@ -31,9 +31,10 @@ gates, and what the X-pair cancellation leaves of them, from the same
 per-bit rows without building it, and lays its X runs out as the grid
 the palindrome trie takes.  :func:`split_subcircuits` inverts the builder
 on arrays, checks the pairs it reads by rebuilding them and returns them
-as a :class:`GrayPairs`.  :func:`read_circuit` reads a circuit
-file from an open text file in chunks of ``_CHUNK`` characters, so it never
-holds the whole text or a list of all its lines.
+as a :class:`GrayPairs`.  :func:`write_circuit` renders and joins the
+circuit file text per block of ``_BLOCK`` gates, and :func:`read_circuit`
+reads it from an open text file in chunks of ``_CHUNK`` characters, so
+neither holds a list of all its lines.
 
 Qubit 0 is the least significant bit of a basis-state index; the control
 pattern strings render qubit n-1 leftmost.
@@ -48,7 +49,7 @@ from typing import Iterator, TextIO, Union
 import numpy as np
 
 from .decompose import Decomposition
-from .linalg import UNITARY_TOL, is_unitary_entries, parse_floats
+from .linalg import _PARSE_BUDGET, UNITARY_TOL, is_unitary_entries, parse_floats
 
 
 def _pattern(n: int, target: int, base: int) -> str:
@@ -313,15 +314,24 @@ class GrayPairs:
     def runs(self) -> np.ndarray:
         """The X runs as a ``(longest run + 1, pairs)`` grid: column j is
         pair j's run as :func:`gray_circuit` lays it out, then -1 down to a
-        last row of -1.  The gate at bit b of a run is the flip of
-        :func:`_gray_rows` in row b, and goes to the row of its rank."""
+        last row of -1.  The rows of :func:`_gray_rows` are walked by
+        rising bit, each writing its X codes at every pair's running rank,
+        -1 where the run does not flip the bit, and the rank moving on
+        where it does: a -1 lands only in a cell that stays -1 or is
+        written by a later flip."""
         n, rows, cols = self.n, self.rows, self.cols
         grid = np.full((n, len(rows)), -1, rows.dtype)  # a run has at most n - 1 gates
+        longest = 0
         for first in range(0, len(rows), _PAIR_BLOCK):
             _, flips, x = _gray_rows(n, rows[first : first + _PAIR_BLOCK], cols[first : first + _PAIR_BLOCK])
-            rank = np.cumsum(flips, axis=0) - 1
-            grid[rank[flips], np.nonzero(flips)[1] + first] = x[flips]
-        return grid[: np.count_nonzero(grid >= 0, axis=0).max(initial=0) + 1]
+            x[~flips] = -1
+            at = np.arange(first, first + flips.shape[1])
+            rank = np.zeros(len(at), np.intp)
+            for b in range(n - 1):
+                grid[rank, at] = x[b]
+                rank += flips[b]
+            longest = max(longest, rank.max())
+        return grid[: longest + 1]
 
 
 def gray_circuit(n: int, rows, cols, comps: np.ndarray) -> Circuit:
@@ -423,45 +433,56 @@ def _first_fault(c: Circuit) -> ValueError:
         i = end
 
 
-# Component matrices per block of the circuit file's writer and reader.
+# Gates per block of the circuit file's writer.
 _BLOCK = 1024
 
 
-def write_circuit(c: Circuit) -> str:
-    """Circuit file text.  Each distinct position's ``t=.. c=..`` text and
-    each distinct line is rendered once, and the floats of the component
-    matrices (real and imaginary parts, row-major) by one ``repr`` of a list
-    per block of matrices, which bounds the float strings alive at once.
-    A component in Givens form, ``[[a, conj(c)], [c, -conj(a)]]`` bit for
-    bit (each eliminating step of ``decompose``), has only a and c
-    formatted: b and d take those strings, copied or with the sign flipped,
-    which is exact for every float; a NaN keeps its string, as
-    ``repr(-nan)`` is ``'nan'``.  Each gate's line is that of its code
-    among the distinct codes of one ``np.unique``, so U gate j's line is
-    written wherever ``~j`` occurs in ``code``, in whatever order."""
-    n, code, u_at = c.n, c.code, c.u_at.tolist()
-    bits = c.comps.reshape(-1).view(np.int64).reshape(-1, 8)
+def _u_lines(at: dict[int, str], u_at: np.ndarray, comps: np.ndarray) -> list[str]:
+    """The U lines of the components ``comps`` at positions ``u_at``, the
+    floats (real and imaginary parts, row-major) formatted by one ``repr``
+    of a list.  A component in Givens form, ``[[a, conj(c)], [c,
+    -conj(a)]]`` bit for bit (each eliminating step of ``decompose``), has
+    only a and c formatted: b and d take those strings, copied or with the
+    sign flipped, which is exact for every float; a NaN keeps its string,
+    as ``repr(-nan)`` is ``'nan'``."""
+    bits = comps.reshape(-1).view(np.int64).reshape(-1, 8)
     floats = bits.view(float)
     sign = np.int64(-1 << 63)
     givens = (bits[:, 6] == bits[:, 0] ^ sign) & (bits[:, 7] == bits[:, 1])  # d = -conj(a)
     givens &= (bits[:, 2] == bits[:, 4]) & (bits[:, 3] == bits[:, 5] ^ sign)
-    distinct, line_of = np.unique(code, return_inverse=True)
-    at = {p: position_text(p, n) for p in {*distinct.tolist(), *u_at} if p >= 0}
-    u_lines = []
-    for start in range(0, len(u_at), _BLOCK):
-        f, g = floats[start : start + _BLOCK], givens[start : start + _BLOCK]
-        free = f.reshape(-1, 4, 2)[g, ::2].reshape(-1).tolist()  # a and c
-        block = repr(free + f[~g].reshape(-1).tolist())[1:-1].split(", ")
-        ar, ai, cr, ci = (block[k : len(free) : 4] for k in range(4))
-        neg_ar, neg_ci = ([s[1:] if s[0] == "-" else s if s == "nan" else "-" + s for s in x] for x in (ar, ci))
-        givens_rows = zip(ar, ai, cr, neg_ci, cr, ci, neg_ar, ai)
-        other_rows = zip(*[iter(block[len(free) :])] * 8)
-        for p, is_givens in zip(u_at[start : start + _BLOCK], g.tolist()):
-            m = next(givens_rows) if is_givens else next(other_rows)
-            u_lines.append("U %s m=%s,%s;%s,%s;%s,%s;%s,%s" % (at[p], *m))
-    texts = [u_lines[~g] if g < 0 else "X " + at[g] for g in distinct.tolist()]
-    lines = np.array(texts, object)[line_of].tolist()
-    return "\n".join([f"n={n} gates={len(code)}", *lines, ""])
+    free = floats.reshape(-1, 4, 2)[givens, ::2].reshape(-1).tolist()  # a and c
+    block = repr(free + floats[~givens].reshape(-1).tolist())[1:-1].split(", ")
+    ar, ai, cr, ci = (block[k : len(free) : 4] for k in range(4))
+    neg_ar, neg_ci = ([s[1:] if s[0] == "-" else s if s == "nan" else "-" + s for s in x] for x in (ar, ci))
+    givens_rows = zip(ar, ai, cr, neg_ci, cr, ci, neg_ar, ai)
+    other_rows = zip(*[iter(block[len(free) :])] * 8)
+    return [
+        "U %s m=%s,%s;%s,%s;%s,%s;%s,%s" % (at[p], *(next(givens_rows) if g else next(other_rows)))
+        for p, g in zip(u_at.tolist(), givens.tolist())
+    ]
+
+
+def write_circuit(c: Circuit) -> str:
+    """Circuit file text, rendered and joined per block of ``_BLOCK``
+    gates, so that no list of all lines, nor of all U lines, is held.  A
+    block's lines are those of its distinct codes, one ``np.unique``: the
+    U codes ``~j`` first, whose lines :func:`_u_lines` renders from
+    ``comps[j]``, in whatever order and multiplicity they occur, then the
+    X codes.  Each position's ``t=.. c=..`` text is rendered once."""
+    n, code = c.n, c.code
+    at: dict[int, str] = {}  # the text of each position met so far
+    blocks = [f"n={n} gates={len(code)}"]
+    for start in range(0, len(code), _BLOCK):
+        distinct, line_of = np.unique(code[start : start + _BLOCK], return_inverse=True)
+        split = np.count_nonzero(distinct < 0)
+        j = ~distinct[:split].astype(np.intp)
+        u_at, x_at = c.u_at[j], distinct[split:].tolist()
+        for p in {*u_at.tolist(), *x_at} - at.keys():
+            at[p] = position_text(p, n)
+        lines = _u_lines(at, u_at, c.comps[j]) + ["X " + at[p] for p in x_at]
+        blocks.append("\n".join(np.array(lines, object)[line_of].tolist()))
+    blocks.append("")
+    return "\n".join(blocks)
 
 
 def _parse_fields(tokens: list[str]) -> dict[str, str]:
@@ -545,7 +566,7 @@ def _parse_header(line: str) -> tuple[int, int]:
     return n, count
 
 
-# Characters per read of the circuit file's reader.
+# Characters per read of the circuit file's reader, and per write of the CLI.
 _CHUNK = 1 << 16
 
 
@@ -578,9 +599,10 @@ def read_circuit(f: TextIO) -> Circuit:
     among them those read before the tables are entered, takes the full
     parse every time, and nothing is learned from it.  The ``m=`` fields
     are checked and converted by :func:`_components` per block of U lines,
-    which bounds the number strings alive at once.  The header's gate
-    count is checked at the end of the file, so a fault in a line is
-    reported before a wrong count, and the codes become arrays there."""
+    as many as the ``_PARSE_BUDGET`` numbers of one conversion hold, 8 to
+    a field.  The header's gate count is checked at the end of the file,
+    so a fault in a line is reported before a wrong count, and the codes
+    become arrays there."""
     n = count = None
     x_codes: dict[str, int] = {}  # code of each X line the writer renders, once seeded
     u_heads: dict[str, int] = {}  # position code of each U-line head, likewise
@@ -643,7 +665,7 @@ def read_circuit(f: TextIO) -> Circuit:
                 u_at.append(g)
                 fields.append(m)
                 u_lines.append(line)
-                if len(fields) == _BLOCK:
+                if 8 * len(fields) == _PARSE_BUDGET:  # 8 numbers a field
                     blocks.append(_components(fields, u_lines))
                     fields, u_lines = [], []
                 g = -len(u_at)  # ~j of U gate j

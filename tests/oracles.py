@@ -36,11 +36,10 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 
 from palinopt.decompose import Decomposition
-from palinopt.linalg import RECONSTRUCT_TOL, ZERO_TOL, TwoLevelMatrix
+from palinopt.linalg import _PARSE_BUDGET, RECONSTRUCT_TOL, ZERO_TOL, TwoLevelMatrix
 from palinopt.optimize import cancel_pass, count_structural
 from palinopt.ordering import OrderArray
 from palinopt.synth import (
-    _BLOCK,
     Circuit,
     ControlledGate,
     GrayPairs,
@@ -796,7 +795,7 @@ def ref_read_circuit(text: str) -> Circuit:
                 u_at.append(g)
                 fields.append(m)
                 u_lines.append(line)
-                if len(fields) == _BLOCK:
+                if 8 * len(fields) == _PARSE_BUDGET:
                     blocks.append(_components(fields, u_lines))
                     fields, u_lines = [], []
                 g = ~(len(u_at) - 1)

@@ -3,6 +3,7 @@ import io
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from oracles import (
 )
 
 import palinopt
-from palinopt import synth
+from palinopt import cli, synth
 from palinopt.cli import build_parser, main
 from palinopt.decompose import two_level_decompose
 from palinopt.linalg import random_unitary, write_matrix
@@ -229,6 +230,35 @@ def test_compile_round_trips_bit_exactly(tmp_path, capsys):
     assert write_circuit(read_circuit(io.StringIO(text))) == text
 
 
+@pytest.mark.parametrize("chunk", [1, 1000, synth._CHUNK])
+def test_compile_writes_the_writers_text_a_chunk_at_a_time(tmp_path, capsys, monkeypatch, chunk):
+    # The text is encoded and written _CHUNK characters at a time, never
+    # copied whole, and the file holds it exactly.
+    u = random_unitary(4, 6)
+    inp = tmp_path / "u.mat"
+    inp.write_text(write_matrix(u), encoding="utf-8")
+    out_path = tmp_path / "c.circ"
+    monkeypatch.setattr(synth, "_CHUNK", chunk)
+    code, *_ = run(capsys, "compile", "--input", str(inp), "--output", str(out_path), "--cancel")
+    assert code == 0
+    text = write_circuit(cancel_pass(construct_circuit(two_level_decompose(u, poa_order(4)))))
+    assert len(text) > 1000
+    assert out_path.read_bytes() == text.encode("utf-8")
+
+
+def test_write_text_holds_no_encoded_copy_of_the_text(tmp_path, monkeypatch):
+    monkeypatch.setattr(synth, "_CHUNK", 1000)
+    text = "X t=0 c=0_\n" * 40_000
+    tracemalloc.start()
+    try:
+        cli._write_text(tmp_path / "c.circ", text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "c.circ").read_bytes() == text.encode("utf-8")
+    assert peak < len(text) / 4
+
+
 def test_compile_with_order_file(tmp_path, capsys):
     inp = write_unitary(tmp_path, 3, seed=2)
     order_path = tmp_path / "o.ord"
@@ -369,10 +399,10 @@ def run_on_circuit_file(tmp_path, capsys, monkeypatch, command, edit=None):
             circ.write_bytes(edit(circ.read_bytes()))
         return run(capsys, "trie", "--input", str(circ))
     if edit:
-        def write_text(self, text, encoding):
-            return self.write_bytes(edit(text.encode(encoding)))
+        def write_text(path, text):
+            Path(path).write_bytes(edit(text.encode("utf-8")))
 
-        monkeypatch.setattr(Path, "write_text", write_text)
+        monkeypatch.setattr(cli, "_write_text", write_text)
     return run(capsys, "compile", "--input", str(inp), "--output", str(circ), "--verify")
 
 

@@ -279,7 +279,8 @@ def _wide_matrix(dim):
 
 
 def test_matrix_text_past_one_block_of_rows(monkeypatch):
-    # 130 rows: blocks of 64, 64 and 2 rows, each converted on its own.
+    # 130 rows of 260 numbers: blocks of 7 rows (1,820 numbers) within the
+    # 2,048-number budget, 18 of them, then 4 rows, each converted on its own.
     m = _wide_matrix(130)
     blocks = []
     parse = linalg.parse_floats
@@ -290,12 +291,14 @@ def test_matrix_text_past_one_block_of_rows(monkeypatch):
 
     monkeypatch.setattr(linalg, "parse_floats", recorded)
     again = read_matrix(write_matrix(m))
-    assert blocks == [64, 64, 2]
+    assert blocks == [7] * 18 + [4]
     assert np.array_equal(again.view(np.uint64), m.view(np.uint64))
 
 
 @pytest.mark.parametrize(
-    "i, j, part", [(0, 0, 0), (63, 129, 1), (64, 0, 0), (100, 5, 1), (128, 77, 0), (129, 129, 1)]
+    "i, j, part",
+    [(0, 0, 0), (6, 129, 1), (7, 0, 0), (63, 129, 1), (64, 0, 0), (100, 5, 1), (125, 3, 1), (126, 0, 0),
+     (128, 77, 0), (129, 129, 1)],
 )
 def test_read_matrix_names_a_bad_number_in_any_block(i, j, part):
     lines = write_matrix(_wide_matrix(130)).splitlines()
@@ -306,3 +309,18 @@ def test_read_matrix_names_a_bad_number_in_any_block(i, j, part):
     lines[1 + i] = " ".join(row)
     with pytest.raises(ValueError, match=rf"^row {i} entry {j}: bad number 'x'$"):
         read_matrix("\n".join(lines))
+
+
+def test_read_matrix_converts_no_more_than_the_budget_at_once(monkeypatch):
+    # n=6: 64 rows of 128 numbers, 16 rows to a conversion.
+    sizes = []
+    parse = linalg.parse_floats
+
+    def recorded(numbers, where):
+        sizes.append(len(numbers))
+        return parse(numbers, where)
+
+    monkeypatch.setattr(linalg, "parse_floats", recorded)
+    m = random_unitary(6, 0)
+    assert np.array_equal(read_matrix(write_matrix(m)), m)
+    assert sizes == [linalg._PARSE_BUDGET] * 4

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from oracles import (
+    array_circuit,
     cancel_pass_peephole,
     circuit_from_gates,
     column_counts,
@@ -17,6 +19,9 @@ from strategies import random_circuits
 from palinopt.decompose import two_level_decompose
 from palinopt.linalg import random_unitary
 from palinopt.optimize import (
+    _SCAN_MAX_GATES,
+    _cancel_regions,
+    _cancel_scan,
     cancel_pass,
     count_structural,
     formula_conventional,
@@ -27,7 +32,7 @@ from palinopt.optimize import (
 )
 from palinopt.ordering import conventional_order, poa_order
 from palinopt.sim import circuit_to_matrix
-from palinopt.synth import ControlledGate, construct_circuit
+from palinopt.synth import ARRAY_MAX_N, ControlledGate, construct_circuit
 
 TABLE = {
     2: (8, 8, 10),
@@ -81,6 +86,14 @@ def test_stack_and_peephole_agree(n):
         assert cancel_pass(circuit).gates == tuple(cancel_pass_peephole(circuit.gates))
 
 
+@pytest.mark.parametrize("n", [4, 5])
+def test_cancel_pass_scans_small_circuits_and_grows_regions_in_large_ones(n, monkeypatch):
+    circuit = construct_circuit(two_level_decompose(random_unitary(n, 1), poa_order(n)))
+    unused = "_cancel_regions" if len(circuit) <= _SCAN_MAX_GATES else "_cancel_scan"
+    monkeypatch.setattr(f"palinopt.optimize.{unused}", None)
+    assert cancel_pass(circuit).gates == ref_cancel_pass(circuit).gates
+
+
 @settings(max_examples=100, deadline=None)
 @given(circuit=random_circuits(max_n=3, max_gates=30, x_share=0.8))
 def test_cancel_pass_matches_peephole_on_random_sequences(circuit):
@@ -91,10 +104,53 @@ def test_cancel_pass_matches_peephole_on_random_sequences(circuit):
 @settings(max_examples=100, deadline=None)
 @given(circuit=random_circuits(max_n=3, max_gates=30, x_share=0.8))
 def test_cancel_pass_matches_gate_object_reference(circuit):
-    # The scan over codes against the same scan over gate objects.
-    out = cancel_pass(circuit)
-    assert out.gates == ref_cancel_pass(circuit).gates
-    assert out.u_at is circuit.u_at and out.comps is circuit.comps
+    # Both ways over codes against the scan over gate objects.
+    for cancel in (_cancel_scan, _cancel_regions):
+        out = cancel(circuit)
+        assert out.gates == ref_cancel_pass(circuit).gates
+        assert out.u_at is circuit.u_at and out.comps is circuit.comps
+
+
+# A word's letters: three X positions of 3 qubits (targets 0, 1, 2), a new
+# U gate, and the last U gate again.
+_LETTERS = st.sampled_from([0b000, 1 << 3 | 0b001, 2 << 3 | 0b011, "U", "U again"])
+# Nested palindromes (a W a) and touching ones (W W^R V V^R) among the letters.
+_WORDS = st.recursive(
+    st.lists(_LETTERS, max_size=4),
+    lambda inner: st.one_of(
+        st.tuples(_LETTERS, inner).map(lambda t: [t[0], *t[1], t[0]]),
+        st.tuples(inner, inner).map(lambda t: t[0] + t[0][::-1] + t[1] + t[1][::-1]),
+        st.tuples(inner, inner).map(lambda t: t[0] + t[1]),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(word=_WORDS, wide=st.booleans())
+@example(word=[0, 0, 0], wide=False)  # the left pair cancels
+@example(word=[0, 8, 0, 0, 8, 0, 8, 8], wide=False)  # touching regions merge, then grow
+@example(word=[0, "U", "U again", 0], wide=False)  # equal U codes do not cancel
+@example(word=["U", 0, 0, "U again"], wide=False)  # nor do they around a region
+def test_cancel_pass_matches_the_stack_reference_on_any_codes(word, wide):
+    # Past ARRAY_MAX_N the codes are Python ints: the positions move up to
+    # qubits n - 3 .. n - 1, which gives codes past int64.
+    n = ARRAY_MAX_N + 3 if wide else 3
+
+    def at(letter):
+        target, base = letter >> 3, letter & 7
+        return (target + n - 3) << n | base << (n - 3)
+
+    code, u_at = [], []
+    for letter in word:
+        if letter == "U" or (letter == "U again" and not u_at):
+            u_at.append(at(len(u_at) % 4 << 1))  # target 0, bits 1 and 2 drawn
+        code.append(~(len(u_at) - 1) if isinstance(letter, str) else at(letter))
+    circuit = array_circuit(n, code, u_at, np.broadcast_to(np.eye(2, dtype=complex), (len(u_at), 2, 2)))
+    for cancel in (_cancel_scan, _cancel_regions):
+        out = cancel(circuit)
+        assert out.gates == ref_cancel_pass(circuit).gates
+        assert out.code.dtype == circuit.code.dtype
 
 
 @pytest.mark.parametrize("n", [3, 4])

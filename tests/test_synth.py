@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -339,7 +340,7 @@ def component_floats(draw):
     rows=st.lists(component_floats(), max_size=8),
     block=st.sampled_from([1, 2, 3, synth._BLOCK]),
     n=st.sampled_from([2, synth.ARRAY_MAX_N + 1]),
-    layout=st.sampled_from(["in order", "U reversed", "X around"]),
+    layout=st.sampled_from(["in order", "U reversed", "X around", "U twice"]),
 )
 @example(rows=[[0.0, 1.0, 2.0, -3.0, 2.0, 3.0, 0.0, 1.0]], block=1, n=2, layout="in order")  # d.re 0.0, not -0.0
 # repr(-nan) is 'nan': a.re and c.im of a Givens form keep their strings
@@ -352,12 +353,17 @@ def component_floats(draw):
 def test_write_circuit_matches_per_float_reference(rows, block, n, layout):
     # Givens-form components have only a and c formatted; every float of
     # the text must still be its own repr.  The U codes may come out of
-    # gate order, an X code before, between and after them, and past
-    # ARRAY_MAX_N the codes are Python ints.
+    # gate order or twice each, an X code before, between and after them,
+    # and past ARRAY_MAX_N the codes are Python ints.
     comps = np.array(rows, dtype=float).reshape(-1).view(complex).reshape(-1, 2, 2)
     u_at = [(0 << n | 0b00, 0 << n | 0b10, 1 << n | 0b00, 1 << n | 0b01)[j % 4] for j in range(len(rows))]
     u, x = [~j for j in range(len(rows))], (n - 1) << n | 1
-    code = {"in order": u, "U reversed": u[::-1], "X around": [x, *(g for j in u for g in (j, x))]}[layout]
+    code = {
+        "in order": u,
+        "U reversed": u[::-1],
+        "X around": [x, *(g for j in u for g in (j, x))],
+        "U twice": [g for j in u for g in (j, j)],
+    }[layout]
     circuit = array_circuit(n, code, u_at, comps)
     with mock.patch.object(synth, "_BLOCK", block):
         assert write_circuit(circuit) == ref_write(n, circuit.gates)
@@ -489,7 +495,8 @@ def test_compile_builds_no_gate_object(tmp_path, capsys, monkeypatch, order):
 
 
 def test_circuit_text_past_one_block_of_components(monkeypatch):
-    # 4100 U gates: several blocks of the writer and the reader.
+    # 4100 U gates: several blocks of the writer, and of the reader: 256
+    # m= fields, the 2,048 numbers of one conversion, 16 times, then 4.
     n = 2
     gates = []
     for s in range(4100):
@@ -506,7 +513,7 @@ def test_circuit_text_past_one_block_of_components(monkeypatch):
 
     monkeypatch.setattr(synth, "_components", recorded)
     again = read_circuit(io.StringIO(text))
-    assert blocks == [1024, 1024, 1024, 1024, 4]
+    assert blocks == [256] * 16 + [4]
     assert np.array_equal(again.comps, circuit.comps)
     assert_code_arrays(again, circuit)
     assert write_circuit(again) == text
@@ -515,6 +522,36 @@ def test_circuit_text_past_one_block_of_components(monkeypatch):
     with pytest.raises(ValueError, match="not unitary") as info:
         read_circuit(io.StringIO("\n".join(lines)))
     assert str(info.value).endswith(repr(lines[4099]))
+
+
+def test_write_circuit_holds_its_text_about_twice():
+    # The block strings and their join: about twice the text.
+    d = two_level_decompose(random_unitary(8, 1), poa_order(8))
+    circuit = cancel_pass(construct_circuit(d))
+    tracemalloc.start()
+    try:
+        text = write_circuit(circuit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == ref_write(8, circuit.gates)
+    assert peak <= 2.5 * len(text)
+
+
+def test_read_circuit_converts_no_more_than_the_budget_at_once(monkeypatch):
+    sizes = []
+    parse = synth.parse_floats
+
+    def recorded(numbers, where):
+        sizes.append(len(numbers))
+        return parse(numbers, where)
+
+    circuit = construct_circuit(two_level_decompose(random_unitary(6, 0), poa_order(6)))
+    monkeypatch.setattr(synth, "parse_floats", recorded)
+    again = read_circuit(io.StringIO(write_circuit(circuit)))
+    assert np.array_equal(again.comps, circuit.comps)
+    assert max(sizes) <= synth._PARSE_BUDGET
+    assert sum(sizes) == 8 * len(circuit.comps)
 
 
 _M = "0.0,0.0;1.0,0.0;1.0,0.0;0.0,0.0"
