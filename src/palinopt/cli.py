@@ -207,6 +207,8 @@ def main(argv: list[str] | None = None) -> int:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         # AssertionError is a consistency failure: count's formula != enumeration
         return _fail(str(exc), code=2 if isinstance(exc, AssertionError) else 1)
+    except MemoryError as exc:  # numpy's _ArrayMemoryError included
+        return _fail(f"out of memory: {exc}" if str(exc) else "out of memory")
 
 
 if __name__ == "__main__":

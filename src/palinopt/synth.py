@@ -14,27 +14,20 @@ A :class:`Circuit` holds integer codes, not gate objects.  ``code`` has
 one code per gate in application order: an X gate is its position code
 (>= 0), and the j-th component gate is ``~j`` (< 0).  ``u_at[j]`` is that
 gate's position code and ``comps[j]`` its 2x2 component matrix, rows of a
-``(k, 2, 2)`` array.  ``code`` and ``u_at`` are read-only int64 arrays,
-or arrays of Python ints past ``ARRAY_MAX_N`` (n=57), where position
-codes leave int64.  Construction, cancellation, the file text, splitting into
-subcircuits and simulation work on the codes; ``Circuit.gates`` builds
-:class:`ControlledGate` objects on first access, one per distinct X gate.
+``(k, 2, 2)`` array.  ``code`` and ``u_at`` are read-only int64 arrays, so
+a :class:`Circuit`, a :class:`GrayPairs` or a circuit file's header with n
+past ``ARRAY_MAX_N`` = 57 is a ``ValueError``.  Construction, cancellation,
+the file text, splitting into subcircuits and simulation work on the codes;
+``Circuit.gates`` builds :class:`ControlledGate` objects on first access.
 
-:func:`gray_circuit` takes the pairs as two integer arrays and builds the
-codes with array operations per block of ``_PAIR_BLOCK`` pairs, which
-bounds the temporaries: a block is one grid with a column per pair, its
-rows the X run by rising bit, the U gate and the run reversed, A U A^R,
-read column by column under a mask of the gates present.
-Each X run follows from its pair alone, so an uncancelled circuit's
-structure is its pairs: a :class:`GrayPairs`.  It counts the circuit's
-gates, and what the X-pair cancellation leaves of them, from the same
-per-bit rows without building it, and lays its X runs out as the grid
-the palindrome trie takes.  :func:`split_subcircuits` inverts the builder
-on arrays, checks the pairs it reads by rebuilding them and returns them
-as a :class:`GrayPairs`.  :func:`write_circuit` renders and joins the
-circuit file text per block of ``_BLOCK`` gates, and :func:`read_circuit`
-reads it from an open text file in chunks of ``_CHUNK`` characters, so
-neither holds a list of all its lines.
+:func:`gray_circuit` builds the codes of the pairs per block of
+``_PAIR_BLOCK`` pairs.  Each X run follows from its pair alone, so an
+uncancelled circuit's structure is its pairs, a :class:`GrayPairs`, which
+counts its gates before and after cancellation and lays out its X runs
+without building it; :func:`split_subcircuits` recovers them from a
+circuit.  :func:`write_circuit` renders the circuit file per block of
+``_BLOCK`` gates and :func:`read_circuit` reads it per ``_CHUNK``
+characters, so neither holds a list of all its lines.
 
 Qubit 0 is the least significant bit of a basis-state index; the control
 pattern strings render qubit n-1 leftmost.
@@ -49,7 +42,7 @@ from typing import Iterator, TextIO, Union
 import numpy as np
 
 from .decompose import Decomposition
-from .linalg import _PARSE_BUDGET, UNITARY_TOL, is_unitary_entries, parse_floats
+from .linalg import _PARSE_BUDGET, RECONSTRUCT_TOL, UNITARY_TOL, is_unitary_entries, parse_floats
 
 
 def _pattern(n: int, target: int, base: int) -> str:
@@ -139,6 +132,7 @@ class Circuit:
     comps: np.ndarray
 
     def __post_init__(self) -> None:
+        _check_width(self.n)
         if self.comps.shape != (len(self.u_at), 2, 2):
             raise ValueError(f"need ({len(self.u_at)}, 2, 2) components, got {self.comps.shape}")
         self.code.setflags(write=False)
@@ -191,16 +185,13 @@ def gray_code(c: int, r: int, n: int) -> tuple[int, ...]:
 # is (2n - 1) x 2048 x 8 B = 240 kB at n=8, and a block's traced peak
 # (tracemalloc) is 621 kB at n=8 and 836 kB at n=11.
 _PAIR_BLOCK = 2048
-# Largest n whose position codes n << n fit int64.  Past it the builder
-# and the split hold Python ints in object arrays.
+# Largest n of a circuit: the largest whose position codes, below n << n, fit int64.
 ARRAY_MAX_N = 57
 
 
-def _code_arrays(n: int, *values) -> list[np.ndarray]:
-    """``values`` as arrays of the builder's codes: int64, or Python ints
-    past ``ARRAY_MAX_N``."""
-    dtype = np.int64 if n <= ARRAY_MAX_N else object
-    return [np.asarray(v, dtype=dtype) for v in values]
+def _check_width(n: int) -> None:
+    if n > ARRAY_MAX_N:
+        raise ValueError(f"circuits have at most n={ARRAY_MAX_N} qubits, got n={n}")
 
 
 def _gray_rows(n: int, r: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -228,8 +219,8 @@ def _gray_rows(n: int, r: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, ...]:
 
 def _gray_blocks(n: int, rows: np.ndarray, cols: np.ndarray) -> Iterator[tuple]:
     """Per block of ``_PAIR_BLOCK`` pairs: the slices of the block's pairs
-    and gates, and its ``code`` and ``u_at`` as arrays of the pairs' dtype,
-    U gate j as ``~j`` counting from the first pair.
+    and gates, and its ``code`` and ``u_at`` as int64 arrays, U gate j as
+    ``~j`` counting from the first pair.
 
     The block is one ``(2n - 1, pairs)`` grid, a column per pair read
     A U A^R: the X codes of :func:`_gray_rows` by rising bit, the U codes,
@@ -242,11 +233,11 @@ def _gray_blocks(n: int, rows: np.ndarray, cols: np.ndarray) -> Iterator[tuple]:
     for first in range(0, len(rows), _PAIR_BLOCK):
         r, c = rows[first : first + _PAIR_BLOCK], cols[first : first + _PAIR_BLOCK]
         above, flips, x = _gray_rows(n, r, c)
-        u = np.arange(~first, ~first - len(r), -1, dtype=rows.dtype)[None]
+        u = np.arange(~first, ~first - len(r), -1)[None]
         grid = np.concatenate((x, u, x[::-1]))
         mask = np.concatenate((flips, np.ones(u.shape, bool), flips[::-1]))
         code = grid.T[mask.T]
-        top = above.sum(axis=0).astype(rows.dtype)  # h
+        top = above.sum(axis=0)  # h
         pairs, gates = slice(first, first + len(r)), slice(done, done + len(code))
         yield pairs, gates, code, top << n | r & ~(1 << top)
         done = gates.stop
@@ -269,14 +260,15 @@ class GrayPairs:
     ``cols[j]``), held as the pairs: ``len`` is its gate count,
     :meth:`cancelled_len` the count :func:`~palinopt.optimize.cancel_pass`
     leaves of it, both counted without building it, and :meth:`runs` its X
-    runs.  Arrays of different lengths, or a pair of equal states or of a
-    state outside [0, 2^n), are a ``ValueError``.
+    runs.  n past ``ARRAY_MAX_N``, arrays of different lengths, or a pair
+    of equal states or of a state outside [0, 2^n), are a ``ValueError``.
     """
 
     __slots__ = ("n", "rows", "cols", "__weakref__")
 
     def __init__(self, n: int, rows, cols) -> None:
-        rows, cols = _code_arrays(n, rows, cols)
+        _check_width(n)
+        rows, cols = np.asarray(rows, np.int64), np.asarray(cols, np.int64)
         if rows.ndim != 1 or cols.shape != rows.shape:
             raise ValueError(f"need rows and cols of one length, got shapes {rows.shape}, {cols.shape}")
         bad = np.flatnonzero((rows == cols) | ((rows | cols) >> n != 0))
@@ -320,7 +312,7 @@ class GrayPairs:
         where it does: a -1 lands only in a cell that stays -1 or is
         written by a later flip."""
         n, rows, cols = self.n, self.rows, self.cols
-        grid = np.full((n, len(rows)), -1, rows.dtype)  # a run has at most n - 1 gates
+        grid = np.full((n, len(rows)), -1, np.int64)  # a run has at most n - 1 gates
         longest = 0
         for first in range(0, len(rows), _PAIR_BLOCK):
             _, flips, x = _gray_rows(n, rows[first : first + _PAIR_BLOCK], cols[first : first + _PAIR_BLOCK])
@@ -345,11 +337,13 @@ def gray_circuit(n: int, rows, cols, comps: np.ndarray) -> Circuit:
     would be moved past each block's temporaries and fragment the heap.
     """
     held = GrayPairs(n, rows, cols)
-    code = np.empty(len(held), held.rows.dtype)
-    u_at = np.empty_like(held.rows)
+    code, u_at = np.empty(len(held), np.int64), np.empty_like(held.rows)
     for pairs, gates, block_code, block_u in _gray_blocks(n, held.rows, held.cols):
         code[gates], u_at[pairs] = block_code, block_u
     return Circuit(n, code, u_at, comps)
+
+
+_SKIP_SHARE = 0.1  # the share of RECONSTRUCT_TOL that skip_identity may use up
 
 
 def construct_circuit(d: Decomposition, skip_identity: bool = False) -> Circuit:
@@ -359,11 +353,17 @@ def construct_circuit(d: Decomposition, skip_identity: bool = False) -> Circuit:
     gate sequence (application order) holds the subcircuits in reverse
     factor order; a diagram drawn left to right then shows V_1 rightmost.
     ``skip_identity`` drops subcircuits whose component is the identity
-    within 1e-10; it is off by default so gate counts stay structural.
+    within ``UNITARY_TOL`` per entry, nearest first, while the sum of their
+    ‖comp - I‖_F, which bounds how far dropping these unitary factors moves
+    the circuit's unitary, stays below ``_SKIP_SHARE * RECONSTRUCT_TOL``.
+    It is off by default so gate counts stay structural.
     """
     rows, cols, comps = d.rows[::-1], d.cols[::-1], d.comps[::-1]
     if skip_identity:
-        keep = np.abs(comps - np.eye(2)).max(axis=(1, 2)) >= UNITARY_TOL
+        off = comps - np.eye(2)
+        cost = np.where(np.abs(off).max(axis=(1, 2)) < UNITARY_TOL, np.linalg.norm(off, axis=(1, 2)), np.inf)
+        nearest = np.argsort(cost, kind="stable")
+        keep = (np.cumsum(cost[nearest]) >= _SKIP_SHARE * RECONSTRUCT_TOL)[np.argsort(nearest)]
         rows, cols, comps = rows[keep], cols[keep], comps[keep]
     return gray_circuit(d.n, rows, cols, comps)
 
@@ -386,17 +386,15 @@ def split_subcircuits(c: Circuit) -> GrayPairs:
     fault in gate order.  A circuit with no gates has no pairs.
     """
     n, codes, u_at = c.n, c.code.copy(), c.u_at
-    if not len(codes):  # 2^n need not fit in memory
-        return GrayPairs(n, codes, codes)
     at = np.flatnonzero(codes < 0)  # p_j
     # k_j = g_j - k_{j-1} with the gaps g_j = p_j - p_{j-1} - 1 (p_{-1} =
     # -1), so (-1)^j k_j is the running sum of (-1)^i g_i.
     sign = 1 - 2 * (np.arange(len(at)) & 1)
     k = np.cumsum((np.diff(at, prepend=-1) - 1) * sign) * sign
-    if not len(at) or (k < 0).any() or at[-1] + k[-1] + 1 != len(codes):
+    if len(codes) and (not len(at) or (k < 0).any() or at[-1] + k[-1] + 1 != len(codes)):
         raise _first_fault(c)
     mask = (1 << n) - 1
-    middle = u_at[~codes[at].astype(np.intp)]
+    middle = u_at[~codes[at]]
     rows = middle & mask | 1 << (middle >> n)
     first = np.where(k > 0, codes[at - k], middle)
     cols = first & mask | 1 << (first >> n) & ~rows
@@ -427,7 +425,7 @@ def _first_fault(c: Circuit) -> ValueError:
         r, flipped = middle & mask | 1 << (middle >> n), middle & mask
         for x in prefix:
             flipped ^= 1 << (x >> n)
-        _, flips, walk = _gray_rows(n, *_code_arrays(n, [r], [flipped]))
+        _, flips, walk = _gray_rows(n, np.array([r]), np.array([flipped]))
         if walk[flips].tolist() != prefix:
             return ValueError(f"X run is not the Gray walk of pair {(r, flipped)}")
         i = end
@@ -475,7 +473,7 @@ def write_circuit(c: Circuit) -> str:
     for start in range(0, len(code), _BLOCK):
         distinct, line_of = np.unique(code[start : start + _BLOCK], return_inverse=True)
         split = np.count_nonzero(distinct < 0)
-        j = ~distinct[:split].astype(np.intp)
+        j = ~distinct[:split]
         u_at, x_at = c.u_at[j], distinct[split:].tolist()
         for p in {*u_at.tolist(), *x_at} - at.keys():
             at[p] = position_text(p, n)
@@ -557,12 +555,12 @@ def _parse_header(line: str) -> tuple[int, int]:
         raise ValueError("circuit file must start with 'n=<int> gates=<int>'")
     head = _parse_fields(line.split())
     try:
-        n = int(head["n"])
-        count = int(head["gates"])
+        n, count = int(head["n"]), int(head["gates"])
     except (KeyError, ValueError) as exc:
         raise ValueError(f"bad header: {line!r}") from exc
     if n < 1:
         raise ValueError(f"bad header: {line!r}")
+    _check_width(n)
     return n, count
 
 
@@ -595,9 +593,9 @@ def read_circuit(f: TextIO) -> Circuit:
     for a line whose rest is one ASCII field without whitespace), so no
     line the writer made is parsed.  The bound is tested right after the
     header and again as each chunk arrives, so the tables never outgrow
-    the text read and a huge header n is never shifted.  Any other line,
-    among them those read before the tables are entered, takes the full
-    parse every time, and nothing is learned from it.  The ``m=`` fields
+    the text read.  Any other line, among them those read before the tables
+    are entered, takes the full parse every time, and nothing is learned
+    from it.  The ``m=`` fields
     are checked and converted by :func:`_components` per block of U lines,
     as many as the ``_PARSE_BUDGET`` numbers of one conversion hold, 8 to
     a field.  The header's gate count is checked at the end of the file,
@@ -643,8 +641,7 @@ def read_circuit(f: TextIO) -> Circuit:
                         continue
                     if n is None:  # the first line that is not blank
                         n, count = _parse_header(line)
-                        # past n=63 no file holds the texts: a huge n is never shifted
-                        need = (n << n) * (n + 7 + len(str(n - 1))) if n < 64 else need
+                        need = (n << n) * (n + 7 + len(str(n - 1)))
                         if need <= read:
                             _seed(n, x_codes, u_heads)
                         continue
@@ -677,4 +674,4 @@ def read_circuit(f: TextIO) -> Circuit:
     blocks.append(_components(fields, u_lines))
     if len(code) != count:
         raise ValueError(f"header says {count} gates, file has {len(code)}")
-    return Circuit(n, *_code_arrays(n, code, u_at), np.concatenate(blocks))
+    return Circuit(n, np.array(code, np.int64), np.array(u_at, np.int64), np.concatenate(blocks))

@@ -43,7 +43,6 @@ from palinopt.synth import (
     Circuit,
     ControlledGate,
     GrayPairs,
-    _code_arrays,
     _components,
     _parse_fields,
     _parse_position,
@@ -81,9 +80,8 @@ def expand_two_level(t: TwoLevelMatrix) -> np.ndarray:
 
 def array_circuit(n: int, code, u_at, comps) -> Circuit:
     """The circuit of the codes ``code`` and ``u_at``, given as any
-    sequences of ints, held as the library holds them: int64 arrays, or
-    arrays of Python ints past ``ARRAY_MAX_N``."""
-    return Circuit(n, *_code_arrays(n, code, u_at), comps)
+    sequences of ints, held as the library holds them: int64 arrays."""
+    return Circuit(n, np.array(code, np.int64), np.array(u_at, np.int64), comps)
 
 
 def circuit_from_gates(n: int, gates) -> Circuit:
@@ -385,8 +383,8 @@ def subcircuit_arrays(n: int, tuples: Iterable[tuple[Sequence[int], tuple[int, i
         prefixes.append(prefix)
         rows.append(r)
         cols.append(c)
-    rows, cols = _code_arrays(n, rows, cols)
-    x = np.full((max(map(len, prefixes), default=0) + 1, len(prefixes)), -1, rows.dtype)
+    rows, cols = np.array(rows, np.int64), np.array(cols, np.int64)
+    x = np.full((max(map(len, prefixes), default=0) + 1, len(prefixes)), -1, np.int64)
     for j, prefix in enumerate(prefixes):
         x[: len(prefix), j] = prefix
     return x, rows, cols

@@ -313,6 +313,42 @@ def test_compile_verify_unreadable_circuit(tmp_path, capsys, monkeypatch):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch):
+    # A MemoryError exits 1 with one line and no traceback: a bare one, and
+    # numpy's _ArrayMemoryError, here for an array of 256 PiB, which no
+    # allocator grants.
+    inp = write_unitary(tmp_path, 2)
+    argv = ["compile", "--input", str(inp), "--output", str(tmp_path / "c.circ"), "--verify"]
+
+    def bare(c):
+        raise MemoryError
+
+    monkeypatch.setattr(synth, "write_circuit", bare)
+    assert run(capsys, *argv) == (1, "", "error: out of memory\n")
+    monkeypatch.setattr(synth, "write_circuit", lambda c: np.empty(1 << 58, np.uint8))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: out of memory: Unable to allocate 256. PiB") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_compile_skip_identity_keeps_the_circuit_within_the_verify_bound(tmp_path, capsys, n):
+    # Every factor of diag(e^{+-0.9e-10 i}) is within UNITARY_TOL of the
+    # identity, but dropping them all moves the circuit's unitary by
+    # 2^{n/2} 0.9e-10, past RECONSTRUCT_TOL from n=7 on; only as many are
+    # dropped as keep their summed distances below a share of it.
+    inp = tmp_path / "d.mat"
+    phases = 0.9e-10 * (1 - 2 * (np.arange(1 << n) & 1))
+    inp.write_text(write_matrix(np.diag(np.exp(1j * phases))), encoding="utf-8")
+    out_path = tmp_path / "d.circ"
+    code, out, err = run(
+        capsys, "compile", "--input", str(inp), "--output", str(out_path), "--skip-identity", "--verify"
+    )
+    assert (code, err) == (0, "")
+    wrote, report = out.splitlines()
+    assert wrote != f"wrote 0 gates to {out_path}" and report.startswith("pass=true ")
+
+
 def test_compile_skip_identity(tmp_path, capsys):
     inp = tmp_path / "id.mat"
     inp.write_text(write_matrix(np.eye(4)), encoding="utf-8")
@@ -598,10 +634,10 @@ def test_trie_rejects_x_runs_that_are_not_gray_walks(tmp_path, capsys, circuit, 
     assert err == f"error: cannot read circuit: X run is not the Gray walk of pair {pair}\n"
 
 
-@pytest.mark.parametrize("n", [2, 99999999999])
+@pytest.mark.parametrize("n", [2, ARRAY_MAX_N])
 def test_trie_of_an_empty_circuit(tmp_path, capsys, n):
-    # The split returns before any work sized by n, so a huge n is no
-    # MemoryError.
+    # No work is sized by 2^n: an empty circuit of the widest n gives the
+    # empty trie.
     path = tmp_path / "empty.circ"
     path.write_text(f"n={n} gates=0\n", encoding="utf-8")
     code, out, err = run(capsys, "trie", "--input", str(path))
@@ -610,10 +646,10 @@ def test_trie_of_an_empty_circuit(tmp_path, capsys, n):
     assert err == ""
 
 
-def test_trie_past_int64_positions(tmp_path, capsys):
-    # Position codes past int64: an empty circuit gives the empty trie, and
-    # a circuit of two pairs the trie of their subcircuits.
-    n = ARRAY_MAX_N + 1
+def test_trie_at_array_max_n(tmp_path, capsys):
+    # Position codes near the top of int64: an empty circuit gives the
+    # empty trie, and a circuit of two pairs the trie of their subcircuits.
+    n = ARRAY_MAX_N
     path = tmp_path / "wide.circ"
     path.write_text(f"n={n} gates=0\n", encoding="utf-8")
     assert run(capsys, "trie", "--input", str(path)) == (0, "leaves=0 interior=0 count=0\n", "")
@@ -623,6 +659,16 @@ def test_trie_past_int64_positions(tmp_path, capsys):
     leaves, interior = trie.counts()
     expected = f"{dump_trie(trie)}leaves={leaves} interior={interior} count={leaves + 2 * interior}\n"
     assert run(capsys, "trie", "--input", str(path)) == (0, expected, "")
+
+
+@pytest.mark.parametrize("n", [ARRAY_MAX_N + 1, 64, 1 << 62, 99999999999])
+def test_trie_rejects_a_circuit_file_past_array_max_n(tmp_path, capsys, n):
+    # The header alone is rejected: the line after it, no gate line, is
+    # never parsed.
+    path = tmp_path / "wide.circ"
+    path.write_text(f"n={n} gates=1\nthis is no gate line\n", encoding="utf-8")
+    expected = f"error: cannot read circuit: circuits have at most n={ARRAY_MAX_N} qubits, got n={n}\n"
+    assert run(capsys, "trie", "--input", str(path)) == (1, "", expected)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

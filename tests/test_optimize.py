@@ -32,7 +32,7 @@ from palinopt.optimize import (
 )
 from palinopt.ordering import conventional_order, poa_order
 from palinopt.sim import circuit_to_matrix
-from palinopt.synth import ARRAY_MAX_N, ControlledGate, construct_circuit
+from palinopt.synth import ARRAY_MAX_N, Circuit, ControlledGate, construct_circuit
 
 TABLE = {
     2: (8, 8, 10),
@@ -133,9 +133,9 @@ _WORDS = st.recursive(
 @example(word=[0, "U", "U again", 0], wide=False)  # equal U codes do not cancel
 @example(word=["U", 0, 0, "U again"], wide=False)  # nor do they around a region
 def test_cancel_pass_matches_the_stack_reference_on_any_codes(word, wide):
-    # Past ARRAY_MAX_N the codes are Python ints: the positions move up to
-    # qubits n - 3 .. n - 1, which gives codes past int64.
-    n = ARRAY_MAX_N + 3 if wide else 3
+    # At ARRAY_MAX_N the positions move up to qubits n - 3 .. n - 1, which
+    # gives codes near the top of int64; one qubit more is no circuit.
+    n = ARRAY_MAX_N if wide else 3
 
     def at(letter):
         target, base = letter >> 3, letter & 7
@@ -150,7 +150,10 @@ def test_cancel_pass_matches_the_stack_reference_on_any_codes(word, wide):
     for cancel in (_cancel_scan, _cancel_regions):
         out = cancel(circuit)
         assert out.gates == ref_cancel_pass(circuit).gates
-        assert out.code.dtype == circuit.code.dtype
+        assert out.code.dtype == np.int64
+    if wide:
+        with pytest.raises(ValueError, match=f"at most n={n} qubits, got n={n + 1}$"):
+            Circuit(n + 1, circuit.code, circuit.u_at, circuit.comps)
 
 
 @pytest.mark.parametrize("n", [3, 4])

@@ -24,11 +24,15 @@ from oracles import (
     overlap,
     pair_columns,
     ref_build_trie,
+    ref_cancel_pass,
     ref_dump_trie,
+    ref_gray_circuit,
     ref_mos_check,
     ref_overlap,
+    ref_read_circuit,
     ref_split_subcircuits,
     ref_trie,
+    ref_write,
     subcircuit_arrays,
     subcircuit_for_pair,
     subcircuit_tuples,
@@ -39,11 +43,13 @@ from oracles import (
     trie_order,
 )
 
-from palinopt.optimize import cancel_pass
+from palinopt.linalg import random_unitary
+from palinopt.optimize import _cancel_regions, cancel_pass
 from palinopt.ordering import conventional_order, poa_order
 from palinopt.palindrome import build_trie, dump_trie, trie_gate_count
 from palinopt.synth import (
     ARRAY_MAX_N,
+    gray_circuit,
     read_circuit,
     split_subcircuits,
     write_circuit,
@@ -403,22 +409,60 @@ def test_split_and_trie_match_gate_object_reference(case):
     assert dump_trie(trie) == text
 
 
-@pytest.mark.parametrize("n", range(ARRAY_MAX_N + 1, 65))
-def test_dump_trie_past_int64_matches_gate_object_reference(n):
-    # Past ARRAY_MAX_N the split reads the pairs from object arrays, and
-    # the leaves render the largest ints: states up to 2^n - 1.
+def test_dump_trie_at_array_max_n_matches_gate_object_reference():
+    # At ARRAY_MAX_N the split reads the pairs as int64, and the leaves
+    # render the largest states, up to 2^n - 1.  One qubit more is no
+    # circuit.
+    n = ARRAY_MAX_N
     top = (1 << n) - 1
     pairs = [(top, 0), (top, 1), (top - 2, 0), (1 << n - 1 | 3, 2), (3, 0), (top, 1 << n - 1)]
     circuit = identity_circuit(n, *pair_columns(pairs))
     split = split_subcircuits(circuit)
     subs = subcircuit_tuples(*trie_grid(split))
     assert [pair for _, pair in subs] == pairs
-    assert all(type(v) is int for _, pair in subs for v in pair)
+    assert split.rows.dtype == split.cols.dtype == np.int64
     trie = build_trie(n, *trie_grid(split))
     counts, text = ref_trie(ref_split_subcircuits(circuit))
     assert trie.counts() == counts and counts[1] > 0
     assert dump_trie(trie) == text
     assert f"V({top}, 0) [leaf ({top}, 0)]\n" in text
+    with pytest.raises(ValueError, match=f"at most n={n} qubits, got n={n + 1}$"):
+        identity_circuit(n + 1, *pair_columns(pairs))
+
+
+def test_round_trip_at_array_max_n_matches_the_gate_object_references():
+    # The widest circuit, its states up to 2^57 - 1 and its U gates on
+    # target 56, from the pairs to the trie: build, write, read, split, X
+    # runs, trie and dump, cancellation and the counts of the pairs, each
+    # against its gate-object reference.  The second pair's run is the
+    # first three gates of the first one's and the fifth's the first gate
+    # of the fourth one's, so four pairs cancel.
+    n = ARRAY_MAX_N
+    top = (1 << n) - 1
+    pairs = [(top, 0), (1 << n - 1 | 7, 0), (top, 1), (top - 2, 0), (3, 0), (top, 1 << n - 1)]
+    rows, cols = pair_columns(pairs)
+    comps = np.array([random_unitary(1, j) for j in range(len(pairs))])
+    built, reference = gray_circuit(n, rows, cols, comps), ref_gray_circuit(n, pairs, comps)
+    assert built.code.dtype == built.u_at.dtype == np.int64
+    assert built.code.tolist() == reference.code.tolist() and built.u_at.tolist() == reference.u_at.tolist()
+    assert max(built.u_at.tolist()) >> n == n - 1
+    text = write_circuit(built)
+    assert text == ref_write(n, reference.gates)
+    again, ref_again = read_circuit(io.StringIO(text)), ref_read_circuit(text)
+    assert again.code.dtype == again.u_at.dtype == np.int64
+    assert again.code.tolist() == ref_again.code.tolist() and again.gates == ref_again.gates
+    split, ref = split_subcircuits(again), ref_split_subcircuits(again)
+    assert (split.rows.tolist(), split.cols.tolist()) == (rows, cols)
+    runs = [tuple(g.target << n | g.base for g in prefix) for prefix, _ in ref]
+    assert subcircuit_tuples(*trie_grid(split)) == list(zip(runs, pairs))
+    assert split.runs().T.tolist() == [[*run, *[-1] * (n - len(run))] for run in runs]  # the longest is n - 1
+    trie = build_trie(n, *trie_grid(split))
+    counts, dump = ref_trie(ref)
+    assert trie.counts() == counts and dump_trie(trie) == dump
+    cancelled = ref_cancel_pass(again)
+    for cancel in (cancel_pass, _cancel_regions):
+        assert cancel(again).gates == cancelled.gates
+    assert len(split) == len(built) and split.cancelled_len() == len(cancelled) == len(built) - 8
 
 
 def _x_codes(n):
@@ -516,7 +560,8 @@ def test_trie_counts_are_recorded_while_building(n):
 
 
 _CODES = st.integers(0, 5).map(lambda k: 1 << 4 | k)  # a few n=4 position codes
-_WIDE = st.integers(0, 5).map(lambda k: 59 << 60 | k)  # n=60 codes past int64
+# the largest n=57 codes: target 56, bases up to 2^56 - 1
+_WIDE = st.integers(0, 5).map(lambda k: (ARRAY_MAX_N - 1 << ARRAY_MAX_N | (1 << ARRAY_MAX_N - 1) - 1) - k)
 
 
 @st.composite
@@ -524,9 +569,10 @@ def subcircuit_lists(draw):
     """n and ``(prefix, pair)`` subcircuits of runs over a few codes, so
     that runs share prefixes and a leaf may come before, between or after
     sibling subtrees: empty runs (leaves at the root) included, and the
-    empty list.  At n=60 the codes and the pairs leave int64.  Up to two
-    pairs are overwritten with drawn ones, so that pairs may repeat."""
-    n, codes = draw(st.sampled_from([(4, _CODES), (60, _WIDE)]))
+    empty list.  At n = ARRAY_MAX_N the codes and the pairs near the top of
+    int64.  Up to two pairs are overwritten with drawn ones, so that pairs
+    may repeat."""
+    n, codes = draw(st.sampled_from([(4, _CODES), (ARRAY_MAX_N, _WIDE)]))
     prefixes = draw(st.lists(st.lists(codes, max_size=4).map(tuple), max_size=12))
     top = (1 << n) - 1
     pairs = draw(
@@ -559,5 +605,4 @@ def test_array_trie_matches_dict_trie(case):
     assert trie.counts() == ref.counts()
     assert trie_order(trie) == dfs_order(ref)
     assert dump_trie(trie) == ref_dump_trie(ref)
-    if n > ARRAY_MAX_N:
-        assert all(type(v) is int for a in (trie.x, trie.rows, trie.cols) for v in a.ravel().tolist())
+    assert trie.rows.dtype == trie.cols.dtype == np.int64

@@ -339,7 +339,7 @@ def component_floats(draw):
 @given(
     rows=st.lists(component_floats(), max_size=8),
     block=st.sampled_from([1, 2, 3, synth._BLOCK]),
-    n=st.sampled_from([2, synth.ARRAY_MAX_N + 1]),
+    n=st.sampled_from([2, synth.ARRAY_MAX_N]),
     layout=st.sampled_from(["in order", "U reversed", "X around", "U twice"]),
 )
 @example(rows=[[0.0, 1.0, 2.0, -3.0, 2.0, 3.0, 0.0, 1.0]], block=1, n=2, layout="in order")  # d.re 0.0, not -0.0
@@ -348,13 +348,14 @@ def component_floats(draw):
 @example(rows=[[1.0, 0.0, 2.0, -math.nan, 2.0, math.nan, -1.0, 0.0]], block=1, n=2, layout="in order")
 @example(rows=[[1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0]] * 2, block=1, n=2, layout="U reversed")  # code [~1, ~0]
 @example(
-    rows=[[0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0]] * 3, block=2, n=synth.ARRAY_MAX_N + 1, layout="X around"
+    rows=[[0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0]] * 3, block=2, n=synth.ARRAY_MAX_N, layout="X around"
 )
 def test_write_circuit_matches_per_float_reference(rows, block, n, layout):
     # Givens-form components have only a and c formatted; every float of
     # the text must still be its own repr.  The U codes may come out of
     # gate order or twice each, an X code before, between and after them,
-    # and past ARRAY_MAX_N the codes are Python ints.
+    # and at ARRAY_MAX_N the X code's target is 56, near the top of int64;
+    # one qubit more is no circuit.
     comps = np.array(rows, dtype=float).reshape(-1).view(complex).reshape(-1, 2, 2)
     u_at = [(0 << n | 0b00, 0 << n | 0b10, 1 << n | 0b00, 1 << n | 0b01)[j % 4] for j in range(len(rows))]
     u, x = [~j for j in range(len(rows))], (n - 1) << n | 1
@@ -367,6 +368,9 @@ def test_write_circuit_matches_per_float_reference(rows, block, n, layout):
     circuit = array_circuit(n, code, u_at, comps)
     with mock.patch.object(synth, "_BLOCK", block):
         assert write_circuit(circuit) == ref_write(n, circuit.gates)
+    if n == synth.ARRAY_MAX_N:
+        with pytest.raises(ValueError, match=f"at most n={n} qubits, got n={n + 1}$"):
+            synth.Circuit(n + 1, circuit.code, circuit.u_at, comps)
 
 
 @settings(max_examples=60, deadline=None)
@@ -420,13 +424,11 @@ def test_circuit_codes_match_its_gates():
 
 
 def assert_code_arrays(circuit, reference):
-    """``circuit``'s ``code`` and ``u_at`` are int64 arrays, or arrays of
-    Python ints past ``ARRAY_MAX_N``, holding ``reference``'s values."""
-    wide = circuit.n > synth.ARRAY_MAX_N
+    """``circuit``'s ``code`` and ``u_at`` are int64 arrays holding
+    ``reference``'s values."""
     for got, want in ((circuit.code, reference.code), (circuit.u_at, reference.u_at)):
-        assert got.dtype == (object if wide else np.int64) and got.ndim == 1
+        assert got.dtype == np.int64 and got.ndim == 1
         assert got.tolist() == want.tolist()
-        assert not wide or all(type(g) is int for g in got.tolist())
 
 
 def test_circuit_codes_are_int64_arrays_of_the_reference_values():
@@ -716,15 +718,15 @@ def test_read_circuit_parses_every_line_outside_the_writers_layout(monkeypatch):
 @pytest.mark.parametrize(
     "text",
     [
-        "n=99999999999 gates=0\n",
+        f"n={synth.ARRAY_MAX_N} gates=0\n",
         "n=12 gates=3\nX t=0 c=00000000000_\nX t=11 c=_00000000001\nX t=0 c=00000000000_\n",
     ],
-    ids=["huge-n", "n=12"],
+    ids=["n=57", "n=12"],
 )
 def test_read_circuit_never_seeds_past_the_text_read(monkeypatch, text):
     # The texts of every position of n=12 take (12 << 12) * 21 characters,
-    # far more than the file holds, and those of a huge n are never even
-    # counted, so the reader enters none of them and parses every line.
+    # and those of n=57 some 2^68, far more than the file holds, so the
+    # reader enters none of them and parses every line.
     calls = counted_parses(monkeypatch)
     with mock.patch.object(synth, "_seed", side_effect=AssertionError("seeded")):
         again = read_circuit(io.StringIO(text))
@@ -764,30 +766,41 @@ def pair_lists(draw, min_n=1, max_n=8, falling=False):
 # Pairs per block of the array builder: one pair, a few, and the default.
 BLOCKS = st.sampled_from([1, 2, 3, synth._PAIR_BLOCK])
 # Widths where a circuit of up to 40 pairs has fewer gates than there are
-# position codes, up to and past int64 (n > 57).
-WIDE = pair_lists(min_n=9, max_n=70)
+# position codes, up to the widest circuit, n = ARRAY_MAX_N.
+WIDE = pair_lists(min_n=9, max_n=synth.ARRAY_MAX_N)
+# The widest circuit's largest states, 2^57 - 1 among them, and target 56.
+TOP = (1 << synth.ARRAY_MAX_N) - 1
+WIDEST = (synth.ARRAY_MAX_N, [(TOP, 0), (TOP - 2, 1 << synth.ARRAY_MAX_N - 1), (TOP, 1)])
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=st.one_of(pair_lists(), WIDE), block=BLOCKS)
+@example(case=WIDEST, block=1)
 def test_gray_circuit_matches_the_gray_code_reference(case, block):
     # The array builder, in blocks of any size and at any width, gives the
-    # codes and positions of the pairs' Gray codes, as int64 arrays, or
-    # arrays of Python ints past ARRAY_MAX_N.
+    # codes and positions of the pairs' Gray codes as int64 arrays; one
+    # qubit past ARRAY_MAX_N it builds nothing.
     n, pairs = case
     with mock.patch.object(synth, "_PAIR_BLOCK", block):
         circuit = identity_circuit(n, *pair_columns(pairs))
     reference = ref_gray_circuit(n, pairs)
     assert_code_arrays(circuit, reference)
     assert circuit.comps.shape == (len(pairs), 2, 2)
+    if n == synth.ARRAY_MAX_N:
+        with pytest.raises(ValueError, match=f"at most n={n} qubits, got n={n + 1}$"):
+            identity_circuit(n + 1, *pair_columns(pairs))
 
 
 @settings(max_examples=200, deadline=None)
-@given(case=st.one_of(pair_lists(max_n=6, falling=True), pair_lists(55, 70, falling=True)), block=BLOCKS)
+@given(
+    case=st.one_of(pair_lists(max_n=6, falling=True), pair_lists(55, synth.ARRAY_MAX_N, falling=True)),
+    block=BLOCKS,
+)
+@example(case=(synth.ARRAY_MAX_N, [(TOP, 0), (TOP, 1), (1 << synth.ARRAY_MAX_N - 1, 0)]), block=2)
 def test_split_inverts_gray_circuit_in_blocks(case, block):
     # Pairs with empty runs anywhere, the first and last included, and
     # circuits of many blocks of pairs split back into their pairs and runs,
-    # also where position codes leave int64.
+    # also up to n = ARRAY_MAX_N, where the codes near the top of int64.
     n, pairs = case
     with mock.patch.object(synth, "_PAIR_BLOCK", block):
         subs = subcircuit_tuples(*trie_grid(split_subcircuits(identity_circuit(n, *pair_columns(pairs)))))
@@ -843,7 +856,7 @@ def test_split_reads_component_gates_through_their_codes(n, u_at, pairs):
     "rows, cols",
     [([1], [1]), ([0, 3, 2], [1, 3, 0]), ([4], [0]), ([0], [4]), ([-1], [0]), ([1], [-2])],
 )
-@pytest.mark.parametrize("n", [2, 60])
+@pytest.mark.parametrize("n", [2, synth.ARRAY_MAX_N])
 @pytest.mark.parametrize("build", [identity_circuit, GrayPairs])
 def test_gray_circuit_rejects_pairs_that_are_not_two_states(build, n, rows, cols):
     rows, cols = [r << n - 2 for r in rows], [c << n - 2 for c in cols]
@@ -862,14 +875,18 @@ def test_gray_circuit_needs_rows_and_cols_of_one_length(build):
     assert len(GrayPairs(2, [], [])) == GrayPairs(2, [], []).cancelled_len() == 0
 
 
-@pytest.mark.parametrize("n", [synth.ARRAY_MAX_N + 1, 64])
-def test_split_past_int64_matches_the_gate_object_reference(n):
+def test_split_at_array_max_n_matches_the_gate_object_reference():
+    n = synth.ARRAY_MAX_N
     assert subcircuit_tuples(*trie_grid(split_subcircuits(read_circuit(io.StringIO(f"n={n} gates=0\n"))))) == []
     pairs = [((1 << n) - 1, 0), (1 << n - 1, 1), (3, 2)]
     circuit = read_circuit(io.StringIO(write_circuit(identity_circuit(n, *pair_columns(pairs)))))
-    subs = subcircuit_tuples(*trie_grid(split_subcircuits(circuit)))
+    split = split_subcircuits(circuit)
+    subs = subcircuit_tuples(*trie_grid(split))
     assert [pair for _, pair in subs] == pairs
     assert subs == [(tuple(g.target << n | g.base for g in p), q) for p, q in ref_split_subcircuits(circuit)]
+    assert split.rows.dtype == split.cols.dtype == np.int64
+    with pytest.raises(ValueError, match=f"at most n={n} qubits, got n={n + 1}$"):
+        read_circuit(io.StringIO(f"n={n + 1} gates=0\n"))
 
 
 @st.composite
@@ -902,34 +919,52 @@ def test_gray_pairs_count_the_built_circuit_before_and_after_cancellation(case, 
         assert (len(held), held.cancelled_len()) == (len(circuit), len(cancel_pass(circuit)))
 
 
-@pytest.mark.parametrize("n", [synth.ARRAY_MAX_N + 1, 64])
-def test_gray_pairs_count_past_int64(n):
+def test_gray_pairs_count_at_array_max_n():
+    n = synth.ARRAY_MAX_N
     pairs = [((1 << n) - 1, 0), (3, 0), (7, 0), (1 << n - 1 | 3, 2)]
     circuit = identity_circuit(n, *pair_columns(pairs))
     held = GrayPairs(n, *pair_columns(pairs))
     assert (len(held), held.cancelled_len()) == (len(circuit), len(cancel_pass(circuit)))
     assert len(cancel_pass(circuit)) < len(circuit)
+    with pytest.raises(ValueError, match=f"at most n={n} qubits, got n={n + 1}$"):
+        GrayPairs(n + 1, *pair_columns(pairs))
 
 
 @settings(max_examples=200, deadline=None)
-@given(case=st.one_of(pair_lists(max_n=8), pair_lists(55, 70), column_stretches()), block=BLOCKS)
+@given(case=st.one_of(pair_lists(max_n=8), pair_lists(55, synth.ARRAY_MAX_N), column_stretches()), block=BLOCKS)
+@example(case=WIDEST, block=2)
 def test_gray_pairs_runs_are_the_built_circuits_x_runs(case, block):
     # Column j of the grid is pair j's X run as the builder lays it out,
     # then -1 down to a last row of -1, in blocks of any size, for empty
-    # runs, and as arrays of Python ints past ARRAY_MAX_N.
+    # runs, and up to n = ARRAY_MAX_N, always as int64.
     n, pairs = case
     with mock.patch.object(synth, "_PAIR_BLOCK", block):
         x = GrayPairs(n, *pair_columns(pairs)).runs()
     runs = [list(subcircuit_for_pair(r, c, n)[0]) for r, c in pairs]
     assert x.shape == (max(map(len, runs), default=0) + 1, len(pairs))
     assert x.T.tolist() == [run + [-1] * (len(x) - len(run)) for run in runs]
-    assert x.dtype == (np.int64 if n <= synth.ARRAY_MAX_N else object)
-    assert all(type(g) is int for g in x.ravel().tolist())
+    assert x.dtype == np.int64
 
 
 def test_gray_pairs_runs_of_no_pairs_build_no_per_bit_rows():
     with mock.patch.object(synth, "_gray_rows", side_effect=AssertionError("built per-bit rows")):
-        assert GrayPairs(10**11, [], []).runs().shape == (1, 0)
+        assert GrayPairs(synth.ARRAY_MAX_N, [], []).runs().shape == (1, 0)
+
+
+@pytest.mark.parametrize("n", [synth.ARRAY_MAX_N + 1, 64, 1 << 62, 99999999999])
+def test_widths_past_array_max_n_are_a_value_error(n):
+    # Codes are int64, so a circuit, its pairs and a circuit file have at
+    # most ARRAY_MAX_N qubits.  The file's header is rejected before its
+    # body is parsed: the malformed line after it is never reached.
+    match = f"^circuits have at most n={synth.ARRAY_MAX_N} qubits, got n={n}$"
+    with pytest.raises(ValueError, match=match):
+        array_circuit(n, [], [], np.empty((0, 2, 2), complex))
+    with pytest.raises(ValueError, match=match):
+        GrayPairs(n, [], [])
+    with pytest.raises(ValueError, match=match):
+        identity_circuit(n, [], [])
+    with pytest.raises(ValueError, match=match):
+        read_circuit(io.StringIO(f"n={n} gates=1\nthis is no gate line\n"))
 
 
 # Line breaks of str.splitlines: LF, CRLF and CR, then vertical tab, form
