@@ -5,7 +5,6 @@ the controlled-NOT count."""
 from .decompose import Decomposition, two_level_decompose
 from .linalg import (
     TwoLevelMatrix,
-    frobenius_distance,
     is_unitary,
     random_unitary,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "formula_conventional",
     "formula_conventional_cancel",
     "formula_poa",
-    "frobenius_distance",
     "gray_code",
     "is_unitary",
     "poa_order",

@@ -9,7 +9,9 @@ always 2^{n-1} (2^n - 1) regardless of the input.
 The steps of column c change only row c and the rows r_1, r_2, ... being
 eliminated, each of them once, so every x_j = m[r_j, c] still holds its
 start-of-column value when its step runs, and a whole column is eliminated
-at once.  Steps with |x_j| < ZERO_TOL are identity factors.  From the first
+at once.  A step with |x_j| < ZERO_TOL is an identity factor while the sum
+of |x_i|^2 over the column's entries under ZERO_TOL up to it stays below
+ZERO_TOL^2, so a column skips a mass of at most ZERO_TOL.  From the first
 other step on, with m0 = m[c, c] at the start of the column, the sums over
 those steps i <= j
 
@@ -35,13 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    UNITARY_TOL,
-    ZERO_TOL,
-    TwoLevelMatrix,
-    is_unitary,
-    is_unitary_entries,
-)
+from .linalg import RECONSTRUCT_TOL, UNITARY_TOL, ZERO_TOL, TwoLevelMatrix, is_unitary, is_unitary_entries
 from .ordering import OrderArray, validate_order
 
 
@@ -63,9 +59,7 @@ class Decomposition:
             raise ValueError(f"shapes {shapes}: need (k,) rows and cols, (k, 2, 2) components")
         if not ((cols >= 0) & (rows > cols) & (rows < 1 << self.n)).all():
             raise ValueError(f"factor indices must satisfy 0 <= col < row < {1 << self.n}")
-        with np.errstate(all="ignore"):  # inf and NaN entries fail the check
-            unitary = is_unitary_entries(*comps.reshape(-1, 4).T).all()
-        if not unitary:
+        if not is_unitary_entries(*comps.reshape(-1, 4).T).all():
             raise ValueError(f"component matrix is not unitary within {UNITARY_TOL}")
 
     @functools.cached_property
@@ -87,6 +81,10 @@ def two_level_decompose(
     ``column_hook(m, c)`` is invoked after each column is fully processed
     with the live working matrix, which later columns keep updating in place
     (used by tests to watch the elimination progress).
+
+    Raises ValueError if ``u`` fails :func:`is_unitary`, or if the working
+    matrix the factors leave, ``I`` for exact factors, is not within
+    ``RECONSTRUCT_TOL`` of ``I`` in Frobenius norm.
     """
     u = np.asarray(u, dtype=complex)
     dim = 1 << order.n
@@ -113,10 +111,11 @@ def two_level_decompose(
         at = index[start + c : end + c + 1]
         block = m[at, c:]
         size = np.abs(block[1:, 0])
-        if size.min() < ZERO_TOL:  # identity steps leave their rows as they are
-            nonzero = size >= ZERO_TOL
-            steps = start + np.flatnonzero(nonzero)
-            take = np.concatenate(([True], nonzero))
+        skip = size < ZERO_TOL
+        if skip.any():  # identity steps leave their rows as they are
+            skip &= np.cumsum(size * size * skip) < ZERO_TOL * ZERO_TOL
+            steps = start + np.flatnonzero(~skip)
+            take = np.concatenate(([True], ~skip))
             at, block = at[take], block[take]
         if len(block) > 1:
             # Row 0 of ``block`` is row c, row i the row of the (i-1)-th
@@ -136,7 +135,7 @@ def two_level_decompose(
             comps[steps, 0] = ratio
             comps[steps, 2] = coef
             comps[steps, 3] = -ratio.conj()
-        if size[-1] < ZERO_TOL:
+        if skip[-1]:
             # Column done: fix the residual phase on the diagonal.
             comps[end - 1, 0] = phase = m[c, c]
             m[c, c:] *= phase.conjugate()
@@ -147,8 +146,12 @@ def two_level_decompose(
     # The remaining 2x2 block is unitary; its adjoint inverts it.
     block = m[dim - 2 :, dim - 2 :]
     comps[-1] = block
+    m[dim - 2 :, dim - 2 :] = block.conj().T @ block
     if column_hook is not None:
-        m[dim - 2 :, dim - 2 :] = block.conj().T @ block
         column_hook(m, dim - 2)
+    m.reshape(-1)[:: dim + 1] -= 1  # m - I in place
+    residual = np.linalg.norm(m)
+    if not residual < RECONSTRUCT_TOL:  # a NaN fails too
+        raise ValueError(f"input fails the unitarity check (its factors reconstruct it to {residual:.4g})")
     return Decomposition(n=order.n, rows=rows, cols=cols, comps=comps)
 

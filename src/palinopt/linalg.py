@@ -1,12 +1,15 @@
-"""Dense complex matrix utilities and two-level matrix embedding.
+"""Dense complex matrix utilities: the unitarity checks, two-level
+matrices, Haar-random unitaries and the matrix file format.
 
 Matrices are plain ``numpy`` arrays of ``complex128``.  The tolerance ladder
 used throughout the package is fixed; these constants are its only values,
 and no function takes a tolerance argument:
 
-* ``ZERO_TOL`` 1e-12 for "is this entry zero" decisions inside algorithms,
+* ``ZERO_TOL`` 1e-12 bounds the entries a decomposition column skips as
+  identity steps, and the root of their summed squares,
 * ``UNITARY_TOL`` 1e-10 for unitarity validation,
-* ``RECONSTRUCT_TOL`` 1e-9 for end-to-end circuit reconstruction checks.
+* ``RECONSTRUCT_TOL`` 1e-9 for reconstruction checks: of the factors, after
+  the decomposition, and of the circuit, end to end.
 """
 
 from __future__ import annotations
@@ -29,30 +32,21 @@ def is_unitary(m: np.ndarray) -> bool:
     return bool(np.abs(dev).max() < UNITARY_TOL)
 
 
-def is_unitary_entries(a: complex, b: complex, c: complex, d: complex) -> bool | np.ndarray:
-    """:func:`is_unitary` of ``[[a, b], [c, d]]`` given as Python numbers, or
-    elementwise for numpy arrays of entries (a bool array).
+def is_unitary_entries(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """:func:`is_unitary` of ``[[a, b], [c, d]]``, elementwise for numpy
+    entries (scalars or arrays of one shape; a bool array).
 
     The two off-diagonal entries of ``m† m - I`` are conjugates, so one is
-    checked; a NaN entry fails every comparison and so fails the check.
+    checked.  A huge finite entry overflows to inf, and inf or NaN entries
+    give inf or NaN sums, which fail every comparison and so fail the check.
     """
-    ac, cc = a.conjugate(), c.conjugate()
-    try:
+    with np.errstate(all="ignore"):
+        ac, cc = a.conjugate(), c.conjugate()
         return (
             (abs(ac * a + cc * c - 1) < UNITARY_TOL)
             & (abs(b.conjugate() * b + d.conjugate() * d - 1) < UNITARY_TOL)
             & (abs(ac * b + cc * d) < UNITARY_TOL)
         )
-    except OverflowError:  # |z| of a finite z past the float range: far from unitary
-        return False
-
-
-def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a - b))
 
 
 @dataclass(frozen=True)
@@ -77,7 +71,7 @@ class TwoLevelMatrix:
         comp = np.asarray(self.comp, dtype=complex)
         if comp.shape != (2, 2):
             raise ValueError("component matrix must be 2x2")
-        if not is_unitary_entries(*comp.reshape(4).tolist()):
+        if not is_unitary_entries(*comp.reshape(4)):
             raise ValueError("component matrix is not unitary")
         object.__setattr__(self, "comp", comp)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import RECONSTRUCT_TOL, frobenius_distance
+from .linalg import RECONSTRUCT_TOL
 from .synth import Circuit
 
 
@@ -71,12 +71,14 @@ class VerificationReport:
 
 
 def verify(u: np.ndarray, c: Circuit) -> VerificationReport:
-    """Compare the circuit's unitary against ``u``; pass below RECONSTRUCT_TOL."""
+    """The Frobenius norm and largest entry magnitude of the circuit's unitary
+    minus ``u``, computed once; pass below RECONSTRUCT_TOL."""
     u = np.asarray(u, dtype=complex)
     dim = 1 << c.n
     if u.shape != (dim, dim):
         raise ValueError(f"matrix shape {u.shape} does not match circuit n={c.n}")
-    built = circuit_to_matrix(c)
-    frob = frobenius_distance(built, u)
-    maxdev = float(np.max(np.abs(built - u)))
+    diff = circuit_to_matrix(c)
+    diff -= u
+    frob = float(np.linalg.norm(diff))
+    maxdev = float(np.abs(diff).max())
     return VerificationReport(passed=frob < RECONSTRUCT_TOL, frobenius=frob, maxdev=maxdev, gates=len(c))

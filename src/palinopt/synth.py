@@ -538,8 +538,7 @@ def _components(fields: list[str], lines: list[str]) -> np.ndarray:
     )
     comps = values.view(complex).reshape(-1, 2, 2)
     finite = np.isfinite(values).reshape(-1, 8).all(axis=1)
-    with np.errstate(all="ignore"):  # a huge finite entry overflows: not unitary
-        unitary = is_unitary_entries(*comps.reshape(-1, 4).T)
+    unitary = is_unitary_entries(*comps.reshape(-1, 4).T)
     bad = np.flatnonzero(~(finite & unitary))
     if len(bad):
         line = lines[bad[0]]

@@ -451,16 +451,22 @@ def poa_recurrence(n: int) -> int:
 
 def dense_decompose(u: np.ndarray, order) -> list[TwoLevelMatrix]:
     """Two-level factors of ``u`` along ``order``, each elimination step
-    applied as a full matrix product M_j @ m."""
+    applied as a full matrix product M_j @ m.  An entry under ``ZERO_TOL``
+    is an identity step while the column's summed |x|^2 of such entries, its
+    own included, stays under ``ZERO_TOL ** 2``."""
     m = np.asarray(u, dtype=complex).copy()
     dim = m.shape[0]
     factors = []
     for c, rows in enumerate(order.columns):
         rows = rows.tolist()
+        skipped = 0.0  # the column's summed |x|^2 of entries under ZERO_TOL
         for r in rows:
+            size = abs(m[r, c])
+            if size < ZERO_TOL:
+                skipped += size * size
             if c == dim - 2:
                 block = np.conj(m[np.ix_([c, r], [c, r])]).T
-            elif abs(m[r, c]) < ZERO_TOL:
+            elif size < ZERO_TOL and skipped < ZERO_TOL * ZERO_TOL:
                 phase = np.conj(m[c, c]) if r == rows[-1] else 1.0
                 block = np.array([[phase, 0.0], [0.0, 1.0]], dtype=complex)
             else:

@@ -349,6 +349,18 @@ def test_compile_skip_identity_keeps_the_circuit_within_the_verify_bound(tmp_pat
     assert wrote != f"wrote 0 gates to {out_path}" and report.startswith("pass=true ")
 
 
+def test_compile_rejects_input_its_factors_do_not_reconstruct_before_synth(tmp_path, capsys):
+    # U passes is_unitary, but its non-unitarity sums past RECONSTRUCT_TOL
+    # over the factors: exit 1 in one line, no circuit written, never exit 2.
+    inp = tmp_path / "s.mat"
+    inp.write_text(write_matrix(random_unitary(9, 1) * (1 + 4.9e-11)), encoding="utf-8")
+    out_path = tmp_path / "s.circ"
+    code, out, err = run(capsys, "compile", "--input", str(inp), "--output", str(out_path), "--cancel", "--verify")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: input fails the unitarity check (") and err.count("\n") == 1
+    assert not out_path.exists()
+
+
 def test_compile_skip_identity(tmp_path, capsys):
     inp = tmp_path / "id.mat"
     inp.write_text(write_matrix(np.eye(4)), encoding="utf-8")

@@ -15,7 +15,7 @@ from strategies import adversarial_unitaries, valid_orders
 
 from palinopt import cli
 from palinopt.decompose import Decomposition, two_level_decompose
-from palinopt.linalg import TwoLevelMatrix, frobenius_distance, random_unitary, write_matrix
+from palinopt.linalg import TwoLevelMatrix, is_unitary, random_unitary, write_matrix
 from palinopt.optimize import cancel_pass
 from palinopt.ordering import conventional_order, poa_order, validate_order
 from palinopt.sim import verify
@@ -45,20 +45,20 @@ def test_identity_input_gives_identity_factors():
         assert len(d.factors) == expected_factor_count(3)
         for f in d.factors:
             assert np.allclose(f.comp, np.eye(2), atol=1e-12)
-        assert frobenius_distance(reconstruct(d), np.eye(8)) < 1e-12
+        assert np.linalg.norm(reconstruct(d) - np.eye(8)) < 1e-12
 
 
 def test_cnot_decomposition():
     d = two_level_decompose(CNOT, conventional_order(2))
     assert len(d.factors) == 6
-    assert frobenius_distance(reconstruct(d), CNOT) < 1e-12
+    assert np.linalg.norm(reconstruct(d) - CNOT) < 1e-12
 
 
 def test_random_n3_poa():
     u = random_unitary(3, 42)
     d = two_level_decompose(u, poa_order(3))
     assert len(d.factors) == 28
-    assert frobenius_distance(reconstruct(d), u) < 1e-9
+    assert np.linalg.norm(reconstruct(d) - u) < 1e-9
 
 
 def test_pairs_follow_order():
@@ -79,7 +79,7 @@ def test_reconstruction_sweep(n, make_order):
     for seed in range(20):
         u = random_unitary(n, seed)
         d = two_level_decompose(u, make_order(n))
-        assert frobenius_distance(reconstruct(d), u) < 1e-9
+        assert np.linalg.norm(reconstruct(d) - u) < 1e-9
 
 
 def test_reconstruction_n6():
@@ -87,7 +87,7 @@ def test_reconstruction_n6():
         u = random_unitary(6, seed)
         for order in (conventional_order(6), poa_order(6)):
             d = two_level_decompose(u, order)
-            assert frobenius_distance(reconstruct(d), u) < 1e-9
+            assert np.linalg.norm(reconstruct(d) - u) < 1e-9
 
 
 def test_shuffled_order_still_reconstructs():
@@ -104,7 +104,7 @@ def test_shuffled_order_still_reconstructs():
     assert validate_order(order)
     u = random_unitary(4, 17)
     d = two_level_decompose(u, order)
-    assert frobenius_distance(reconstruct(d), u) < 1e-9
+    assert np.linalg.norm(reconstruct(d) - u) < 1e-9
 
 
 def test_factors_are_valid_two_level():
@@ -140,7 +140,7 @@ def test_any_valid_order_reconstructs(order, seed):
     u = random_unitary(order.n, seed)
     d = two_level_decompose(u, order)
     assert factor_pairs(d) == tuple(zip(order.rows.tolist(), order.cols.tolist()))
-    assert frobenius_distance(reconstruct(d), u) < 1e-9
+    assert np.linalg.norm(reconstruct(d) - u) < 1e-9
 
 
 @settings(max_examples=80, deadline=None)
@@ -248,6 +248,39 @@ def test_rejects_non_unitary():
         two_level_decompose(np.ones((4, 4)), conventional_order(2))
 
 
+def test_rejects_input_its_factors_do_not_reconstruct():
+    # Every entry of U†U - I is under UNITARY_TOL (9.8e-11), but the factors
+    # reconstruct U only to ~1.1e-9, past RECONSTRUCT_TOL.
+    u = random_unitary(9, 1) * (1 + 4.9e-11)
+    assert is_unitary(u)
+    with pytest.raises(ValueError, match=r"^input fails the unitarity check \(its factors reconstruct it to 1\.1"):
+        two_level_decompose(u, poa_order(9))
+
+
+def near_identity(n, eps=0.999e-12):
+    """I + i eps H with H all ones off the diagonal: unitary to ~eps^2, and
+    every off-diagonal entry under ZERO_TOL."""
+    dim = 1 << n
+    return np.eye(dim) + 1j * eps * (np.ones((dim, dim)) - np.eye(dim))
+
+
+@pytest.mark.parametrize("make_order", [conventional_order, poa_order])
+def test_identity_steps_skip_at_most_zero_tol_per_column(make_order):
+    # Each entry is under ZERO_TOL, but two of them square-sum past
+    # ZERO_TOL^2: each column but the last keeps exactly one identity step,
+    # its first, and eliminates the rest.
+    u, order = near_identity(4), make_order(4)
+    d = two_level_decompose(u, order)
+    dense = dense_decompose(u, order)
+    assert factor_pairs(d) == tuple(f.pair for f in dense)
+    for f, comp in zip(dense, d.comps):
+        assert np.max(np.abs(f.comp - comp)) < 1e-12
+    identity = [bool(np.array_equal(comp, np.eye(2))) for comp in d.comps]
+    firsts = np.searchsorted(d.cols, np.arange(16 - 2))
+    assert np.flatnonzero(identity).tolist() == firsts.tolist()
+    assert np.linalg.norm(reconstruct(d) - u) < 1e-9
+
+
 def test_rejects_dimension_mismatch():
     with pytest.raises(ValueError):
         two_level_decompose(np.eye(8), conventional_order(2))
@@ -263,4 +296,4 @@ def test_n1_single_factor():
     u = random_unitary(1, 3)
     d = two_level_decompose(u, conventional_order(1))
     assert len(d.factors) == 1
-    assert frobenius_distance(reconstruct(d), u) < 1e-12
+    assert np.linalg.norm(reconstruct(d) - u) < 1e-12
